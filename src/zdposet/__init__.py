@@ -16,6 +16,7 @@ from .complexes import (
     is_well_covered,
 )
 from .cmcert import (
+    Analysis,
     CmVerdict,
     MyCertificate,
     OrderingOutcome,
@@ -65,6 +66,7 @@ from .zdg import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "BipartiteReport",
     "CmVerdict",
     "EquivalenceReport",

@@ -13,7 +13,7 @@ import sys
 from typing import Sequence
 
 from . import complexes, homology, product, zdg
-from .cmcert import DEFAULT_MAX_SEARCH_NODES, is_cohen_macaulay
+from .cmcert import DEFAULT_MAX_SEARCH_NODES, Analysis
 from .errors import (
     EmptyGraphError,
     SizeLimitExceededError,
@@ -94,6 +94,9 @@ def cmd_zdg(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     P = _load_poset(args.input)
     G = zdg.zero_divisor_graph(P)
+    A = Analysis(
+        G, args.max_vertices, args.max_homology_vertices, args.max_search_nodes
+    )
     lines = [
         f"poset: {len(P)} elements, boolean: {_yn(P.is_boolean())}",
         f"graph: {len(G.vertices)} vertices, {len(G.edges())} edges",
@@ -106,7 +109,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     problems: list[str] = []
     wc = vwc = None
     try:
-        C = complexes.independence_complex(G, args.max_vertices)
+        C = A.complex
         wc = complexes.is_well_covered(C)
         vwc = complexes.is_very_well_covered(C)
         lines.append(f"well-covered: {_yn(wc)}")
@@ -116,12 +119,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         lines.append(f"well-covered: skipped ({exc})")
         lines.append(f"very-well-covered: skipped ({exc})")
 
-    verdict = is_cohen_macaulay(
-        P,
-        max_vertices=args.max_vertices,
-        max_homology_vertices=args.max_homology_vertices,
-        max_search_nodes=args.max_search_nodes,
-    )
+    verdict = A.verdict
     status_text = {"CM": "yes", "NotCM": "no", "Inconclusive": "inconclusive"}
     lines.append(f"CM(MY): {status_text[verdict.status]} [{verdict.method}]")
 
@@ -200,8 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("-o", "--output", default=None, help="write here instead of stdout")
+
+    def add_caps(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--max-vertices",
             type=int,
@@ -214,38 +214,33 @@ def build_parser() -> argparse.ArgumentParser:
             default=homology.DEFAULT_MAX_HOMOLOGY_VERTICES,
             help="homology oracle cap (default %(default)s)",
         )
-        p.add_argument(
-            "--max-search-nodes",
-            type=int,
-            default=DEFAULT_MAX_SEARCH_NODES,
-            help="matching-search budget (default %(default)s)",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="worker processes for sweeps (default 1)",
-        )
-        p.add_argument(
-            "-v",
-            "--verbose",
-            action="store_true",
-            help="include per-face homology tables where applicable",
-        )
 
     p = sub.add_parser("info", help="order-theoretic profile of a poset file")
     p.add_argument("input")
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("zdg", help="zero-divisor graph as DOT")
     p.add_argument("input")
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=cmd_zdg)
 
     p = sub.add_parser("check", help="consolidated coveredness / CM verdict")
     p.add_argument("input")
-    add_common(p)
+    add_output(p)
+    add_caps(p)
+    p.add_argument(
+        "--max-search-nodes",
+        type=int,
+        default=DEFAULT_MAX_SEARCH_NODES,
+        help="matching-search budget (default %(default)s)",
+    )
+    p.add_argument(
+        "-v",
+        "--verbose",
+        action="store_true",
+        help="include the per-face homology table",
+    )
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("export", help="edge ideal script for a CAS")
@@ -253,18 +248,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "-d", "--dialect", choices=("m2", "singular"), required=True
     )
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("sweep", help="TSV verdicts over factor-size vectors")
     p.add_argument("input")
-    add_common(p)
+    add_output(p)
+    add_caps(p)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes (default 1)",
+    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gen", help="emit a catalog poset file")
     p.add_argument("catalog")
     p.add_argument("params", nargs="+", type=int)
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=cmd_gen)
 
     return parser

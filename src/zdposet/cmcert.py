@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import heapq
 import json
-import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .complexes import (
     DEFAULT_MAX_VERTICES,
+    IndependenceComplex,
     independence_complex,
     is_very_well_covered,
     is_well_covered,
@@ -29,15 +30,14 @@ from .errors import (
     FewerThanTwoAtomsError,
     PairsDontPartitionError,
     SizeLimitExceededError,
+    TheoremContractError,
 )
 from .graphs import Graph, Vertex, vertex_label
 from .homology import DEFAULT_MAX_HOMOLOGY_VERTICES, reisner_cm
-from .poset import Poset
+from .poset import Poset, bits
 from .zdg import ZdGraph, graph_complements, require_boolean, zero_divisor_graph
 
 DEFAULT_MAX_SEARCH_NODES = 10**6
-
-logger = logging.getLogger(__name__)
 
 Pair = tuple[Vertex, Vertex]
 
@@ -140,17 +140,7 @@ def boolean_facet(P: Poset, G: ZdGraph | None = None) -> Stratification:
         b_hat = tuple(sorted({min(v, min(P.complements_of(v))) for v in half}))
         members.extend(b_hat)
 
-    facet = tuple(sorted(members))
-    for idx, v in enumerate(facet):
-        assert not (G.neighbors(v) & set(facet[idx + 1 :])), (
-            "stratified set is not independent: Boolean weight argument broken"
-        )
-    outside = set(G.vertices) - set(facet)
-    assert all(G.neighbors(v) & set(facet) for v in outside), (
-        "stratified set is not maximal"
-    )
-    assert 2 * len(facet) == len(G.vertices), "facet must have size |V|/2"
-    return Stratification(k, tuple(strata), b_hat, facet)
+    return Stratification(k, tuple(strata), b_hat, tuple(sorted(members)))
 
 
 def boolean_labeling(P: Poset, S: Stratification) -> tuple[Pair, ...]:
@@ -183,41 +173,35 @@ def verify_my_conditions(G: Graph, pairs: Sequence[Pair]) -> MyCertificate:
         raise PairsDontPartitionError(
             "the pairs do not partition the vertex set of the graph"
         )
-    xs = [x for x, _ in pairs]
-    ys = [y for _, y in pairs]
-    name = lambda v: vertex_label(G, v)
+    nbr = G.nbr
+    xs = [G.index[x] for x, _ in pairs]
+    ys = [G.index[y] for _, y in pairs]
+    adj = lambda a, b: nbr[a] >> b & 1
+    name = lambda i: vertex_label(G, G.vertices[i])
 
     conditions: list[tuple[str, ConditionStatus]] = []
 
-    # (a) cover side is a minimal vertex cover, independent side a facet
+    # (a) cover side is a minimal vertex cover, independent side a facet;
+    # Y = V - X, so Y is independent iff X is a cover, maximal iff X is minimal.
+    # The first y with a y-neighbour has only later ones: it starts the
+    # first uncovered edge.
     witness_a = None
-    xset, yset = set(xs), set(ys)
-    for u, v in G.edges():
-        if u not in xset and v not in xset:
-            witness_a = (name(u), name(v))
+    ymask = sum(1 << y for y in ys)
+    for u in bits(ymask):
+        if nbr[u] & ymask:
+            witness_a = (name(u), name(next(bits(nbr[u] & ymask))))
             break
     if witness_a is None:
         for x in xs:
-            if not (G.neighbors(x) - xset):
+            if not nbr[x] & ymask:
                 witness_a = (name(x),)
-                break
-    if witness_a is None:
-        for i, y in enumerate(ys):
-            hit = G.neighbors(y) & yset
-            if hit:
-                witness_a = (name(y), name(min(hit)))
-                break
-    if witness_a is None:
-        for v in G.vertices:
-            if v not in yset and not (G.neighbors(v) & yset):
-                witness_a = (name(v),)
                 break
     conditions.append(("a", ConditionStatus(witness_a is None, witness_a)))
 
     # (b) matched pairs are edges
     witness_b = None
-    for x, y in pairs:
-        if not G.adjacent(x, y):
+    for x, y in zip(xs, ys):
+        if not adj(x, y):
             witness_b = (name(x), name(y))
             break
     conditions.append(("b", ConditionStatus(witness_b is None, witness_b)))
@@ -227,16 +211,16 @@ def verify_my_conditions(G: Graph, pairs: Sequence[Pair]) -> MyCertificate:
     for i in range(h):
         if witness_c:
             break
-        for z in pairs[i]:
+        for z in (xs[i], ys[i]):
             if witness_c:
                 break
             for j in range(h):
-                if j == i or not G.adjacent(z, xs[j]):
+                if j == i or not adj(z, xs[j]):
                     continue
                 for k in range(h):
                     if k in (i, j):
                         continue
-                    if G.adjacent(ys[j], xs[k]) and not G.adjacent(z, xs[k]):
+                    if adj(ys[j], xs[k]) and not adj(z, xs[k]):
                         witness_c = (name(z), name(xs[j]), name(xs[k]))
                         break
                 if witness_c:
@@ -247,7 +231,7 @@ def verify_my_conditions(G: Graph, pairs: Sequence[Pair]) -> MyCertificate:
     witness_d = None
     for i in range(h):
         for j in range(h):
-            if G.adjacent(xs[i], ys[j]) and G.adjacent(xs[i], xs[j]):
+            if adj(xs[i], ys[j]) and adj(xs[i], xs[j]):
                 witness_d = (name(xs[i]), name(ys[j]), name(xs[j]))
                 break
         if witness_d:
@@ -258,14 +242,14 @@ def verify_my_conditions(G: Graph, pairs: Sequence[Pair]) -> MyCertificate:
     witness_e = None
     for i in range(h):
         for j in range(h):
-            if i > j and G.adjacent(xs[i], ys[j]):
+            if i > j and adj(xs[i], ys[j]):
                 witness_e = (name(xs[i]), name(ys[j]))
                 break
         if witness_e:
             break
     conditions.append(("e", ConditionStatus(witness_e is None, witness_e)))
 
-    pair_names = tuple((name(x), name(y)) for x, y in pairs)
+    pair_names = tuple((name(x), name(y)) for x, y in zip(xs, ys))
     return MyCertificate(tuple(pairs), pair_names, h, tuple(conditions))
 
 
@@ -392,6 +376,79 @@ def _search_certificate(
     )
 
 
+@dataclass
+class Analysis:
+    """A zero-divisor graph with its facet complex and CM verdict.
+
+    Each is computed at most once, under the caps given here.
+    """
+
+    graph: ZdGraph
+    max_vertices: int = DEFAULT_MAX_VERTICES
+    max_homology_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES
+    max_search_nodes: int = DEFAULT_MAX_SEARCH_NODES
+
+    @cached_property
+    def complex(self) -> IndependenceComplex:
+        """The independence complex; raises SizeLimitExceededError above the cap."""
+        return independence_complex(self.graph, self.max_vertices)
+
+    @cached_property
+    def verdict(self) -> CmVerdict:
+        """Decide Cohen-Macaulayness of the graph.
+
+        Boolean posets go through the constructive certificate, other very
+        well-covered graphs through the exhaustive (budgeted) labeling
+        search, non-well-covered graphs are rejected outright, and whatever
+        remains is settled by the homology oracle.
+        """
+        G, P = self.graph, self.graph.owner
+        if not G.vertices:
+            raise EmptyGraphError("the zero-divisor graph has no vertices")
+
+        if P.is_boolean():
+            # equal-weight strata admit no cross edges, so the stratum
+            # order already runs every cross edge forward
+            cert = verify_my_conditions(G, boolean_labeling(P, boolean_facet(P, G)))
+            if not cert.ok:
+                raise TheoremContractError(
+                    "the Boolean certificate fails on a Boolean poset: "
+                    + cert.to_json()
+                )
+            return CmVerdict("CM", "boolean-certificate", cert)
+
+        try:
+            C = self.complex
+        except SizeLimitExceededError as exc:
+            return CmVerdict("Inconclusive", "facet-cap", None, str(exc))
+        if not is_well_covered(C):
+            sizes = sorted({len(f) for f in C.facets})
+            return CmVerdict(
+                "NotCM",
+                "not-well-covered",
+                None,
+                f"facet sizes {sizes} differ; Cohen-Macaulay graphs are well-covered",
+            )
+        if is_very_well_covered(C):
+            return _search_certificate(G, C.facets, self.max_search_nodes)
+        try:
+            ok, witness = reisner_cm(C, self.max_homology_vertices)
+        except SizeLimitExceededError as exc:
+            return CmVerdict("Inconclusive", "homology-cap", None, str(exc))
+        if ok:
+            return CmVerdict(
+                "CM", "reisner-oracle", None, "all links have vanishing low homology"
+            )
+        face, dim = witness
+        face_names = ",".join(vertex_label(G, v) for v in face) or "empty face"
+        return CmVerdict(
+            "NotCM",
+            "reisner-oracle",
+            None,
+            f"link of ({face_names}) has homology in dimension {dim}",
+        )
+
+
 def is_cohen_macaulay(
     P: Poset,
     *,
@@ -401,59 +458,8 @@ def is_cohen_macaulay(
 ) -> CmVerdict:
     """Decide Cohen-Macaulayness of the poset's zero-divisor graph.
 
-    Boolean posets go through the constructive certificate, other very
-    well-covered graphs through the exhaustive (budgeted) labeling search,
-    non-well-covered graphs are rejected outright, and whatever remains is
-    settled by the homology oracle.
+    See ``Analysis.verdict`` for the routes.
     """
-    G = zero_divisor_graph(P)
-    if not G.vertices:
-        raise EmptyGraphError("the zero-divisor graph has no vertices")
-
-    if P.is_boolean():
-        strat = boolean_facet(P, G)
-        stratum_pairs = boolean_labeling(P, strat)
-        outcome = find_ordering(G, stratum_pairs)
-        assert outcome.feasible, "constructive matching must be orderable"
-        cert = verify_my_conditions(G, outcome.pairs)
-        assert cert.ok, "constructive certificate failed on a Boolean poset"
-        stratum_cert = verify_my_conditions(G, stratum_pairs)
-        if not stratum_cert.ok:
-            # should be impossible: equal-weight strata admit no cross edges
-            logger.warning(
-                "stratum order violated a condition that the re-derived "
-                "topological order satisfies: %s",
-                stratum_cert.to_json(),
-            )
-        return CmVerdict("CM", "boolean-certificate", cert)
-
-    try:
-        C = independence_complex(G, max_vertices=max_vertices)
-    except SizeLimitExceededError as exc:
-        return CmVerdict("Inconclusive", "facet-cap", None, str(exc))
-    if not is_well_covered(C):
-        sizes = sorted({len(f) for f in C.facets})
-        return CmVerdict(
-            "NotCM",
-            "not-well-covered",
-            None,
-            f"facet sizes {sizes} differ; Cohen-Macaulay graphs are well-covered",
-        )
-    if is_very_well_covered(C):
-        return _search_certificate(G, C.facets, max_search_nodes)
-    try:
-        ok, witness = reisner_cm(C, max_homology_vertices)
-    except SizeLimitExceededError as exc:
-        return CmVerdict("Inconclusive", "homology-cap", None, str(exc))
-    if ok:
-        return CmVerdict(
-            "CM", "reisner-oracle", None, "all links have vanishing low homology"
-        )
-    face, dim = witness
-    face_names = ",".join(vertex_label(G, v) for v in face) or "empty face"
-    return CmVerdict(
-        "NotCM",
-        "reisner-oracle",
-        None,
-        f"link of ({face_names}) has homology in dimension {dim}",
-    )
+    return Analysis(
+        zero_divisor_graph(P), max_vertices, max_homology_vertices, max_search_nodes
+    ).verdict

@@ -106,12 +106,7 @@ def independence_complex(
         raise SizeLimitExceededError(
             f"{n} vertices exceed the facet-enumeration cap {max_vertices}"
         )
-    pos = {v: i for i, v in enumerate(verts)}
-    nbr = [0] * n
-    for i, v in enumerate(verts):
-        for w in G.neighbors(v):
-            nbr[i] |= 1 << pos[w]
-    masks = _maximal_independent_masks(nbr, n)
+    masks = _maximal_independent_masks(G.nbr, n)
     facets = [tuple(verts[i] for i in bits(m)) for m in masks]
     return IndependenceComplex(G, facets)
 
@@ -195,8 +190,7 @@ def export_edge_ideal(G: Graph, dialect: str) -> str:
     m = len(verts)
     if m == 0:
         raise NoVariablesError("graph has no vertices: nothing to export")
-    pos = {v: i for i, v in enumerate(verts)}
-    gens = [f"v{pos[a]}*v{pos[b]}" for a, b in G.edges()]
+    gens = [f"v{G.index[a]}*v{G.index[b]}" for a, b in G.edges()]
     comment = "--" if dialect == "m2" else "//"
     lines = [f"{comment} v{i} = {vertex_label(G, v)}" for i, v in enumerate(verts)]
     if dialect == "m2":

@@ -1,7 +1,10 @@
 """A small immutable undirected-graph value type.
 
 Vertex ids only need to be hashable and mutually comparable (ints for
-zero-divisor graphs, anything sortable for ad-hoc test graphs).
+zero-divisor graphs, anything sortable for ad-hoc test graphs).  The
+adjacency is one bitmask row per vertex position: bit j of ``nbr[i]``
+is set when ``vertices[i]`` and ``vertices[j]`` are adjacent, and
+``index`` maps a vertex to its position.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable
 
 from .errors import UnknownVertexError
+from .poset import bits
 
 Vertex = Hashable
 
@@ -16,45 +20,45 @@ Vertex = Hashable
 class Graph:
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]]):
         self.vertices: tuple[Vertex, ...] = tuple(sorted(set(vertices)))
-        known = set(self.vertices)
-        adj: dict[Vertex, set[Vertex]] = {v: set() for v in self.vertices}
+        self.index: dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
+        self.nbr: list[int] = [0] * len(self.vertices)
         for a, b in edges:
-            if a not in known or b not in known:
+            if a not in self.index or b not in self.index:
                 raise UnknownVertexError(f"edge ({a!r}, {b!r}) uses an unknown vertex")
             if a == b:
                 raise ValueError(f"loop at {a!r}: graphs here are simple")
-            adj[a].add(b)
-            adj[b].add(a)
-        self._adj: dict[Vertex, frozenset[Vertex]] = {
-            v: frozenset(s) for v, s in adj.items()
-        }
+            i, j = self.index[a], self.index[b]
+            self.nbr[i] |= 1 << j
+            self.nbr[j] |= 1 << i
 
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges())} edges)"
 
-    def neighbors(self, v: Vertex) -> frozenset[Vertex]:
+    def _row(self, v: Vertex) -> int:
         try:
-            return self._adj[v]
+            return self.nbr[self.index[v]]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
+    def neighbors(self, v: Vertex) -> frozenset[Vertex]:
+        return frozenset(self.vertices[j] for j in bits(self._row(v)))
+
     def adjacent(self, v: Vertex, w: Vertex) -> bool:
-        return w in self.neighbors(v)
+        return w in self.index and bool(self._row(v) >> self.index[w] & 1)
 
     def degree(self, v: Vertex) -> int:
-        return len(self.neighbors(v))
+        return self._row(v).bit_count()
 
     def edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
         """All edges as (smaller, larger) pairs, sorted."""
-        out = []
-        for v in self.vertices:
-            for w in self._adj[v]:
-                if v < w:
-                    out.append((v, w))
-        return tuple(sorted(out))
+        return tuple(
+            (v, self.vertices[j])
+            for i, v in enumerate(self.vertices)
+            for j in bits(self.nbr[i] >> (i + 1) << (i + 1))
+        )
 
     def has_isolated_vertex(self) -> bool:
-        return any(not self._adj[v] for v in self.vertices)
+        return not all(self.nbr)
 
 
 def vertex_label(G: Graph, v: Vertex) -> str:

@@ -77,9 +77,10 @@ def faces_by_dimension(
 class _IntRowBasis:
     """Incremental exact integer elimination; rank = number of pivot rows.
 
-    Stored rows are gcd-reduced and mutually back-eliminated, so each
-    carries exactly one pivot column.  ``prefer_high`` flips the pivot
-    choice, giving an independent elimination order for cross-checks.
+    Stored rows are gcd-reduced and kept in echelon form: each is stored
+    under its leading column, which no other stored row leads with.
+    ``prefer_high`` leads with the highest column instead of the lowest,
+    giving an independent elimination order for cross-checks.
     """
 
     def __init__(self, prefer_high: bool = False):
@@ -107,17 +108,13 @@ class _IntRowBasis:
 
     def add(self, row: dict[int, int]) -> bool:
         r = {c: v for c, v in row.items() if v}
-        for col in sorted(set(r) & set(self.rows)):
-            if r.get(col):
-                r = self._combine(r, self.rows[col], col)
-        if not r:
-            return False
-        pivot = max(r) if self.prefer_high else min(r)
-        for stored_pivot, stored in list(self.rows.items()):
-            if stored.get(pivot):
-                self.rows[stored_pivot] = self._combine(stored, r, pivot)
-        self.rows[pivot] = r
-        return True
+        while r:
+            col = max(r) if self.prefer_high else min(r)
+            if col not in self.rows:
+                self.rows[col] = r
+                return True
+            r = self._combine(r, self.rows[col], col)
+        return False
 
     @property
     def rank(self) -> int:
@@ -188,15 +185,17 @@ def reisner_report(
     Summary line only by default; with ``verbose`` a per-face table of
     (face, link dimension, betti vector) precedes it.
     """
-    ok, _ = reisner_cm(C, max_vertices)
     if not verbose:
+        ok, _ = reisner_cm(C, max_vertices)
         return f"CM: {'yes' if ok else 'no'}\n"
+    ok = True
     lines = ["face\tlink-dim\tbetti"]
-    for bucket in _face_lists(C):
+    for bucket in faces_by_dimension(C, max_vertices):
         for face in bucket:
             link = link_of(C, face)
             dim = link.dimension
             profile = reduced_betti(link, max_vertices)
+            ok = ok and profile.vanishes_below(dim) is None
             betti = ",".join(
                 str(profile.rank(d)) for d in range(-1, max(dim + 1, 0))
             )

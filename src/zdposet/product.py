@@ -14,12 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .cmcert import is_cohen_macaulay
-from .complexes import (
-    DEFAULT_MAX_VERTICES,
-    independence_complex,
-    is_well_covered,
-)
+from .cmcert import Analysis
+from .complexes import DEFAULT_MAX_VERTICES, is_well_covered
 from .errors import (
     BadParamError,
     FactorHasZeroDivisorsError,
@@ -103,17 +99,17 @@ def validate_factors(factors: Sequence[Poset]) -> ProductAnalysis:
 
 
 def _assert_maximal_independent(G: ZdGraph, members: frozenset[int]) -> None:
-    for v in sorted(members):
-        hit = G.neighbors(v) & members
-        assert not hit, (
-            f"set is not independent: {G.owner.elements[v]} is adjacent to "
-            f"{G.owner.elements[min(hit)]}"
-        )
-    for v in G.vertices:
-        if v not in members:
-            assert G.neighbors(v) & members, (
-                f"set is not maximal: {G.owner.elements[v]} could be added"
+    mask = sum(1 << G.index[v] for v in members)
+    name = G.owner.elements
+    for v, row in zip(G.vertices, G.nbr):
+        hit = row & mask
+        if v in members:
+            assert not hit, (
+                f"set is not independent: {name[v]} is adjacent to "
+                f"{name[G.vertices[next(bits(hit))]]}"
             )
+        else:
+            assert hit, f"set is not maximal: {name[v]} could be added"
 
 
 def j_single(A: ProductAnalysis, i: int) -> frozenset[int]:
@@ -243,16 +239,13 @@ def equivalence_suite(
     """Evaluate the five equivalent statements and insist they agree."""
     if A.n < 3:
         raise TooFewFactorsError("the equivalence applies for n >= 3")
-    verdict = is_cohen_macaulay(
-        A.carrier,
-        max_vertices=max_vertices,
-        max_homology_vertices=max_homology_vertices,
-    )
+    analysis = Analysis(A.graph, max_vertices, max_homology_vertices)
+    verdict = analysis.verdict
     if verdict.status == "Inconclusive":
         raise TheoremContractError(
             f"CM verdict inconclusive under the configured caps: {verdict.detail}"
         )
-    wc = is_well_covered(independence_complex(A.graph, max_vertices))
+    wc = is_well_covered(analysis.complex)
     statements = (
         ("cohen-macaulay", verdict.status == "CM"),
         ("well-covered", wc),
@@ -298,8 +291,9 @@ def bipartite_case(A: ProductAnalysis) -> BipartiteReport:
                 break
     sizes = (len(part1), len(part2))
     assert sizes == (len(f1) - 1, len(f2) - 1)
-    wc = is_well_covered(independence_complex(A.graph))
-    status = is_cohen_macaulay(A.carrier).status
+    analysis = Analysis(A.graph)
+    wc = is_well_covered(analysis.complex)
+    status = analysis.verdict.status
     note = (
         f"parts have sizes |P_1|-1 = {sizes[0]} and |P_2|-1 = {sizes[1]}; "
         f"the graph is K_{{{sizes[0]},{sizes[1]}}}"
@@ -366,27 +360,22 @@ def sweep_row(
 
     jt = len(j_triple(A, 1, 2, 3))
     wc_formula, _ = well_covered_verdict(A)
+    analysis = Analysis(A.graph, max_vertices, max_homology_vertices)
     if len(A.graph.vertices) <= max_vertices:
-        wc = is_well_covered(independence_complex(A.graph, max_vertices))
+        wc = is_well_covered(analysis.complex)
         if wc != wc_formula:
             raise TheoremContractError(
                 f"formula verdict {wc_formula} disagrees with enumeration {wc} "
                 f"for sizes {tuple(sizes)}"
             )
-        verdict = is_cohen_macaulay(
-            A.carrier,
-            max_vertices=max_vertices,
-            max_homology_vertices=max_homology_vertices,
-        )
         wc_cell = _YES_NO[wc]
-        cm_cell = _STATUS_CELL[verdict.status]
+        cm_cell = _STATUS_CELL[analysis.verdict.status]
     else:
         flag = " [unverified-by-enumeration]"
         wc_cell = _YES_NO[wc_formula] + flag
         if wc_formula:
             # all sizes are 2: the Boolean path needs no facet enumeration
-            verdict = is_cohen_macaulay(A.carrier, max_vertices=max_vertices)
-            cm_cell = _STATUS_CELL[verdict.status]
+            cm_cell = _STATUS_CELL[analysis.verdict.status]
         else:
             cm_cell = "no" + flag
     cells = [

@@ -20,9 +20,6 @@ class ZdGraph(Graph):
         super().__init__(vertices, edges)
         self.owner = owner
 
-    def vertex_names(self) -> tuple[str, ...]:
-        return tuple(self.owner.elements[v] for v in self.vertices)
-
 
 def zero_divisors(P: Poset) -> frozenset[int]:
     """Ids of all a admitting a nonzero b with lower cone {a,b} = {0}."""

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import zdposet
+import zdposet.zdg as zdg_mod
 from zdposet.cli import main
 from zdposet.poset import direct_product, generate, parse_poset
 
@@ -14,6 +21,12 @@ def fig1_path(tmp_path, figure1_text):
 def write_poset(tmp_path, P, name="input.poset"):
     p = tmp_path / name
     p.write_text(P.to_text())
+    return str(p)
+
+
+def write_sizes(tmp_path, line):
+    p = tmp_path / "sizes.txt"
+    p.write_text(line + "\n")
     return str(p)
 
 
@@ -190,3 +203,87 @@ def test_bad_cap_rejected(fig1_path):
     with pytest.raises(SystemExit) as exc:
         main(["check", fig1_path, "--workers", "0"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", fig1_path, "--workers", "0"])
+    assert exc.value.code == 2
+
+
+def test_flags_only_where_they_act(fig1_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["info", fig1_path, "--workers", "2"])
+    assert exc.value.code == 2
+
+
+def test_boolean_certificate_trap_fires_under_O(tmp_path):
+    # stratum pairs in reverse order run cross edges backwards; the check
+    # must exit 1 even with asserts stripped
+    path = write_poset(tmp_path, generate("boolean_lattice", 4))
+    script = (
+        "import sys, zdposet.cmcert as m\n"
+        "orig = m.boolean_labeling\n"
+        "m.boolean_labeling = lambda P, S: orig(P, S)[::-1]\n"
+        "from zdposet.cli import main\n"
+        f"sys.exit(main(['check', {path!r}]))\n"
+    )
+    src = str(Path(zdposet.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "contract violation" in proc.stderr
+
+
+# one input per route of the CM verdict
+ONCE_POSETS = {
+    "boolean": generate("boolean_lattice", 3),
+    "search": direct_product([generate("chain", 3)] * 2).carrier,
+    "not-well-covered": direct_product([generate("chain", 3)] * 3).carrier,
+    "reisner": generate("m_atoms", 3),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", name] for name in ONCE_POSETS]
+    + [["check", "reisner", "-v"]]
+    + [
+        ["sweep", row]
+        for row in ("2,2", "3,3", "2,3", "2,2,2", "3,3,3", "2,2,2,2,2,2")
+    ],
+    ids=" ".join,
+)
+def test_graph_and_facets_built_once(tmp_path, monkeypatch, capsys, argv):
+    import zdposet.complexes as complexes_mod
+
+    calls = {"graph": 0, "facets": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    graph_fn = zdg_mod.zero_divisor_graph
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "zero_divisor_graph", None) is graph_fn:
+            monkeypatch.setattr(mod, "zero_divisor_graph", counted("graph", graph_fn))
+    monkeypatch.setattr(
+        complexes_mod,
+        "_maximal_independent_masks",
+        counted("facets", complexes_mod._maximal_independent_masks),
+    )
+    if argv[0] == "check":
+        command, name, *flags = argv
+        path = write_poset(tmp_path, ONCE_POSETS[name])
+    else:
+        (command, row), flags = argv, []
+        path = write_sizes(tmp_path, row)
+    assert main([command, path, *flags]) == 0
+    assert calls["graph"] == 1
+    assert calls["facets"] <= 1
