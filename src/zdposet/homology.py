@@ -1,21 +1,32 @@
 """Exact reduced simplicial homology over the rationals, plus Reisner's
 link criterion.
 
-All ranks are computed by integer fraction-free elimination on the
+Rational ranks are computed by integer fraction-free elimination on the
 boundary matrices of the reduced chain complex (the empty face is a
-genuine generator in degree -1).  No floating point is involved
-anywhere: Betti numbers are integers and tolerances would be
-meaningless.
+genuine generator in degree -1).  Reisner's criterion first ranks each
+link over F2, with boundary rows as bitmasks; a minor that is nonzero
+mod 2 is nonzero over the integers, so the F2 Betti numbers bound the
+rational ones from above, and a link whose F2 homology vanishes below
+its dimension passes.  Only the links where F2 sees homology are
+eliminated over the integers.  No floating point is involved anywhere:
+Betti numbers are integers and tolerances would be meaningless.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from operator import and_
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import EmptyComplexError, NotAFaceError, SizeLimitExceededError
+from .errors import (
+    EmptyComplexError,
+    NotAFaceError,
+    SizeLimitExceededError,
+    TheoremContractError,
+)
 from .complexes import FacetComplex
 from .graphs import Vertex
 
@@ -116,24 +127,116 @@ class _IntRowBasis:
             r = self._combine(r, self.rows[col], col)
         return False
 
+    @staticmethod
+    def boundary_row(cols: Sequence[int]) -> dict[int, int]:
+        """Row of the face whose j-th facet has target index ``cols[j]``."""
+        return {c: -1 if j % 2 else 1 for j, c in enumerate(cols)}
+
     @property
     def rank(self) -> int:
         return len(self.rows)
 
 
+class _F2RowBasis:
+    """Elimination over F2: rows are bitmasks, reduced by XOR on the lowest bit."""
+
+    def __init__(self):
+        self.rows: dict[int, int] = {}
+
+    def add(self, row: int) -> bool:
+        while row:
+            low = row & -row
+            prow = self.rows.get(low)
+            if prow is None:
+                self.rows[low] = row
+                return True
+            row ^= prow
+        return False
+
+    @staticmethod
+    def boundary_row(cols: Sequence[int]) -> int:
+        row = 0
+        for c in cols:
+            row |= 1 << c
+        return row
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def _facet_masks(C: FacetComplex) -> list[int]:
+    """Each facet as a bitmask over the positions of ``C.vertices``."""
+    pos = {v: i for i, v in enumerate(C.vertices)}
+    return [sum(1 << pos[v] for v in f) for f in C.facets]
+
+
+def _face_masks(facets: Sequence[int]) -> list[list[int]]:
+    """Downward closure of facet bitmasks, grouped by size, each size sorted."""
+    faces = {0}
+    for f in facets:
+        sub = f
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & f
+    top = max(f.bit_count() for f in facets)
+    by_size: list[list[int]] = [[] for _ in range(top + 1)]
+    for f in faces:
+        by_size[f.bit_count()].append(f)
+    for bucket in by_size:
+        bucket.sort()
+    return by_size
+
+
 def _boundary_rank(
-    sources: Sequence[tuple[Vertex, ...]],
-    target_index: Mapping[tuple[Vertex, ...], int],
-    prefer_high: bool,
+    sources: Sequence[int],
+    target_index: Mapping[int, int],
+    basis: _IntRowBasis | _F2RowBasis,
 ) -> int:
-    basis = _IntRowBasis(prefer_high)
+    """Rank of the boundary map from the ``sources`` faces to the targets."""
     for face in sources:
-        row = {}
-        for j in range(len(face)):
-            sub = face[:j] + face[j + 1 :]
-            row[target_index[sub]] = -1 if j % 2 else 1
-        basis.add(row)
+        cols = []
+        rest = face
+        while rest:
+            low = rest & -rest
+            cols.append(target_index[face ^ low])
+            rest ^= low
+        basis.add(basis.boundary_row(cols))
     return basis.rank
+
+
+def _betti(
+    by_size: list[list[int]],
+    new_basis: Callable[[], _IntRowBasis | _F2RowBasis],
+) -> dict[int, int]:
+    """Reduced Betti numbers, dimensions -1..top, over the basis's field.
+
+    ``by_size[s]`` lists the faces with s vertices as bitmasks.
+    The nonnegativity and Euler checks guard the rank computation; they
+    raise even when asserts are stripped.
+    """
+    top = len(by_size) - 1
+    ranks = [0] * (top + 2)
+    for s in range(1, top + 1):
+        index = {f: i for i, f in enumerate(by_size[s - 1])}
+        ranks[s] = _boundary_rank(by_size[s], index, new_basis())
+    betti: dict[int, int] = {}
+    for s in range(top + 1):
+        b = len(by_size[s]) - ranks[s] - ranks[s + 1]
+        if b < 0:
+            raise TheoremContractError(
+                f"negative Betti number {b} in dimension {s - 1}: "
+                "rank computation is broken"
+            )
+        betti[s - 1] = b
+    euler_faces = sum((-1) ** (s - 1) * len(by_size[s]) for s in range(top + 1))
+    euler_betti = sum((-1) ** d * b for d, b in betti.items())
+    if euler_faces != euler_betti:
+        raise TheoremContractError(
+            f"Euler check failed in homology: faces give {euler_faces}, "
+            f"Betti numbers give {euler_betti}"
+        )
+    return betti
 
 
 def reduced_betti(
@@ -148,21 +251,9 @@ def reduced_betti(
         raise EmptyComplexError("complex has no facets")
     _check_cap(C, max_vertices)
     prefer_high = elimination_order == "reverse"
-    by_size = _face_lists(C)
-    top = len(by_size) - 1
-    ranks = [0] * (top + 2)
-    for s in range(1, top + 1):
-        index = {f: i for i, f in enumerate(by_size[s - 1])}
-        ranks[s] = _boundary_rank(by_size[s], index, prefer_high)
-    betti: dict[int, int] = {}
-    for s in range(top + 1):
-        b = len(by_size[s]) - ranks[s] - ranks[s + 1]
-        assert b >= 0, "negative Betti number: rank computation is broken"
-        betti[s - 1] = b
-    euler_faces = sum((-1) ** (s - 1) * len(by_size[s]) for s in range(top + 1))
-    euler_betti = sum((-1) ** d * b for d, b in betti.items())
-    assert euler_faces == euler_betti, "Euler check failed in homology"
-    return HomologyProfile(betti)
+    return HomologyProfile(
+        _betti(_face_masks(_facet_masks(C)), lambda: _IntRowBasis(prefer_high))
+    )
 
 
 def link_of(C: FacetComplex, face: Iterable[Vertex]) -> FacetComplex:
@@ -214,23 +305,29 @@ def reisner_cm(
     True iff every face's link (the empty face included) has vanishing
     reduced homology strictly below the link's dimension; on failure the
     witness is the first such (face, dimension) in (size, lex) face order.
+    Each link is ranked over F2 first; ``reduced_betti`` runs only on the
+    links where F2 sees homology below the link's dimension.
     """
     if not C.facets:
         raise EmptyComplexError("complex has no facets")
     _check_cap(C, max_vertices)
+    pos = {v: i for i, v in enumerate(C.vertices)}
+    facets = _facet_masks(C)
     for bucket in _face_lists(C):
         for face in bucket:
-            link = link_of(C, face)
-            dim = link.dimension
+            fm = sum(1 << pos[v] for v in face)
+            link = [m ^ fm for m in facets if m & fm == fm]
+            dim = max(m.bit_count() for m in link) - 1
             if dim <= -1:
                 continue
             # links that are cones are contractible: nothing can fail there
-            common = set(link.facets[0])
-            for f in link.facets[1:]:
-                common &= set(f)
-            if common:
+            if reduce(and_, link):
                 continue
-            profile = reduced_betti(link, max_vertices)
+            # F2 Betti numbers bound the rational ones from above
+            f2 = _betti(_face_masks(link), _F2RowBasis)
+            if not any(f2[d] for d in range(-1, dim)):
+                continue
+            profile = reduced_betti(link_of(C, face), max_vertices)
             bad = profile.vanishes_below(dim)
             if bad is not None:
                 return False, (face, bad)

@@ -10,14 +10,20 @@ from dataclasses import dataclass
 
 from .errors import NotBooleanError
 from .graphs import Graph
-from .poset import Poset
+from .poset import Poset, bits
 
 
 class ZdGraph(Graph):
-    """A materialized zero-divisor graph; keeps the source poset around."""
+    """A materialized zero-divisor graph; keeps the source poset around.
 
-    def __init__(self, owner: Poset, vertices, edges):
-        super().__init__(vertices, edges)
+    Built from adjacency rows already indexed by vertex position, so it
+    skips the edge list that ``Graph`` takes.
+    """
+
+    def __init__(self, owner: Poset, vertices: tuple[int, ...], nbr: list[int]):
+        self.vertices = vertices
+        self.index = {v: i for i, v in enumerate(vertices)}
+        self.nbr = nbr
         self.owner = owner
 
 
@@ -31,16 +37,18 @@ def zero_divisors(P: Poset) -> frozenset[int]:
 
 
 def zero_divisor_graph(P: Poset) -> ZdGraph:
-    """Graph on the nonzero zero-divisors; empty when Z(P) = {0}."""
+    """Graph on the nonzero zero-divisors; empty when Z(P) = {0}.
+
+    One ``perp_mask`` per nonzero element gives both the vertex set and
+    the adjacency rows: a neighbor of a vertex is itself a vertex.
+    """
     bot = P._require_bottom()
-    verts = sorted(zero_divisors(P) - {bot})
-    edges = []
-    for i, a in enumerate(verts):
-        pa = P.perp_mask(a)
-        for b in verts[i + 1 :]:
-            if (pa >> b) & 1:
-                edges.append((a, b))
-    return ZdGraph(P, verts, edges)
+    nonzero = P.full_mask & ~(1 << bot)
+    perp = {a: P.perp_mask(a) & nonzero for a in bits(nonzero)}
+    verts = tuple(a for a in perp if perp[a])
+    pos = {a: i for i, a in enumerate(verts)}
+    nbr = [sum(1 << pos[b] for b in bits(perp[a])) for a in verts]
+    return ZdGraph(P, verts, nbr)
 
 
 def graph_complements(G: Graph, v) -> frozenset:

@@ -120,7 +120,8 @@ def test_search_matches_reisner_on_eight_vertex_vwc_graphs():
             continue
         verdict = _search_certificate(G, C.facets, 10**6)
         assert verdict.status in ("CM", "NotCM")
-        ok, _ = reisner_cm(C)
+        ok, witness = reisner_cm(C)
+        assert (ok, witness) == brute.reisner_cm_reference(C), edges
         assert (verdict.status == "CM") == ok, (edges, verdict.status)
         checked += 1
     assert checked == 25

@@ -1,11 +1,22 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
+from zdposet import homology
 from zdposet.complexes import FacetComplex, independence_complex
 from zdposet.errors import NotAFaceError, SizeLimitExceededError
 from zdposet.homology import (
+    _betti,
+    _F2RowBasis,
+    _face_masks,
+    _facet_masks,
     faces_by_dimension,
     link_of,
     reduced_betti,
@@ -171,7 +182,8 @@ def test_reisner_pass_implies_pure():
         ]
         complexes.append(independence_complex(Graph(range(n), edges)))
     for C in complexes:
-        ok, _ = reisner_cm(C)
+        ok, witness = reisner_cm(C)
+        assert (ok, witness) == brute.reisner_cm_reference(C), C.facets
         if ok:
             assert is_well_covered(C)
 
@@ -202,3 +214,127 @@ def test_homology_size_cap():
     with pytest.raises(SizeLimitExceededError):
         reisner_cm(C)
     assert reduced_betti(C, max_vertices=21).betti[0] == 20
+
+
+# The 6-vertex real projective plane: H_1 = Z/2, so over F2 it has
+# b_1 = b_2 = 1 while its rational homology vanishes.
+RP2 = FacetComplex(
+    [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
+    ]
+)
+# its suspension: two apexes, each joined to every facet
+SIGMA_RP2 = FacetComplex([f + (apex,) for f in RP2.facets for apex in (7, 8)])
+
+
+def f2_betti(C):
+    """Reduced Betti numbers over F2, dimensions -1..dim."""
+    return _betti(_face_masks(_facet_masks(C)), _F2RowBasis)
+
+
+def count_exact_calls(monkeypatch):
+    calls = []
+    orig = homology.reduced_betti
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "reduced_betti", counting)
+    return calls
+
+
+def test_two_torsion_seen_over_f2_only():
+    assert f2_betti(RP2) == {-1: 0, 0: 0, 1: 1, 2: 1}
+    assert betti_map(RP2) == {}
+    assert f2_betti(SIGMA_RP2) == {-1: 0, 0: 0, 1: 0, 2: 1, 3: 1}
+    assert betti_map(SIGMA_RP2) == {}
+
+
+def test_two_torsion_falls_back_to_exact_elimination(monkeypatch):
+    # F2 sees homology below the top on RP2 itself, and on RP2 and its
+    # suspension as links in the suspension; only there the exact pass
+    # runs, and it clears them
+    calls = count_exact_calls(monkeypatch)
+    assert reisner_cm(RP2) == (True, None)
+    assert calls == [RP2]
+    calls.clear()
+    assert reisner_cm(SIGMA_RP2) == (True, None)
+    assert calls == [SIGMA_RP2, RP2, RP2]
+    assert brute.reisner_cm_reference(RP2) == (True, None)
+    assert brute.reisner_cm_reference(SIGMA_RP2) == (True, None)
+
+
+EXACT_CALL_POSETS = {
+    "atom_coatom 6": generate("atom_coatom", 6),
+    "boolean_lattice 4": generate("boolean_lattice", 4),
+    "chain 3 x chain 3 x chain 3": direct_product([generate("chain", 3)] * 3).carrier,
+}
+
+
+@pytest.mark.parametrize(
+    "name,expected",
+    [("figure1", 0), ("atom_coatom 6", 0), ("boolean_lattice 4", 0),
+     ("chain 3 x chain 3 x chain 3", 1)],
+)
+def test_exact_elimination_only_on_f2_homology(name, expected, request, monkeypatch):
+    # CM complexes clear every link over F2; the non-CM product needs
+    # exact elimination on its witness link alone
+    if name == "figure1":
+        P = request.getfixturevalue("figure1")
+    else:
+        P = EXACT_CALL_POSETS[name]
+    C = independence_complex(zero_divisor_graph(P))
+    calls = count_exact_calls(monkeypatch)
+    ok, witness = reisner_cm(C)
+    assert len(calls) == expected
+    assert (ok, witness) == brute.reisner_cm_reference(C)
+    assert ok == (expected == 0)
+
+
+small_complexes = st.lists(
+    st.frozensets(st.integers(0, 6), max_size=4), min_size=1, max_size=7
+).map(FacetComplex)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes)
+def test_reisner_matches_exact_reference(C):
+    assert reisner_cm(C) == brute.reisner_cm_reference(C)
+    # rank over F2 never exceeds rank over Q
+    rational = reduced_betti(C).betti
+    assert all(b >= rational[d] for d, b in f2_betti(C).items())
+
+
+def test_homology_guards_fire_under_O():
+    # an inflated boundary rank drives a Betti number negative; both the
+    # exact path and the F2 pass must refuse it with asserts stripped
+    script = (
+        "import zdposet.homology as h\n"
+        "from zdposet.complexes import FacetComplex\n"
+        "from zdposet.errors import TheoremContractError\n"
+        "print('debug', __debug__)\n"
+        "orig = h._boundary_rank\n"
+        "h._boundary_rank = lambda *args: orig(*args) + 1\n"
+        "C = FacetComplex([(1, 2), (2, 3), (1, 3)])\n"
+        "for run in (h.reduced_betti, h.reisner_cm):\n"
+        "    try:\n"
+        "        run(C)\n"
+        "    except TheoremContractError as exc:\n"
+        "        print(run.__name__, 'raised:', exc)\n"
+        "    else:\n"
+        "        raise SystemExit(f'{run.__name__} accepted a broken rank')\n"
+    )
+    src = str(Path(homology.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "debug False" in proc.stdout
+    assert "reduced_betti raised: negative Betti number" in proc.stdout
+    assert "reisner_cm raised: negative Betti number" in proc.stdout

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 import brute
 from zdposet.errors import NotBooleanError, UnknownVertexError
-from zdposet.poset import direct_product, generate
+from zdposet.poset import direct_product, generate, parse_poset
 from zdposet.zdg import (
     check_atom_end_lemma,
     check_unique_complementation,
@@ -63,6 +65,35 @@ def test_adjacency_matches_cone_definition(figure1):
         for w in G.vertices:
             if v != w:
                 assert G.adjacent(v, w) == brute.adjacent(figure1, v, w)
+
+
+def random_bounded_poset(rng: random.Random, n: int):
+    """A random order on n elements, between an added bottom and top."""
+    lines = ["poset v1", "elem z", *(f"elem e{i}" for i in range(n)), "elem t"]
+    lines.append("le z t")
+    for i in range(n):
+        lines += [f"le z e{i}", f"le e{i} t"]
+        lines += [f"le e{i} e{j}" for j in range(i + 1, n) if rng.random() < 0.3]
+    return parse_poset("\n".join(lines) + "\n")
+
+
+def test_rows_match_brute_adjacency(figure1):
+    rng = random.Random(17)
+    posets = [figure1]
+    posets += [generate("boolean_lattice", k) for k in range(1, 6)]
+    posets += [generate("atom_coatom", k) for k in range(2, 6)]
+    posets += [generate(name, k) for name in ("chain", "m_atoms") for k in range(1, 5)]
+    posets += [direct_product([generate("chain", 3)] * 3).carrier]
+    posets += [random_bounded_poset(rng, rng.randint(0, 9)) for _ in range(80)]
+    for P in posets:
+        G = zero_divisor_graph(P)
+        assert set(G.vertices) == brute.zero_divisors(P) - {P.bottom}
+        assert list(G.vertices) == sorted(G.vertices)
+        for v in G.vertices:
+            expected = sum(
+                1 << G.index[w] for w in G.vertices if brute.adjacent(P, v, w)
+            )
+            assert G.nbr[G.index[v]] == expected, (P.to_text(), v)
 
 
 def test_graph_complements(figure1):
