@@ -128,9 +128,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         lines.append("CM(Reisner): skipped (facet enumeration was capped)")
     else:
         try:
-            reisner_status, _ = homology.reisner_cm(
-                C, args.max_homology_vertices
-            )
+            reisner_status, _ = A.reisner
             lines.append(f"CM(Reisner): {_yn(reisner_status)}")
             if args.verbose:
                 table = homology.reisner_report(

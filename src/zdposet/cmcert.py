@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from . import homology
 from .complexes import (
     DEFAULT_MAX_VERTICES,
     IndependenceComplex,
@@ -33,7 +34,7 @@ from .errors import (
     TheoremContractError,
 )
 from .graphs import Graph, Vertex, vertex_label
-from .homology import DEFAULT_MAX_HOMOLOGY_VERTICES, reisner_cm
+from .homology import DEFAULT_MAX_HOMOLOGY_VERTICES
 from .poset import Poset, bits
 from .zdg import ZdGraph, graph_complements, require_boolean, zero_divisor_graph
 
@@ -156,7 +157,8 @@ def boolean_labeling(P: Poset, S: Stratification) -> tuple[Pair, ...]:
     out = []
     for y in ys:
         comps = P.complements_of(y)
-        assert len(comps) == 1, "Boolean posets are uniquely complemented"
+        if len(comps) != 1:
+            raise TheoremContractError("Boolean posets are uniquely complemented")
         out.append((min(comps), y))
     return tuple(out)
 
@@ -378,7 +380,7 @@ def _search_certificate(
 
 @dataclass
 class Analysis:
-    """A zero-divisor graph with its facet complex and CM verdict.
+    """A zero-divisor graph with its facet complex, Reisner result and verdict.
 
     Each is computed at most once, under the caps given here.
     """
@@ -392,6 +394,11 @@ class Analysis:
     def complex(self) -> IndependenceComplex:
         """The independence complex; raises SizeLimitExceededError above the cap."""
         return independence_complex(self.graph, self.max_vertices)
+
+    @cached_property
+    def reisner(self) -> tuple[bool, tuple[tuple[Vertex, ...], int] | None]:
+        """``reisner_cm`` on the complex; raises SizeLimitExceededError at a cap."""
+        return homology.reisner_cm(self.complex, self.max_homology_vertices)
 
     @cached_property
     def verdict(self) -> CmVerdict:
@@ -422,7 +429,7 @@ class Analysis:
         except SizeLimitExceededError as exc:
             return CmVerdict("Inconclusive", "facet-cap", None, str(exc))
         if not is_well_covered(C):
-            sizes = sorted({len(f) for f in C.facets})
+            sizes = sorted({m.bit_count() for m in C.masks})
             return CmVerdict(
                 "NotCM",
                 "not-well-covered",
@@ -432,7 +439,7 @@ class Analysis:
         if is_very_well_covered(C):
             return _search_certificate(G, C.facets, self.max_search_nodes)
         try:
-            ok, witness = reisner_cm(C, self.max_homology_vertices)
+            ok, witness = self.reisner
         except SizeLimitExceededError as exc:
             return CmVerdict("Inconclusive", "homology-cap", None, str(exc))
         if ok:

@@ -1,9 +1,9 @@
 """Independence complexes: facet enumeration, coveredness, edge ideals.
 
 Facets (maximal independent sets) are enumerated with Bron-Kerbosch on
-the complement graph, over vertex-index bitmasks.  Facet lists are
-canonical: each facet is a sorted vertex tuple and the list is sorted
-lexicographically, so all downstream output is reproducible bit for bit.
+the complement graph, over vertex-index bitmasks, and stay bitmasks.
+Facets are kept in the lexicographic order of their vertex tuples, so
+all downstream output is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -25,53 +25,75 @@ from .poset import Poset, bits
 DEFAULT_MAX_VERTICES = 40
 
 
-class FacetComplex:
-    """A finite simplicial complex presented by its facet list.
+def lex_sorted(masks: Iterable[int]) -> tuple[int, ...]:
+    """Masks in the lexicographic order of their ascending position tuples."""
+    return tuple(sorted(masks, key=lambda m: tuple(bits(m))))
 
-    The constructor deduplicates, drops non-maximal sets and sorts, so two
-    complexes with the same faces compare equal facet-wise.
+
+class FacetComplex:
+    """A finite simplicial complex presented by its facets.
+
+    ``vertices`` is sorted, and ``masks`` holds one facet each, as a
+    bitmask over positions in ``vertices``.  The constructor takes vertex
+    sequences, deduplicates them and drops non-maximal sets, so two
+    complexes with the same faces compare equal.
     """
 
     def __init__(self, facets: Iterable[Sequence[Vertex]]):
-        distinct = {tuple(sorted(f)) for f in facets}
-        maximal = [
-            f
-            for f in distinct
-            if not any(f is not g and set(f) <= set(g) for g in distinct)
-        ]
-        self.facets: tuple[tuple[Vertex, ...], ...] = tuple(sorted(maximal))
+        sets = {frozenset(f) for f in facets}
+        self.vertices: tuple[Vertex, ...] = tuple(sorted(set().union(*sets)))
+        distinct = {sum(1 << self.index[v] for v in f) for f in sets}
+        self.masks: tuple[int, ...] = lex_sorted(
+            m for m in distinct if not any(m != g and m & g == m for g in distinct)
+        )
+
+    def vertices_of(self, mask: int) -> tuple[Vertex, ...]:
+        """The sorted vertex tuple of a face mask."""
+        return tuple(self.vertices[i] for i in bits(mask))
 
     @cached_property
-    def vertices(self) -> tuple[Vertex, ...]:
-        seen = set()
-        for f in self.facets:
-            seen.update(f)
-        return tuple(sorted(seen))
+    def facets(self) -> tuple[tuple[Vertex, ...], ...]:
+        return tuple(self.vertices_of(m) for m in self.masks)
+
+    @cached_property
+    def index(self) -> dict[Vertex, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @property
     def dimension(self) -> int:
-        if not self.facets:
+        if not self.masks:
             raise EmptyComplexError("complex has no facets")
-        return max(len(f) for f in self.facets) - 1
+        return max(m.bit_count() for m in self.masks) - 1
 
     def has_face(self, face: Iterable[Vertex]) -> bool:
-        fs = set(face)
-        return any(fs <= set(f) for f in self.facets)
+        try:
+            fm = sum(1 << self.index[v] for v in set(face))
+        except KeyError:
+            return False
+        return any(fm & m == fm for m in self.masks)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FacetComplex) and self.facets == other.facets
+        return (
+            isinstance(other, FacetComplex)
+            and self.vertices == other.vertices
+            and self.masks == other.masks
+        )
 
     def __hash__(self) -> int:
-        return hash(self.facets)
+        return hash((self.vertices, self.masks))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({len(self.facets)} facets)"
+        return f"{type(self).__name__}({len(self.masks)} facets)"
 
 
 class IndependenceComplex(FacetComplex):
-    def __init__(self, graph: Graph, facets: Iterable[Sequence[Vertex]]):
-        super().__init__(facets)
+    """Facets are maximal independent sets of ``graph``, as masks over its
+    vertex positions; every vertex lies in one, so the vertices agree."""
+
+    def __init__(self, graph: Graph, masks: Iterable[int]):
         self.graph = graph
+        self.vertices = graph.vertices
+        self.masks = lex_sorted(masks)
 
 
 def _maximal_independent_masks(nbr: list[int], n: int) -> list[int]:
@@ -100,22 +122,19 @@ def independence_complex(
     G: Graph, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> IndependenceComplex:
     """Enumerate all maximal independent sets of G exhaustively."""
-    verts = G.vertices
-    n = len(verts)
+    n = len(G.vertices)
     if n > max_vertices:
         raise SizeLimitExceededError(
             f"{n} vertices exceed the facet-enumeration cap {max_vertices}"
         )
-    masks = _maximal_independent_masks(G.nbr, n)
-    facets = [tuple(verts[i] for i in bits(m)) for m in masks]
-    return IndependenceComplex(G, facets)
+    return IndependenceComplex(G, _maximal_independent_masks(G.nbr, n))
 
 
 def is_well_covered(C: FacetComplex) -> bool:
     """True when every facet has the same cardinality."""
-    if not C.facets:
+    if not C.masks:
         raise EmptyComplexError("complex has no facets")
-    return len({len(f) for f in C.facets}) == 1
+    return len({m.bit_count() for m in C.masks}) == 1
 
 
 def is_very_well_covered(C: IndependenceComplex) -> bool:
@@ -124,7 +143,7 @@ def is_very_well_covered(C: IndependenceComplex) -> bool:
         return False
     if C.graph.has_isolated_vertex():
         return False
-    return len(C.graph.vertices) == 2 * len(C.facets[0])
+    return len(C.graph.vertices) == 2 * C.masks[0].bit_count()
 
 
 def extend_independent(

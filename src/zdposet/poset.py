@@ -29,6 +29,7 @@ from .errors import (
     NoBottomError,
     NoTopError,
     PosetSyntaxError,
+    TheoremContractError,
     TooFewFactorsError,
     UnboundedFactorError,
     UnknownCatalogNameError,
@@ -239,7 +240,8 @@ class Poset:
         """The element whose lower set equals x-perp, or None if absent."""
         target = self.perp_mask(x)
         found = [y for y in range(len(self.elements)) if self.down[y] == target]
-        assert len(found) <= 1, "distinct elements cannot share a lower set"
+        if len(found) > 1:
+            raise TheoremContractError("distinct elements cannot share a lower set")
         return found[0] if found else None
 
     # -- structural predicates ------------------------------------------------------
@@ -452,9 +454,10 @@ class ProductPoset:
                     q if m == pos else g.bottom for m, g in enumerate(factors)
                 )
                 expected.add(self._by_coord[co])
-            assert self.carrier.atoms() == expected, (
-                "product atoms must be the per-factor atom tuples"
-            )
+            if self.carrier.atoms() != expected:
+                raise TheoremContractError(
+                    "product atoms must be the per-factor atom tuples"
+                )
 
     def id_of_coords(self, coords: Sequence[int]) -> int:
         return self._by_coord[tuple(coords)]

@@ -47,14 +47,13 @@ class ProductAnalysis:
             for i, co in enumerate(product.coord_of)
             if all(c != b for c, b in zip(co, bottoms))
         )
-        # dense elements are exactly the non-zero-divisors
-        z = zero_divisors(carrier)
-        assert dense == frozenset(range(len(carrier))) - z, (
-            "dense set must equal the complement of Z(P)"
-        )
-        assert len(dense) == math.prod(s - 1 for s in self.factor_sizes), (
-            "|D| must be the product of (|P_i| - 1)"
-        )
+        # dense elements are exactly the non-zero-divisors; Z(P) is the
+        # graph's vertex set plus the bottom
+        z = frozenset(self.graph.vertices) | {carrier.bottom}
+        if dense != frozenset(range(len(carrier))) - z:
+            raise TheoremContractError("dense set must equal the complement of Z(P)")
+        if len(dense) != math.prod(s - 1 for s in self.factor_sizes):
+            raise TheoremContractError("|D| must be the product of (|P_i| - 1)")
         self.dense = dense
         self._atom_ids = tuple(
             self._atom_vertex(pos) for pos in range(len(product.factors))
@@ -103,13 +102,13 @@ def _assert_maximal_independent(G: ZdGraph, members: frozenset[int]) -> None:
     name = G.owner.elements
     for v, row in zip(G.vertices, G.nbr):
         hit = row & mask
-        if v in members:
-            assert not hit, (
+        if v in members and hit:
+            raise TheoremContractError(
                 f"set is not independent: {name[v]} is adjacent to "
                 f"{name[G.vertices[next(bits(hit))]]}"
             )
-        else:
-            assert hit, f"set is not maximal: {name[v]} could be added"
+        if v not in members and not hit:
+            raise TheoremContractError(f"set is not maximal: {name[v]} could be added")
 
 
 def j_single(A: ProductAnalysis, i: int) -> frozenset[int]:
@@ -195,21 +194,14 @@ def well_covered_verdict(A: ProductAnalysis) -> tuple[bool, str]:
     return False, f"|J_1| = {singles[0]} != {triple} = |J_1,2,3|"
 
 
-def _has_all_joins(P: Poset) -> bool:
-    n = len(P)
-    for a in range(n):
-        for b in range(a, n):
-            u = P.up[a] & P.up[b]
-            if not any(u & ~P.up[m] == 0 for m in bits(u)):
-                return False
-    return True
-
-
 def is_boolean_lattice(P: Poset) -> bool:
-    """Boolean poset + pairwise joins + order-isomorphic to a power set."""
-    if not P.is_boolean():
-        return False
-    if not _has_all_joins(P):
+    """Order-isomorphic to the power set of its atoms.
+
+    A bounded poset with 2^k elements and k atoms, whose atom supports
+    are distinct and order it by inclusion, is isomorphic to 2^k: so it is
+    a distributive, complemented lattice, and those need no separate test.
+    """
+    if not P.is_bounded():
         return False
     k = len(P.atoms())
     if len(P) != 2**k:
@@ -290,7 +282,8 @@ def bipartite_case(A: ProductAnalysis) -> BipartiteReport:
                 complete = False
                 break
     sizes = (len(part1), len(part2))
-    assert sizes == (len(f1) - 1, len(f2) - 1)
+    if sizes != (len(f1) - 1, len(f2) - 1):
+        raise TheoremContractError(f"axis parts {sizes} are not |P_i| - 1")
     analysis = Analysis(A.graph)
     wc = is_well_covered(analysis.complex)
     status = analysis.verdict.status

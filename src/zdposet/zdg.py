@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotBooleanError
+from .errors import NotBooleanError, TheoremContractError
 from .graphs import Graph
 from .poset import Poset, bits
 
@@ -82,7 +82,8 @@ def check_unique_complementation(P: Poset, G: ZdGraph) -> LemmaReport:
     for v in G.vertices:
         gc = graph_complements(G, v)
         oc = P.complements_of(v)
-        assert len(oc) == 1, "Boolean posets are uniquely complemented"
+        if len(oc) != 1:
+            raise TheoremContractError("Boolean posets are uniquely complemented")
         (c,) = oc
         if gc != {c}:
             got = ",".join(P.names(gc)) or "(none)"

@@ -222,3 +222,25 @@ def reisner_cm_reference(C) -> tuple[bool, tuple[tuple, int] | None]:
             if bad is not None:
                 return False, (face, bad)
     return True, None
+
+
+def is_boolean_lattice_reference(P: Poset) -> bool:
+    """The three-clause definition: a Boolean poset, with a join for every
+    pair, that is order-isomorphic to the power set of its atoms."""
+    if not P.is_boolean():
+        return False
+    n = len(P)
+    for a in range(n):
+        for b in range(n):
+            ub = upper_cone(P, {a, b})
+            if not any(all(P.leq(m, u) for u in ub) for m in ub):
+                return False
+    k = len(atoms(P))
+    if n != 2**k:
+        return False
+    supports = [frozenset(x for x in atoms(P) if P.leq(x, y)) for y in range(n)]
+    if len(set(supports)) != n:
+        return False
+    return all(
+        P.leq(a, b) == (supports[a] <= supports[b]) for a in range(n) for b in range(n)
+    )

@@ -259,8 +259,9 @@ ONCE_POSETS = {
 )
 def test_graph_and_facets_built_once(tmp_path, monkeypatch, capsys, argv):
     import zdposet.complexes as complexes_mod
+    import zdposet.homology as homology_mod
 
-    calls = {"graph": 0, "facets": 0}
+    calls = {"graph": 0, "facets": 0, "reisner": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -269,10 +270,14 @@ def test_graph_and_facets_built_once(tmp_path, monkeypatch, capsys, argv):
 
         return wrapper
 
-    graph_fn = zdg_mod.zero_divisor_graph
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "zero_divisor_graph", None) is graph_fn:
-            monkeypatch.setattr(mod, "zero_divisor_graph", counted("graph", graph_fn))
+    # patch every module that holds the function, however it imported it
+    for key, fn in (
+        ("graph", zdg_mod.zero_divisor_graph),
+        ("reisner", homology_mod.reisner_cm),
+    ):
+        for mod in list(sys.modules.values()):
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counted(key, fn))
     monkeypatch.setattr(
         complexes_mod,
         "_maximal_independent_masks",
@@ -287,3 +292,4 @@ def test_graph_and_facets_built_once(tmp_path, monkeypatch, capsys, argv):
     assert main([command, path, *flags]) == 0
     assert calls["graph"] == 1
     assert calls["facets"] <= 1
+    assert calls["reisner"] <= 1

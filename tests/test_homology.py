@@ -16,7 +16,6 @@ from zdposet.homology import (
     _betti,
     _F2RowBasis,
     _face_masks,
-    _facet_masks,
     faces_by_dimension,
     link_of,
     reduced_betti,
@@ -230,7 +229,7 @@ SIGMA_RP2 = FacetComplex([f + (apex,) for f in RP2.facets for apex in (7, 8)])
 
 def f2_betti(C):
     """Reduced Betti numbers over F2, dimensions -1..dim."""
-    return _betti(_face_masks(_facet_masks(C)), _F2RowBasis)
+    return _betti(_face_masks(C.masks), _F2RowBasis)
 
 
 def count_exact_calls(monkeypatch):

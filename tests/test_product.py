@@ -1,8 +1,16 @@
 import itertools
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import brute
+import zdposet
+from test_zdg import random_bounded_poset
 from zdposet.errors import (
     BadParamError,
     FactorHasZeroDivisorsError,
@@ -13,7 +21,7 @@ from zdposet.errors import (
     TooFewFactorsError,
     WrongArityError,
 )
-from zdposet.poset import generate, parse_poset
+from zdposet.poset import direct_product, generate, parse_poset
 from zdposet.product import (
     bipartite_case,
     equivalence_suite,
@@ -201,6 +209,59 @@ def test_is_boolean_lattice_distinguishes_posets(figure1):
     assert figure1.is_boolean()
     assert not is_boolean_lattice(figure1)
     assert is_boolean_lattice(generate("boolean_lattice", 3))
+
+
+def test_is_boolean_lattice_matches_three_clause_reference(figure1):
+    rng = random.Random(29)
+    posets = [figure1]
+    posets += [generate("boolean_lattice", k) for k in range(1, 5)]
+    posets += [generate("atom_coatom", k) for k in range(2, 6)]
+    posets += [generate(name, k) for name in ("chain", "m_atoms") for k in range(1, 7)]
+    posets += [
+        direct_product(chains(*sizes)).carrier
+        for sizes in ((2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (3, 3, 3))
+    ]
+    # 4 or 8 elements: only these sizes get past the 2^k count
+    posets += [random_bounded_poset(rng, rng.choice((2, 6))) for _ in range(120)]
+    verdicts = set()
+    for P in posets:
+        verdict = is_boolean_lattice(P)
+        assert verdict == brute.is_boolean_lattice_reference(P), P.to_text()
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_is_boolean_lattice_skips_distributivity_loop():
+    carrier = validate_factors(chains(3, 3, 3)).carrier
+    assert not is_boolean_lattice(carrier)
+    assert "distributivity_witness" not in carrier.__dict__
+
+
+def test_maximality_trap_fires_under_O():
+    script = (
+        "from zdposet import product\n"
+        "from zdposet.errors import TheoremContractError\n"
+        "from zdposet.poset import generate\n"
+        "print('debug', __debug__)\n"
+        "A = product.validate_factors([generate('chain', 3)] * 3)\n"
+        "try:\n"
+        "    product._assert_maximal_independent(A.graph, frozenset())\n"
+        "except TheoremContractError as exc:\n"
+        "    print('raised:', exc)\n"
+        "else:\n"
+        "    raise SystemExit('the empty set passed as maximal')\n"
+    )
+    src = str(Path(zdposet.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "debug False" in proc.stdout
+    assert "raised: set is not maximal" in proc.stdout
 
 
 def test_bipartite_two_two():
