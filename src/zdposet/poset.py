@@ -246,13 +246,48 @@ class Poset:
 
     # -- structural predicates ------------------------------------------------------
 
+    def _is_distributive_lattice(self) -> bool:
+        """True if the poset is a distributive lattice, else False.
+
+        A finite poset with a least element and a join for every pair is a
+        lattice.  A finite lattice is distributive iff every join-irreducible
+        is join-prime (Birkhoff), i.e. iff ``J(b ∨ c) == J(b) | J(c)`` for
+        all b, c, where ``J(x)`` is the mask of join-irreducibles below x.
+        On a lattice the cone law is the lattice distributive law, so True
+        decides it.  False only means this test cannot decide it.
+        """
+        if self.bottom is None:
+            return False
+        up, down = self.up, self.down
+        # b ∨ c is the element whose up-set is up[b] & up[c], if any
+        by_up = {row: i for i, row in enumerate(up)}
+        # x has exactly one lower cover iff the elements strictly below x
+        # are the down-set of one element
+        by_down = set(down)
+        irreducible = 0
+        for x, row in enumerate(down):
+            if (row ^ (1 << x)) in by_down:
+                irreducible |= 1 << x
+        J = [row & irreducible for row in down]
+        for b, ub in enumerate(up):
+            jb = J[b]
+            for c in range(b + 1, len(up)):
+                join = by_up.get(ub & up[c])
+                if join is None or J[join] != jb | J[c]:
+                    return False
+        return True
+
     @cached_property
     def distributivity_witness(self) -> tuple[int, int, int] | None:
         """First triple (a, b, c) violating the cone distributive law, or None.
 
         The law compared is
-        ``({a} ∪ {b,c}^u)^l == ({a,b}^l ∪ {a,c}^l)^{ul}``.
+        ``({a} ∪ {b,c}^u)^l == ({a,b}^l ∪ {a,c}^l)^{ul}``.  Distributive
+        lattices are recognized in O(n²) mask operations; every other poset
+        goes through the O(n³) triple loop, which finds the first witness.
         """
+        if self._is_distributive_lattice():
+            return None
         n = len(self.elements)
         up, down = self.up, self.down
         # lower cone of {b,c}^u, precomputed per unordered pair
@@ -283,8 +318,27 @@ class Poset:
         return self.distributivity_witness is None
 
     @cached_property
+    def _first_uncomplemented(self) -> int | None:
+        """The first element of a bounded poset with no complement, or None.
+
+        Unlike ``complements_of``, the scan for each x stops at its first
+        complement.
+        """
+        zero = 1 << self._require_bottom()
+        one = 1 << self._require_top()
+        rows = list(zip(self.up, self.down))
+        for x, (ux, dx) in enumerate(rows):
+            if not any(dx & dy == zero and ux & uy == one for uy, dy in rows):
+                return x
+        return None
+
+    @cached_property
     def boolean_failure(self) -> str | None:
-        """None if Boolean, else a reason naming the first failed clause."""
+        """None if Boolean, else a reason naming the first failed clause.
+
+        Clauses are reported in the order bounded, distributive,
+        complemented.
+        """
         if self.bottom is None:
             return "not bounded (no least element)"
         if self.top is None:
@@ -293,13 +347,26 @@ class Poset:
         if w is not None:
             a, b, c = (self.elements[i] for i in w)
             return f"not distributive (witness: {a},{b},{c})"
-        for x in range(len(self.elements)):
-            if not self.complements_of(x):
-                return f"element {self.elements[x]!r} has no complement"
+        x = self._first_uncomplemented
+        if x is not None:
+            return f"element {self.elements[x]!r} has no complement"
         return None
 
+    @cached_property
+    def _boolean(self) -> bool:
+        return (
+            self.is_bounded()
+            and self._first_uncomplemented is None
+            and self.is_distributive()
+        )
+
     def is_boolean(self) -> bool:
-        return self.boolean_failure is None
+        """Bounded, complemented and distributive.
+
+        The clauses are tested in that order, so the quadratic complement
+        test rejects most non-Boolean posets before distributivity runs.
+        """
+        return self._boolean
 
     def _semi_complemented(self, weak: bool) -> bool:
         bot = self._require_bottom()
@@ -433,14 +500,25 @@ class ProductPoset:
             "(" + ",".join(f.elements[c] for f, c in zip(factors, co)) + ")"
             for co in coords
         ]
-        n = len(coords)
-        up = [0] * n
-        for i, a in enumerate(coords):
-            row = 0
-            for j, b in enumerate(coords):
-                if all(f.leq(x, y) for f, x, y in zip(factors, a, b)):
-                    row |= 1 << j
-            up[i] = row
+        # above[p][x]: the carrier ids whose p-th coordinate lies above x
+        above = []
+        for p, f in enumerate(factors):
+            at = [0] * len(f)
+            for i, co in enumerate(coords):
+                at[co[p]] |= 1 << i
+            rows = []
+            for urow in f.up:
+                m = 0
+                for y in bits(urow):
+                    m |= at[y]
+                rows.append(m)
+            above.append(rows)
+        up = []
+        for co in coords:
+            row = -1  # every carrier id
+            for rows, x in zip(above, co):
+                row &= rows[x]
+            up.append(row)
         self.carrier: Poset = Poset(names, up)
         self.coord_of: tuple[tuple[int, ...], ...] = tuple(coords)
         self._by_coord: dict[tuple[int, ...], int] = {

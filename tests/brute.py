@@ -76,6 +76,38 @@ def is_distributive(P: Poset) -> bool:
     )
 
 
+def distributivity_witness_reference(P: Poset) -> tuple[int, int, int] | None:
+    """The O(n³) cone-law loop over every triple, first witness in
+    (a, b, c) order; ``Poset.distributivity_witness`` must agree."""
+    n = len(P)
+    pre = [[P.lcone_mask(P.up[b] & P.up[c]) for c in range(n)] for b in range(n)]
+    for a in range(n):
+        da = P.down[a]
+        for b in range(n):
+            dab = da & P.down[b]
+            for c in range(n):
+                union = dab | (da & P.down[c])
+                if da & pre[b][c] != P.lcone_mask(P.ucone_mask(union)):
+                    return (a, b, c)
+    return None
+
+
+def boolean_failure_reference(P: Poset) -> str | None:
+    """``Poset.boolean_failure`` from the reference loop and the
+    definition of a complement: bounded, distributive, complemented."""
+    if P.bottom is None:
+        return "not bounded (no least element)"
+    if P.top is None:
+        return "not bounded (no greatest element)"
+    w = distributivity_witness_reference(P)
+    if w is not None:
+        return "not distributive (witness: {},{},{})".format(*(P.elements[i] for i in w))
+    for x in elements(P):
+        if not complements(P, x):
+            return f"element {P.elements[x]!r} has no complement"
+    return None
+
+
 def zero_divisors(P: Poset) -> set[int]:
     bot = P.bottom
     return {

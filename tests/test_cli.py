@@ -91,6 +91,16 @@ def test_check_product_3_3_3(tmp_path, capsys):
     assert "consistent: yes" in out
 
 
+def test_check_boolean_lattice_8(tmp_path, capsys):
+    # 256 elements: the Boolean gate must not fall back to the triple loop
+    path = write_poset(tmp_path, generate("boolean_lattice", 8))
+    assert main(["check", path]) == 0
+    out = capsys.readouterr().out
+    assert "poset: 256 elements, boolean: yes" in out
+    assert "CM(MY): yes [boolean-certificate]" in out
+    assert "consistent: yes" in out
+
+
 def test_check_reisner_skip_cap(tmp_path, capsys):
     carrier = direct_product([generate("chain", 3)] * 3).carrier
     path = write_poset(tmp_path, carrier)

@@ -218,6 +218,13 @@ def test_cm_boolean(figure1):
     assert v.certificate is not None and v.certificate.ok
 
 
+def test_cm_boolean_poset_that_is_not_a_lattice(b4_without_a12_a34):
+    v = is_cohen_macaulay(b4_without_a12_a34)
+    assert (v.status, v.method) == ("CM", "boolean-certificate")
+    C = independence_complex(zero_divisor_graph(b4_without_a12_a34))
+    assert reisner_cm(C) == (True, None)
+
+
 def test_cm_not_well_covered():
     pp = direct_product([generate("chain", 3)] * 3)
     v = is_cohen_macaulay(pp.carrier)

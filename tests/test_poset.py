@@ -211,6 +211,118 @@ def test_boolean_failure_reports_missing_complement():
     assert "complement" in P.boolean_failure
 
 
+N5 = parse_poset(
+    "poset v1\nelem 0\nelem a\nelem b\nelem c\nelem 1\n"
+    "le 0 a\nle a b\nle b 1\nle 0 c\nle c 1\n"
+)
+
+
+def assert_boolean_gate_matches_reference(P, definitional=True):
+    w = brute.distributivity_witness_reference(P)
+    fresh = Poset(P.elements, P.up)  # is_boolean() first, nothing cached
+    boolean = P.is_bounded() and w is None and all(
+        brute.complements(P, x) for x in range(len(P))
+    )
+    assert fresh.is_boolean() == boolean, P.to_text()
+    assert P.distributivity_witness == w, P.to_text()
+    assert P.is_distributive() == (w is None)
+    if definitional:
+        assert brute.is_distributive(P) == (w is None)
+    assert P.boolean_failure == brute.boolean_failure_reference(P)
+    assert P.is_boolean() == boolean
+
+
+def test_boolean_gate_on_named_posets(figure1, b4_without_a12_a34):
+    M3 = generate("m_atoms", 3)
+    chain2 = generate("chain", 2)
+    named = [
+        M3,
+        N5,
+        direct_product([M3, chain2]).carrier,
+        direct_product([chain2, N5]).carrier,
+        figure1,
+        b4_without_a12_a34,
+    ]
+    for P in named:
+        assert_boolean_gate_matches_reference(P)
+    assert not any(P.is_distributive() for P in named[:4])
+    assert all(P.is_boolean() for P in named[4:])
+    # neither Boolean poset is a lattice, so the cone law decides them
+    assert not any(P._is_distributive_lattice() for P in named[4:])
+
+
+@st.composite
+def random_posets(draw):
+    """Random order on up to 7 elements in a random id order, optionally
+    with a bottom and a top added."""
+    n = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(n)))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    lines = ["poset v1"] + [f"elem e{i}" for i in order]
+    lines += [f"le e{a} e{b}" for a, b in pairs if a < b]
+    if draw(st.booleans()):
+        lines += ["elem 0", "elem 1"] + [f"le 0 e{i}\nle e{i} 1" for i in range(n)]
+    return parse_poset("\n".join(lines) + "\n")
+
+
+@st.composite
+def distributive_lattices(draw):
+    """A random family of subsets of {1..k}, closed under union and
+    intersection and ordered by inclusion, in a random id order."""
+    k = draw(st.integers(1, 4))
+    family = draw(st.sets(st.integers(0, 2**k - 1), min_size=1, max_size=6))
+    while True:
+        closed = family | {a | b for a in family for b in family}
+        closed |= {a & b for a in family for b in family}
+        if closed == family:
+            break
+        family = closed
+    sets = draw(st.permutations(sorted(family)))
+    up = [sum(1 << j for j, t in enumerate(sets) if s & ~t == 0) for s in sets]
+    return Poset([f"s{s}" for s in sets], up)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_posets())
+def test_boolean_gate_matches_reference_on_random_posets(P):
+    assert_boolean_gate_matches_reference(P)
+
+
+@settings(max_examples=150, deadline=None)
+@given(distributive_lattices())
+def test_boolean_gate_matches_reference_on_distributive_lattices(P):
+    assert P._is_distributive_lattice()
+    assert_boolean_gate_matches_reference(P, definitional=len(P) <= 8)
+
+
+def test_is_boolean_tests_complements_first():
+    carrier = direct_product([generate("chain", 4)] * 3).carrier
+    assert not carrier.is_boolean()
+    assert "distributivity_witness" not in carrier.__dict__
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: generate("boolean_lattice", 6),
+        lambda: direct_product([generate("chain", 2)] * 6).carrier,
+    ],
+    ids=["boolean_lattice 6", "(2,)*6 carrier"],
+)
+def test_distributive_lattice_skips_the_triple_loop(build, monkeypatch):
+    P = build()
+    # the cone calls below are made only by the triple loop
+    calls = []
+    for name in ("ucone_mask", "lcone_mask"):
+        real = getattr(Poset, name)
+        monkeypatch.setattr(
+            Poset, name, lambda self, m, real=real: calls.append(m) or real(self, m)
+        )
+    assert P.is_boolean()
+    assert P.distributivity_witness is None
+    assert calls == []
+
+
 # --- ssc / wssc -----------------------------------------------------------------------
 
 
@@ -311,17 +423,21 @@ def test_product_of_three_three_chains():
     assert len(pp.carrier.atoms()) == 3
 
 
-def test_product_componentwise_order():
-    pp = direct_product([generate("chain", 3), generate("chain", 4)])
-    P = pp.carrier
-    rng = random.Random(1)
-    for _ in range(200):
-        i, j = rng.randrange(len(P)), rng.randrange(len(P))
-        expect = all(
-            f.leq(a, b)
-            for f, a, b in zip(pp.factors, pp.coord_of[i], pp.coord_of[j])
-        )
-        assert P.leq(i, j) == expect
+def test_product_componentwise_order(figure1):
+    for factors in (
+        [generate("chain", 3), generate("chain", 4)],
+        [figure1, generate("m_atoms", 2)],
+        [generate("atom_coatom", 3), generate("chain", 2), generate("m_atoms", 2)],
+    ):
+        pp = direct_product(factors)
+        P = pp.carrier
+        for i in range(len(P)):
+            for j in range(len(P)):
+                expect = all(
+                    f.leq(a, b)
+                    for f, a, b in zip(pp.factors, pp.coord_of[i], pp.coord_of[j])
+                )
+                assert P.leq(i, j) == expect
 
 
 def test_product_guards():
