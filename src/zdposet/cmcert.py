@@ -12,7 +12,6 @@ oracle.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,7 +35,7 @@ from .errors import (
 from .graphs import Graph, Vertex, vertex_label
 from .homology import DEFAULT_MAX_HOMOLOGY_VERTICES
 from .poset import Poset, bits
-from .zdg import ZdGraph, graph_complements, require_boolean, zero_divisor_graph
+from .zdg import ZdGraph, complement_mask, require_boolean, zero_divisor_graph
 
 DEFAULT_MAX_SEARCH_NODES = 10**6
 
@@ -163,11 +162,22 @@ def boolean_labeling(P: Poset, S: Stratification) -> tuple[Pair, ...]:
     return tuple(out)
 
 
+def _pair_table(nbr: list[int], ends: Sequence[int]) -> list[int]:
+    """Row v: the mask of pair indices j with v adjacent to ``ends[j]``."""
+    table = [0] * len(nbr)
+    for j, e in enumerate(ends):
+        for v in bits(nbr[e]):
+            table[v] |= 1 << j
+    return table
+
+
 def verify_my_conditions(G: Graph, pairs: Sequence[Pair]) -> MyCertificate:
-    """Literal check of the five certificate conditions, with witnesses.
+    """Check the five certificate conditions, with witnesses.
 
     The pairs must use each vertex of G exactly once; condition (e) is the
-    only one sensitive to their order.
+    only one sensitive to their order.  Each condition is a mask test on
+    the pair tables ``tox``/``toy``; a witness is the lowest offending
+    index, the first one a loop over (i, z, j, k) would meet.
     """
     h = len(pairs)
     flat = [v for pair in pairs for v in pair]
@@ -178,7 +188,7 @@ def verify_my_conditions(G: Graph, pairs: Sequence[Pair]) -> MyCertificate:
     nbr = G.nbr
     xs = [G.index[x] for x, _ in pairs]
     ys = [G.index[y] for _, y in pairs]
-    adj = lambda a, b: nbr[a] >> b & 1
+    tox, toy = _pair_table(nbr, xs), _pair_table(nbr, ys)
     name = lambda i: vertex_label(G, G.vertices[i])
 
     conditions: list[tuple[str, ConditionStatus]] = []
@@ -202,52 +212,44 @@ def verify_my_conditions(G: Graph, pairs: Sequence[Pair]) -> MyCertificate:
 
     # (b) matched pairs are edges
     witness_b = None
-    for x, y in zip(xs, ys):
-        if not adj(x, y):
-            witness_b = (name(x), name(y))
+    for i, x in enumerate(xs):
+        if not toy[x] >> i & 1:
+            witness_b = (name(x), name(ys[i]))
             break
     conditions.append(("b", ConditionStatus(witness_b is None, witness_b)))
 
-    # (c) transitivity through a matched pair, for distinct indices
+    # (c) transitivity through a matched pair, for distinct indices: z ~ x_j
+    # and y_j ~ x_k force z ~ x_k
     witness_c = None
     for i in range(h):
-        if witness_c:
-            break
         for z in (xs[i], ys[i]):
+            for j in bits(tox[z] & ~(1 << i)):
+                bad = tox[ys[j]] & ~tox[z] & ~(1 << i | 1 << j)
+                if bad:
+                    witness_c = (name(z), name(xs[j]), name(xs[next(bits(bad))]))
+                    break
             if witness_c:
                 break
-            for j in range(h):
-                if j == i or not adj(z, xs[j]):
-                    continue
-                for k in range(h):
-                    if k in (i, j):
-                        continue
-                    if adj(ys[j], xs[k]) and not adj(z, xs[k]):
-                        witness_c = (name(z), name(xs[j]), name(xs[k]))
-                        break
-                if witness_c:
-                    break
+        if witness_c:
+            break
     conditions.append(("c", ConditionStatus(witness_c is None, witness_c)))
 
     # (d) a cross edge x_i - y_j forbids the edge x_i - x_j
     witness_d = None
-    for i in range(h):
-        for j in range(h):
-            if adj(xs[i], ys[j]) and adj(xs[i], xs[j]):
-                witness_d = (name(xs[i]), name(ys[j]), name(xs[j]))
-                break
-        if witness_d:
+    for x in xs:
+        bad = toy[x] & tox[x]
+        if bad:
+            j = next(bits(bad))
+            witness_d = (name(x), name(ys[j]), name(xs[j]))
             break
     conditions.append(("d", ConditionStatus(witness_d is None, witness_d)))
 
     # (e) cross edges only run forward
     witness_e = None
-    for i in range(h):
-        for j in range(h):
-            if i > j and adj(xs[i], ys[j]):
-                witness_e = (name(xs[i]), name(ys[j]))
-                break
-        if witness_e:
+    for i, x in enumerate(xs):
+        bad = toy[x] & ((1 << i) - 1)
+        if bad:
+            witness_e = (name(x), name(ys[next(bits(bad))]))
             break
     conditions.append(("e", ConditionStatus(witness_e is None, witness_e)))
 
@@ -259,39 +261,25 @@ def find_ordering(G: Graph, matching: Sequence[Pair]) -> OrderingOutcome:
     """Order a matching so cross edges run forward, if possible.
 
     Builds the digraph p -> q whenever x_p is adjacent to y_q and returns
-    a topological order of the pairs; on a cycle, reports the pair indices
-    (0-based, in input order) along it.
+    a topological order of the pairs, always taking the lowest ready pair;
+    on a cycle, reports the pair indices (0-based, in input order) along it.
     """
-    m = len(matching)
-    succ: list[set[int]] = [set() for _ in range(m)]
-    indeg = [0] * m
-    for p, (xp, _) in enumerate(matching):
-        for q, (_, yq) in enumerate(matching):
-            if p != q and G.adjacent(xp, yq):
-                succ[p].add(q)
-    for p in range(m):
-        for q in succ[p]:
-            indeg[q] += 1
-    ready = [p for p in range(m) if indeg[p] == 0]
-    heapq.heapify(ready)
+    tox = _pair_table(G.nbr, [G.index[x] for x, _ in matching])
+    pred = [tox[G.index[y]] & ~(1 << q) for q, (_, y) in enumerate(matching)]
+    left = (1 << len(matching)) - 1
     order: list[int] = []
-    while ready:
-        p = heapq.heappop(ready)
-        order.append(p)
-        for q in sorted(succ[p]):
-            indeg[q] -= 1
-            if indeg[q] == 0:
-                heapq.heappush(ready, q)
-    if len(order) == m:
+    while ready := [q for q in bits(left) if not pred[q] & left]:
+        order.append(ready[0])
+        left ^= 1 << ready[0]
+    if not left:
         return OrderingOutcome(tuple(matching[p] for p in order), None)
     # every leftover node keeps a predecessor among the leftovers, so a
     # backwards walk must revisit a node; that closes a cycle
-    leftset = set(range(m)) - set(order)
     seen: list[int] = []
-    current = min(leftset)
+    current = next(bits(left))
     while current not in seen:
         seen.append(current)
-        current = min(p for p in leftset if current in succ[p])
+        current = next(bits(pred[current] & left))
     cyc = list(reversed(seen[seen.index(current) :]))
     i0 = cyc.index(min(cyc))
     return OrderingOutcome(None, tuple(cyc[i0:] + cyc[:i0]))
@@ -305,59 +293,58 @@ def _search_certificate(
     Exhausts every facet as the independent side and every edge-matching
     against its complement; prunes partial matchings that already violate
     condition (d) or contain an unorderable two-cycle of cross edges.
+    Works on vertex positions: x_t is the t-th position outside the facet,
+    and ``tox`` is the pair table of these x's.
     """
+    nbr, V = G.nbr, G.vertices
     nodes = 0
     exhausted = False
 
     for Y in facets:
-        yset = set(Y)
-        X = [v for v in G.vertices if v not in yset]
-        candidates: dict[Vertex, list[Vertex]] = {}
+        ymask = sum(1 << G.index[y] for y in Y)
+        X = [x for x in range(len(V)) if not ymask >> x & 1]
+        tox = _pair_table(nbr, X)
+        candidates = []
         for x in X:
-            comps = sorted(graph_complements(G, x) & yset)
-            rest = sorted((G.neighbors(x) & yset) - set(comps))
-            candidates[x] = comps + rest
+            comps = complement_mask(nbr, nbr[x]) & ymask
+            candidates.append([*bits(comps), *bits(nbr[x] & ymask & ~comps)])
 
-        assignment: list[Pair] = []
-        used: set[Vertex] = set()
+        ys: list[int] = []
+        used = 0
 
         def backtrack(idx: int) -> MyCertificate | None:
-            nonlocal nodes, exhausted
+            nonlocal nodes, exhausted, used
             if exhausted:
                 return None
             if idx == len(X):
-                outcome = find_ordering(G, assignment)
+                outcome = find_ordering(G, [(V[x], V[y]) for x, y in zip(X, ys)])
                 if not outcome.feasible:
                     return None
                 cert = verify_my_conditions(G, outcome.pairs)
                 return cert if cert.ok else None
             x = X[idx]
-            for y in candidates[x]:
-                if y in used:
+            # earlier pairs t with x ~ x_t, and with x ~ y_t
+            to_x = tox[x] & ((1 << idx) - 1)
+            to_y = sum(1 << t for t, y2 in enumerate(ys) if nbr[x] >> y2 & 1)
+            for y in candidates[idx]:
+                if used >> y & 1:
                     continue
                 nodes += 1
                 if nodes > budget:
                     exhausted = True
                     return None
-                ok = True
-                for x2, y2 in assignment:
-                    if G.adjacent(x, y2) and (
-                        G.adjacent(x, x2) or G.adjacent(x2, y)
-                    ):
-                        ok = False
-                        break
-                    if G.adjacent(x2, y) and G.adjacent(x2, x):
-                        ok = False
-                        break
-                if not ok:
+                # earlier pairs t with y ~ x_t; a pair in two of the three
+                # sets breaks (d) or closes a two-cycle of cross edges
+                from_y = tox[y] & ((1 << idx) - 1)
+                if to_y & (to_x | from_y) or from_y & to_x:
                     continue
-                assignment.append((x, y))
-                used.add(y)
+                ys.append(y)
+                used |= 1 << y
                 found = backtrack(idx + 1)
                 if found is not None:
                     return found
-                assignment.pop()
-                used.discard(y)
+                ys.pop()
+                used ^= 1 << y
             return None
 
         cert = backtrack(0)

@@ -17,6 +17,7 @@ from .errors import (
     NotIndependentError,
     NoVariablesError,
     SizeLimitExceededError,
+    TheoremContractError,
     UnknownVertexError,
 )
 from .graphs import Graph, Vertex, vertex_label
@@ -189,7 +190,7 @@ def extend_independent(
         elif can_b:
             pick = b
         else:
-            raise AssertionError(
+            raise TheoremContractError(
                 "no member of an untouched complementary pair extends the set; "
                 "impossible for a Boolean poset"
             )

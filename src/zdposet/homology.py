@@ -283,8 +283,9 @@ def reisner_cm(
     True iff every face's link (the empty face included) has vanishing
     reduced homology strictly below the link's dimension; on failure the
     witness is the first such (face, dimension) in (size, lex) face order.
-    Each link is ranked over F2 first; ``reduced_betti`` runs only on the
-    links where F2 sees homology below the link's dimension.
+    Each link is ranked over F2 first; exact elimination over the integers
+    runs only on the links where F2 sees homology below the link's
+    dimension, on the same link facet masks.
     """
     _check_cap(C, max_vertices)
     for face, link, dim in _face_walk(C):
@@ -294,12 +295,11 @@ def reisner_cm(
         if reduce(and_, link):
             continue
         # F2 Betti numbers bound the rational ones from above
-        f2 = _betti(_face_masks(link), _F2RowBasis)
+        faces = _face_masks(link)
+        f2 = _betti(faces, _F2RowBasis)
         if not any(f2[d] for d in range(-1, dim)):
             continue
-        face_vertices = C.vertices_of(face)
-        profile = reduced_betti(link_of(C, face_vertices), max_vertices)
-        bad = profile.vanishes_below(dim)
+        bad = HomologyProfile(_betti(faces, _IntRowBasis)).vanishes_below(dim)
         if bad is not None:
-            return False, (face_vertices, bad)
+            return False, (C.vertices_of(face), bad)
     return True, None

@@ -558,21 +558,26 @@ def _subset_name(mask: int, n: int, full: int) -> str:
     return "a" + sep.join(str(i + 1) for i in bits(mask))
 
 
+def _inclusion_rows(masks: Sequence[int]) -> list[int]:
+    """Up-set rows of a family of subsets ordered by inclusion: bit j of
+    row i is set when ``masks[i]`` is a subset of ``masks[j]``."""
+    rows = []
+    for m in masks:
+        row = 0
+        for j, t in enumerate(masks):
+            if m & ~t == 0:
+                row |= 1 << j
+        rows.append(row)
+    return rows
+
+
 def _boolean_lattice(n: int) -> Poset:
     if n < 1:
         raise BadParamError("boolean_lattice needs n >= 1")
     full = (1 << n) - 1
     masks = sorted(range(1 << n), key=lambda m: (popcount(m), m))
-    pos = {m: i for i, m in enumerate(masks)}
     names = [_subset_name(m, n, full) for m in masks]
-    up = [0] * len(masks)
-    for m in masks:
-        row = 0
-        for t in masks:
-            if m & ~t == 0:
-                row |= 1 << pos[t]
-        up[pos[m]] = row
-    return Poset(names, up)
+    return Poset(names, _inclusion_rows(masks))
 
 
 def _chain(k: int) -> Poset:
@@ -604,14 +609,7 @@ def _atom_coatom(k: int) -> Poset:
             names.append(f"q{i + 1}'")
     masks.append(full)
     names.append("1")
-    up = [0] * len(masks)
-    for i, m in enumerate(masks):
-        row = 0
-        for j, t in enumerate(masks):
-            if m & ~t == 0:
-                row |= 1 << j
-        up[i] = row
-    return Poset(names, up)
+    return Poset(names, _inclusion_rows(masks))
 
 
 def _m_atoms(k: int) -> Poset:

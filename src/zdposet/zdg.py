@@ -51,10 +51,15 @@ def zero_divisor_graph(P: Poset) -> ZdGraph:
     return ZdGraph(P, verts, nbr)
 
 
+def complement_mask(nbr: list[int], row: int) -> int:
+    """The positions in a vertex's adjacency ``row`` that share no neighbour
+    with it: its neighbours w such that the edge v-w lies in no triangle."""
+    return sum(1 << j for j in bits(row) if not row & nbr[j])
+
+
 def graph_complements(G: Graph, v) -> frozenset:
     """Neighbors w of v such that the edge v-w lies in no triangle."""
-    nv = G.neighbors(v)
-    return frozenset(w for w in nv if not (nv & G.neighbors(w)))
+    return frozenset(G.vertices[j] for j in bits(complement_mask(G.nbr, G._row(v))))
 
 
 def ends(G: Graph) -> frozenset:

@@ -7,8 +7,12 @@ test.  Keep these slow and obvious.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
+from zdposet.cmcert import CmVerdict, ConditionStatus, MyCertificate, OrderingOutcome
+from zdposet.errors import PairsDontPartitionError
+from zdposet.graphs import vertex_label
 from zdposet.homology import faces_by_dimension, link_of, reduced_betti
 from zdposet.poset import Poset
 
@@ -275,4 +279,196 @@ def is_boolean_lattice_reference(P: Poset) -> bool:
         return False
     return all(
         P.leq(a, b) == (supports[a] <= supports[b]) for a in range(n) for b in range(n)
+    )
+
+
+# --- certificate-layer oracles -------------------------------------------------
+
+
+def verify_my_conditions_reference(G, pairs) -> MyCertificate:
+    """The five conditions as literal loops over pair indices, one
+    adjacency test per step; ``cmcert.verify_my_conditions`` must agree,
+    witnesses included."""
+    h = len(pairs)
+    flat = [v for pair in pairs for v in pair]
+    if len(set(flat)) != 2 * h or set(flat) != set(G.vertices):
+        raise PairsDontPartitionError(
+            "the pairs do not partition the vertex set of the graph"
+        )
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    adj = G.adjacent
+    name = lambda v: vertex_label(G, v)
+    conditions = []
+
+    # (a) the first uncovered edge (in vertex order), else the first x
+    # with no neighbour on the independent side
+    witness_a = None
+    yset = set(ys)
+    for u in sorted(yset):
+        hit = sorted(G.neighbors(u) & yset)
+        if hit:
+            witness_a = (name(u), name(hit[0]))
+            break
+    if witness_a is None:
+        for x in xs:
+            if not G.neighbors(x) & yset:
+                witness_a = (name(x),)
+                break
+    conditions.append(("a", ConditionStatus(witness_a is None, witness_a)))
+
+    witness_b = None
+    for x, y in zip(xs, ys):
+        if not adj(x, y):
+            witness_b = (name(x), name(y))
+            break
+    conditions.append(("b", ConditionStatus(witness_b is None, witness_b)))
+
+    witness_c = None
+    for i in range(h):
+        if witness_c:
+            break
+        for z in (xs[i], ys[i]):
+            if witness_c:
+                break
+            for j in range(h):
+                if j == i or not adj(z, xs[j]):
+                    continue
+                for k in range(h):
+                    if k in (i, j):
+                        continue
+                    if adj(ys[j], xs[k]) and not adj(z, xs[k]):
+                        witness_c = (name(z), name(xs[j]), name(xs[k]))
+                        break
+                if witness_c:
+                    break
+    conditions.append(("c", ConditionStatus(witness_c is None, witness_c)))
+
+    witness_d = None
+    for i in range(h):
+        for j in range(h):
+            if adj(xs[i], ys[j]) and adj(xs[i], xs[j]):
+                witness_d = (name(xs[i]), name(ys[j]), name(xs[j]))
+                break
+        if witness_d:
+            break
+    conditions.append(("d", ConditionStatus(witness_d is None, witness_d)))
+
+    witness_e = None
+    for i in range(h):
+        for j in range(h):
+            if i > j and adj(xs[i], ys[j]):
+                witness_e = (name(xs[i]), name(ys[j]))
+                break
+        if witness_e:
+            break
+    conditions.append(("e", ConditionStatus(witness_e is None, witness_e)))
+
+    pair_names = tuple((name(x), name(y)) for x, y in pairs)
+    return MyCertificate(tuple(pairs), pair_names, h, tuple(conditions))
+
+
+def find_ordering_reference(G, matching) -> OrderingOutcome:
+    """Kahn's algorithm with a heap of ready pairs (lowest index first) on
+    the digraph p -> q for x_p ~ y_q; on failure, the cycle met by walking
+    back through the lowest leftover predecessor, rotated to its minimum."""
+    m = len(matching)
+    succ = [set() for _ in range(m)]
+    indeg = [0] * m
+    for p, (xp, _) in enumerate(matching):
+        for q, (_, yq) in enumerate(matching):
+            if p != q and G.adjacent(xp, yq):
+                succ[p].add(q)
+                indeg[q] += 1
+    ready = [p for p in range(m) if indeg[p] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        p = heapq.heappop(ready)
+        order.append(p)
+        for q in sorted(succ[p]):
+            indeg[q] -= 1
+            if indeg[q] == 0:
+                heapq.heappush(ready, q)
+    if len(order) == m:
+        return OrderingOutcome(tuple(matching[p] for p in order), None)
+    leftset = set(range(m)) - set(order)
+    seen = []
+    current = min(leftset)
+    while current not in seen:
+        seen.append(current)
+        current = min(p for p in leftset if current in succ[p])
+    cyc = list(reversed(seen[seen.index(current) :]))
+    i0 = cyc.index(min(cyc))
+    return OrderingOutcome(None, tuple(cyc[i0:] + cyc[:i0]))
+
+
+def search_certificate_reference(G, facets, budget: int) -> CmVerdict:
+    """The labeling search on vertex sets: every facet as the independent
+    side, candidates per x its graph complements (neighbours with no
+    common neighbour) then its other neighbours on that side, each in
+    vertex order; one node per tried candidate, same prune and budget as
+    ``cmcert._search_certificate``."""
+    adj = G.adjacent
+    nodes = 0
+    exhausted = False
+    for Y in facets:
+        yset = set(Y)
+        X = [v for v in G.vertices if v not in yset]
+        candidates = {}
+        for x in X:
+            nx = G.neighbors(x)
+            comps = sorted(w for w in nx & yset if not nx & G.neighbors(w))
+            candidates[x] = comps + sorted((nx & yset) - set(comps))
+        assignment = []
+        used = set()
+
+        def backtrack(idx):
+            nonlocal nodes, exhausted
+            if exhausted:
+                return None
+            if idx == len(X):
+                outcome = find_ordering_reference(G, assignment)
+                if not outcome.feasible:
+                    return None
+                cert = verify_my_conditions_reference(G, outcome.pairs)
+                return cert if cert.ok else None
+            x = X[idx]
+            for y in candidates[x]:
+                if y in used:
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    exhausted = True
+                    return None
+                if any(
+                    adj(x, y2) and (adj(x, x2) or adj(x2, y))
+                    or adj(x2, y) and adj(x2, x)
+                    for x2, y2 in assignment
+                ):
+                    continue
+                assignment.append((x, y))
+                used.add(y)
+                found = backtrack(idx + 1)
+                if found is not None:
+                    return found
+                assignment.pop()
+                used.discard(y)
+            return None
+
+        cert = backtrack(0)
+        if cert is not None:
+            return CmVerdict("CM", "matching-search", cert)
+        if exhausted:
+            return CmVerdict(
+                "Inconclusive",
+                "matching-search",
+                None,
+                f"search budget of {budget} nodes exhausted",
+            )
+    return CmVerdict(
+        "NotCM",
+        "matching-search",
+        None,
+        "no labeling satisfies all five conditions (search was exhaustive)",
     )

@@ -6,13 +6,19 @@ import pytest
 
 import brute
 from zdposet.cmcert import (
+    Analysis,
+    _search_certificate,
     boolean_facet,
     boolean_labeling,
     find_ordering,
     is_cohen_macaulay,
     verify_my_conditions,
 )
-from zdposet.complexes import independence_complex, is_well_covered
+from zdposet.complexes import (
+    independence_complex,
+    is_very_well_covered,
+    is_well_covered,
+)
 from zdposet.errors import (
     EmptyGraphError,
     FewerThanTwoAtomsError,
@@ -299,9 +305,6 @@ def test_condition_d_failure_witness():
 def test_search_verdict_matches_reisner_on_random_vwc_graphs():
     # exhaustive-search soundness: on very well-covered graphs the labeling
     # search must agree with the homology oracle
-    from zdposet.cmcert import _search_certificate
-    from zdposet.complexes import is_very_well_covered
-
     rng = random.Random(41)
     checked = 0
     attempts = 0
@@ -351,3 +354,117 @@ def test_my_verdict_agrees_with_reisner_on_small_instances(figure1):
         assert v.status in ("CM", "NotCM")
         ok, _ = reisner_cm(independence_complex(G))
         assert (v.status == "CM") == ok, P
+
+
+# --- the pair-table layer against the loop references ----------------------------
+
+
+def random_pairing_graph(rng, h):
+    """2h shuffled vertices paired up, each pair an edge with probability
+    0.9, plus random edges; returns the graph and the pairs in random
+    order and orientation."""
+    verts = list(range(2 * h))
+    rng.shuffle(verts)
+    pairs = [(verts[2 * i], verts[2 * i + 1]) for i in range(h)]
+    p = rng.choice([0.1, 0.25, 0.5])
+    edges = {(x, y) for x, y in pairs if rng.random() < 0.9}
+    edges |= {
+        (a, b) for a in range(2 * h) for b in range(a + 1, 2 * h) if rng.random() < p
+    }
+    return Graph(range(2 * h), edges), pairs
+
+
+def test_verify_matches_reference_on_random_pairings():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(2000):
+        G, pairs = random_pairing_graph(rng, rng.randint(1, 7))
+        cert = verify_my_conditions(G, pairs)
+        ref = brute.verify_my_conditions_reference(G, pairs)
+        assert cert.pair_names == ref.pair_names
+        assert cert.conditions == ref.conditions, (G.edges(), pairs)
+        seen |= {(name, st.ok) for name, st in cert.conditions}
+    # every condition both holds and fails somewhere in the sample
+    assert seen == {(name, ok) for name in "abcde" for ok in (True, False)}
+
+
+def test_verify_matches_reference_on_boolean_labelings(boolean_catalog):
+    rng = random.Random(8)
+    for P in boolean_catalog[:6]:
+        G = zero_divisor_graph(P)
+        pairs = list(boolean_labeling(P, boolean_facet(P, G)))
+        for _ in range(3):
+            cert = verify_my_conditions(G, pairs)
+            assert cert == brute.verify_my_conditions_reference(G, pairs)
+            rng.shuffle(pairs)
+
+
+def test_find_ordering_matches_reference_on_random_matchings():
+    rng = random.Random(99)
+    feasible = 0
+    for _ in range(2000):
+        G, pairs = random_pairing_graph(rng, rng.randint(1, 8))
+        matching = pairs[: rng.randint(0, len(pairs))]
+        out = find_ordering(G, matching)
+        ref = brute.find_ordering_reference(G, matching)
+        assert (out.pairs, out.cycle) == (ref.pairs, ref.cycle), (G.edges(), matching)
+        feasible += out.feasible
+    assert 0 < feasible < 2000
+
+
+def random_vwc_graph(rng, h):
+    """A very well-covered graph from a planted pairing with an independent
+    side and random x-x and cross edges, or None when the draw is not."""
+    verts = list(range(2 * h))
+    rng.shuffle(verts)
+    xs, ys = verts[:h], verts[h:]
+    p = rng.choice([0.15, 0.3, 0.45])
+    edges = set(zip(xs, ys))
+    for i in range(h):
+        for j in range(h):
+            if i != j and rng.random() < p:
+                edges.add((xs[i], ys[j]))
+            if i < j and rng.random() < p:
+                edges.add((xs[i], xs[j]))
+    G = Graph(verts, edges)
+    C = independence_complex(G)
+    return (G, C) if is_well_covered(C) and is_very_well_covered(C) else None
+
+
+def test_search_matches_reference_with_small_budgets():
+    rng = random.Random(17)
+    cases = [
+        (G, independence_complex(G))
+        for G in (
+            zero_divisor_graph(direct_product([generate("chain", 3)] * 2).carrier),
+            zero_divisor_graph(direct_product([generate("chain", 4)] * 2).carrier),
+            zero_divisor_graph(generate("boolean_lattice", 3)),
+        )
+    ]
+    while len(cases) < 400:
+        drawn = random_vwc_graph(rng, rng.randint(2, 6))
+        if drawn is not None:
+            cases.append(drawn)
+    statuses = set()
+    for G, C in cases:
+        for budget in (3, 10, 50, 10**6):
+            got = _search_certificate(G, C.facets, budget)
+            assert got == brute.search_certificate_reference(G, C.facets, budget)
+            statuses.add(got.status)
+    assert statuses == {"CM", "NotCM", "Inconclusive"}
+
+
+def test_certificate_layer_reads_only_adjacency_rows(boolean_catalog, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the certificate layer must read G.nbr rows")
+
+    for method in ("neighbors", "adjacent", "degree"):
+        monkeypatch.setattr(Graph, method, refuse)
+    for P in boolean_catalog:
+        v = Analysis(zero_divisor_graph(P)).verdict
+        assert (v.status, v.method) == ("CM", "boolean-certificate")
+    pp = direct_product([generate("chain", 3)] * 2)
+    v = Analysis(zero_divisor_graph(pp.carrier)).verdict
+    assert (v.status, v.method) == ("NotCM", "matching-search")
+    out = find_ordering(k22(), (("b1", "a1"), ("b2", "a2")))
+    assert out.cycle == (0, 1)
