@@ -3,13 +3,13 @@ link criterion.
 
 Rational ranks are computed by integer fraction-free elimination on the
 boundary matrices of the reduced chain complex (the empty face is a
-genuine generator in degree -1).  Reisner's criterion first ranks each
-link over F2, with boundary rows as bitmasks; a minor that is nonzero
-mod 2 is nonzero over the integers, so the F2 Betti numbers bound the
-rational ones from above, and a link whose F2 homology vanishes below
-its dimension passes.  Only the links where F2 sees homology are
-eliminated over the integers.  No floating point is involved anywhere:
-Betti numbers are integers and tolerances would be meaningless.
+genuine generator in degree -1).  One face walk yields each link's
+rational Betti vector, for both Reisner's verdict and the ``check -v``
+table.  It ranks a link over F2 first, with boundary rows as bitmasks;
+where F2 homology vanishes below the link's dimension it equals the
+rational homology, and only the other links are eliminated over the
+integers.  No floating point is involved anywhere: Betti numbers are
+integers and tolerances would be meaningless.
 """
 
 from __future__ import annotations
@@ -236,15 +236,28 @@ def link_of(C: FacetComplex, face: Iterable[Vertex]) -> FacetComplex:
     return FacetComplex(C.vertices_of(m ^ fm) for m in C.masks if m & fm == fm)
 
 
-def _face_walk(C: FacetComplex) -> Iterator[tuple[int, list[int], int]]:
-    """(face mask, link facet masks, link dimension) in (size, lex) order.
+def _face_walk(C: FacetComplex) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """(face mask, link dimension, the link's reduced rational Betti
+    numbers over dimensions -1..dim) in (size, lex) face order.
 
     Facets through a face, minus it, are distinct and maximal: the link.
+    A cone link is contractible.  F2 Betti numbers are never below the
+    rational ones and have the same alternating sum, so where they vanish
+    below dim they are the rational ones; only other links are eliminated
+    over the integers.
     """
     for bucket in _face_masks(C.masks):
         for face in lex_sorted(bucket):
             link = [m ^ face for m in C.masks if m & face == face]
-            yield face, link, max(m.bit_count() for m in link) - 1
+            dim = max(m.bit_count() for m in link) - 1
+            if reduce(and_, link):
+                betti = dict.fromkeys(range(-1, dim + 1), 0)
+            else:
+                faces = _face_masks(link)
+                betti = _betti(faces, _F2RowBasis)
+                if any(betti[d] for d in range(-1, dim)):
+                    betti = _betti(faces, _IntRowBasis)
+            yield face, dim, betti
 
 
 def reisner_report(
@@ -256,7 +269,8 @@ def reisner_report(
     """Human-readable Reisner verdict.
 
     Summary line only by default; with ``verbose`` a per-face table of
-    (face, link dimension, rational betti vector) precedes it.
+    (face, link dimension, rational betti vector) precedes it, read from
+    the face walk that decides ``reisner_cm``.
     """
     if not verbose:
         ok, _ = reisner_cm(C, max_vertices)
@@ -264,10 +278,9 @@ def reisner_report(
     _check_cap(C, max_vertices)
     ok = True
     lines = ["face\tlink-dim\tbetti"]
-    for face, link, dim in _face_walk(C):
-        betti = _betti(_face_masks(link), _IntRowBasis)
-        ok = ok and not any(betti[d] for d in range(-1, dim))
-        cells = ",".join(str(betti[d]) for d in range(-1, max(dim + 1, 0)))
+    for face, dim, betti in _face_walk(C):
+        ok = ok and HomologyProfile(betti).vanishes_below(dim) is None
+        cells = ",".join(map(str, betti.values()))
         face_text = "{" + ",".join(label(v) for v in C.vertices_of(face)) + "}"
         lines.append(f"{face_text}\t{dim}\t{cells}")
     lines.append(f"CM: {'yes' if ok else 'no'}")
@@ -283,23 +296,13 @@ def reisner_cm(
     True iff every face's link (the empty face included) has vanishing
     reduced homology strictly below the link's dimension; on failure the
     witness is the first such (face, dimension) in (size, lex) face order.
-    Each link is ranked over F2 first; exact elimination over the integers
-    runs only on the links where F2 sees homology below the link's
-    dimension, on the same link facet masks.
+    The link vectors come from the face walk the ``check -v`` table
+    prints: exact rational Betti numbers, taken from F2 where that is
+    provably equal.
     """
     _check_cap(C, max_vertices)
-    for face, link, dim in _face_walk(C):
-        if dim <= -1:
-            continue
-        # links that are cones are contractible: nothing can fail there
-        if reduce(and_, link):
-            continue
-        # F2 Betti numbers bound the rational ones from above
-        faces = _face_masks(link)
-        f2 = _betti(faces, _F2RowBasis)
-        if not any(f2[d] for d in range(-1, dim)):
-            continue
-        bad = HomologyProfile(_betti(faces, _IntRowBasis)).vanishes_below(dim)
+    for face, dim, betti in _face_walk(C):
+        bad = HomologyProfile(betti).vanishes_below(dim)
         if bad is not None:
             return False, (C.vertices_of(face), bad)
     return True, None

@@ -524,15 +524,18 @@ class ProductPoset:
         self._by_coord: dict[tuple[int, ...], int] = {
             co: i for i, co in enumerate(coords)
         }
+        # atom_ids[p]: the carrier id of factor p's atom tuple (q at p,
+        # bottoms elsewhere), when every factor has a unique atom q
+        self.atom_ids: tuple[int, ...] | None = None
         if all(len(f.atoms()) == 1 for f in factors):
-            expected = set()
-            for pos, f in enumerate(factors):
-                (q,) = f.atoms()
-                co = tuple(
-                    q if m == pos else g.bottom for m, g in enumerate(factors)
-                )
-                expected.add(self._by_coord[co])
-            if self.carrier.atoms() != expected:
+            self.atom_ids = tuple(
+                self._by_coord[
+                    tuple(q if m == pos else g.bottom for m, g in enumerate(factors))
+                ]
+                for pos, f in enumerate(factors)
+                for q in f.atoms()
+            )
+            if self.carrier.atoms() != frozenset(self.atom_ids):
                 raise TheoremContractError(
                     "product atoms must be the per-factor atom tuples"
                 )

@@ -55,17 +55,6 @@ class ProductAnalysis:
         if len(dense) != math.prod(s - 1 for s in self.factor_sizes):
             raise TheoremContractError("|D| must be the product of (|P_i| - 1)")
         self.dense = dense
-        self._atom_ids = tuple(
-            self._atom_vertex(pos) for pos in range(len(product.factors))
-        )
-
-    def _atom_vertex(self, pos: int) -> int:
-        factors = self.product.factors
-        (q,) = factors[pos].atoms()
-        co = tuple(
-            q if m == pos else f.bottom for m, f in enumerate(factors)
-        )
-        return self.product.id_of_coords(co)
 
     @property
     def n(self) -> int:
@@ -115,7 +104,7 @@ def j_single(A: ProductAnalysis, i: int) -> frozenset[int]:
     """The maximal independent set above the i-th atom (1-based), minus D."""
     if not 1 <= i <= A.n:
         raise IndexOutOfRangeError(f"factor index {i} not in 1..{A.n}")
-    q = A._atom_ids[i - 1]
+    q = A.product.atom_ids[i - 1]
     members = frozenset(bits(A.carrier.up[q])) - A.dense
     _assert_maximal_independent(A.graph, members)
     return members
@@ -128,7 +117,7 @@ def j_triple(A: ProductAnalysis, i: int, j: int, k: int) -> frozenset[int]:
             f"indices ({i},{j},{k}) must satisfy 1 <= i < j < k <= {A.n}"
         )
     carrier = A.carrier
-    qi, qj, qk = (A._atom_ids[m - 1] for m in (i, j, k))
+    qi, qj, qk = (A.product.atom_ids[m - 1] for m in (i, j, k))
     mask = (
         (carrier.up[qi] & carrier.up[qj])
         | (carrier.up[qj] & carrier.up[qk])
@@ -263,7 +252,12 @@ class BipartiteReport:
     note: str
 
 
-def bipartite_case(A: ProductAnalysis) -> BipartiteReport:
+def bipartite_case(
+    A: ProductAnalysis,
+    *,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
+    max_homology_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES,
+) -> BipartiteReport:
     """The two-factor case: the graph is complete bipartite on the axes."""
     if A.n != 2:
         raise WrongArityError(f"bipartite analysis needs exactly 2 factors, got {A.n}")
@@ -284,7 +278,7 @@ def bipartite_case(A: ProductAnalysis) -> BipartiteReport:
     sizes = (len(part1), len(part2))
     if sizes != (len(f1) - 1, len(f2) - 1):
         raise TheoremContractError(f"axis parts {sizes} are not |P_i| - 1")
-    analysis = Analysis(A.graph)
+    analysis = Analysis(A.graph, max_vertices, max_homology_vertices)
     wc = is_well_covered(analysis.complex)
     status = analysis.verdict.status
     note = (
@@ -335,50 +329,42 @@ def sweep_row(
 ) -> str:
     """One TSV row for the chain product with the given factor sizes."""
     A = validate_factors([generate("chain", s) for s in sizes])
-    dense = len(A.dense)
-    j1 = len(j_single(A, 1))
-    lattice_cell = _YES_NO[is_boolean_lattice(A.carrier)]
     if A.n == 2:
-        report = bipartite_case(A)
-        cells = [
-            ",".join(str(s) for s in sizes),
-            str(dense),
-            str(j1),
-            "-",
-            _YES_NO[report.well_covered],
-            _STATUS_CELL[report.cm_status],
-            lattice_cell,
-        ]
-        return "\t".join(cells)
-
-    jt = len(j_triple(A, 1, 2, 3))
-    wc_formula, _ = well_covered_verdict(A)
-    analysis = Analysis(A.graph, max_vertices, max_homology_vertices)
-    if len(A.graph.vertices) <= max_vertices:
-        wc = is_well_covered(analysis.complex)
-        if wc != wc_formula:
-            raise TheoremContractError(
-                f"formula verdict {wc_formula} disagrees with enumeration {wc} "
-                f"for sizes {tuple(sizes)}"
-            )
-        wc_cell = _YES_NO[wc]
-        cm_cell = _STATUS_CELL[analysis.verdict.status]
+        report = bipartite_case(
+            A, max_vertices=max_vertices, max_homology_vertices=max_homology_vertices
+        )
+        jt_cell = "-"
+        wc_cell = _YES_NO[report.well_covered]
+        cm_cell = _STATUS_CELL[report.cm_status]
     else:
-        flag = " [unverified-by-enumeration]"
-        wc_cell = _YES_NO[wc_formula] + flag
-        if wc_formula:
-            # all sizes are 2: the Boolean path needs no facet enumeration
+        jt_cell = str(len(j_triple(A, 1, 2, 3)))
+        wc_formula, _ = well_covered_verdict(A)
+        analysis = Analysis(A.graph, max_vertices, max_homology_vertices)
+        if len(A.graph.vertices) <= max_vertices:
+            wc = is_well_covered(analysis.complex)
+            if wc != wc_formula:
+                raise TheoremContractError(
+                    f"formula verdict {wc_formula} disagrees with enumeration "
+                    f"{wc} for sizes {tuple(sizes)}"
+                )
+            wc_cell = _YES_NO[wc]
             cm_cell = _STATUS_CELL[analysis.verdict.status]
         else:
-            cm_cell = "no" + flag
+            flag = " [unverified-by-enumeration]"
+            wc_cell = _YES_NO[wc_formula] + flag
+            if wc_formula:
+                # all sizes are 2: the Boolean path needs no facet enumeration
+                cm_cell = _STATUS_CELL[analysis.verdict.status]
+            else:
+                cm_cell = "no" + flag
     cells = [
         ",".join(str(s) for s in sizes),
-        str(dense),
-        str(j1),
-        str(jt),
+        str(len(A.dense)),
+        str(len(j_single(A, 1))),
+        jt_cell,
         wc_cell,
         cm_cell,
-        lattice_cell,
+        _YES_NO[is_boolean_lattice(A.carrier)],
     ]
     return "\t".join(cells)
 

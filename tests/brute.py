@@ -260,6 +260,24 @@ def reisner_cm_reference(C) -> tuple[bool, tuple[tuple, int] | None]:
     return True, None
 
 
+def reisner_table_reference(C) -> list[tuple[tuple, int, tuple[int, ...]]]:
+    """(face, link dimension, reduced rational Betti vector over -1..dim)
+    for every face in (size, lex) order.
+
+    The ``check -v`` table by definition: every link built with
+    ``link_of`` and eliminated exactly over the integers, with no cone
+    skip and no F2 pass.
+    """
+    rows = []
+    for bucket in faces_by_dimension(C, max_vertices=len(C.vertices)):
+        for face in bucket:
+            link = link_of(C, face)
+            betti = reduced_betti(link, len(link.vertices)).betti
+            dim = link.dimension
+            rows.append((face, dim, tuple(betti[d] for d in range(-1, dim + 1))))
+    return rows
+
+
 def is_boolean_lattice_reference(P: Poset) -> bool:
     """The three-clause definition: a Boolean poset, with a join for every
     pair, that is order-isomorphic to the power set of its atoms."""

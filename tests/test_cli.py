@@ -167,6 +167,15 @@ def test_sweep_bad_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_sweep_two_factor_row_obeys_caps(tmp_path, capsys):
+    # 22,22 is K_{21,21}: 42 vertices, above the default facet cap of 40
+    path = write_sizes(tmp_path, "22,22")
+    assert main(["sweep", path, "--max-vertices", "100"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "22,22\t441\t21\t-\tyes\tno\tno"
+    assert main(["sweep", path, "--max-vertices", "41"]) == 2
+    assert "facet-enumeration cap 41" in capsys.readouterr().err
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     assert main(["gen", "atom_coatom", "4"]) == 0
     text = capsys.readouterr().out

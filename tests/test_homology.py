@@ -20,6 +20,7 @@ from zdposet.homology import (
     link_of,
     reduced_betti,
     reisner_cm,
+    reisner_report,
 )
 from zdposet.poset import direct_product, generate
 from zdposet.zdg import zero_divisor_graph
@@ -188,8 +189,6 @@ def test_reisner_pass_implies_pure():
 
 
 def test_reisner_report_summary_and_table():
-    from zdposet.homology import reisner_report
-
     C = FacetComplex([(1, 3), (2, 4)])
     assert reisner_report(C) == "CM: no\n"
     table = reisner_report(C, verbose=True)
@@ -293,6 +292,73 @@ def test_exact_elimination_only_on_f2_homology(name, expected, request, monkeypa
     assert len(calls) == expected
     assert (ok, witness) == brute.reisner_cm_reference(C)
     assert ok == (expected == 0)
+
+
+def table_rows(C):
+    """``reisner_report``'s table rows for the reference's (face, dim, betti)."""
+    return [
+        "{" + ",".join(map(str, face)) + "}\t" + f"{dim}\t" + ",".join(map(str, betti))
+        for face, dim, betti in brute.reisner_table_reference(C)
+    ]
+
+
+def assert_table_matches_reference(C):
+    lines = reisner_report(C, verbose=True).splitlines()
+    assert lines[0] == "face\tlink-dim\tbetti"
+    assert lines[1:-1] == table_rows(C), C.facets
+    ok, _ = brute.reisner_cm_reference(C)
+    assert lines[-1] == f"CM: {'yes' if ok else 'no'}"
+
+
+def test_table_matches_reference_under_two_torsion(monkeypatch):
+    # F2 sees homology that Q does not: the walk must fall back to exact
+    # elimination for the table to print rational numbers
+    calls = count_exact_calls(monkeypatch)
+    for C in (RP2, SIGMA_RP2):
+        calls.clear()
+        assert_table_matches_reference(C)
+        assert calls
+
+
+def test_table_matches_reference_on_random_facet_lists():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        facets = [
+            rng.sample(range(n), rng.randint(0, min(n, 4)))
+            for _ in range(rng.randint(1, 7))
+        ]
+        assert_table_matches_reference(FacetComplex(facets))
+
+
+def test_table_matches_reference_on_random_independence_complexes():
+    from zdposet.graphs import Graph
+
+    rng = random.Random(37)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        p = rng.random()
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        assert_table_matches_reference(independence_complex(Graph(range(n), edges)))
+
+
+def test_table_ranks_exactly_only_where_f2_sees_homology(monkeypatch):
+    # chain 4 x m_atoms 3 is not well-covered: 4,656 faces, most links
+    # settled by a cone or by F2 alone
+    P = direct_product([generate("chain", 4), generate("m_atoms", 3)]).carrier
+    C = independence_complex(zero_divisor_graph(P))
+    faces, expected = 0, []
+    for bucket in faces_by_dimension(C):
+        for face in bucket:
+            faces += 1
+            link = link_of(C, face)
+            f2 = f2_betti(link)
+            if any(f2[d] for d in range(-1, link.dimension)):
+                expected.append(brute.f_vector(link.facets))
+    calls = count_exact_calls(monkeypatch)
+    reisner_report(C, verbose=True)
+    assert calls == expected
+    assert faces == 4656 and 0 < len(calls) < faces
 
 
 small_complexes = st.lists(

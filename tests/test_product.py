@@ -18,6 +18,7 @@ from zdposet.errors import (
     IndicesNotOrderedError,
     NeedEqualSizesForTripleError,
     NotAscendingError,
+    SizeLimitExceededError,
     TooFewFactorsError,
     WrongArityError,
 )
@@ -87,6 +88,13 @@ def test_validate_accepts_non_chain_unique_atom_factor():
     A = validate_factors([generate("chain", 2), P])
     assert A.factor_sizes == (2, 5)
     assert len(A.dense) == 4
+
+
+def test_product_atom_ids_are_the_atom_tuples():
+    pp = direct_product(chains(2, 3, 4))
+    assert [pp.coord_of[q] for q in pp.atom_ids] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert frozenset(pp.atom_ids) == pp.carrier.atoms()
+    assert direct_product([generate("m_atoms", 2), generate("chain", 3)]).atom_ids is None
 
 
 def test_j_single_two_chains():
@@ -285,6 +293,13 @@ def test_bipartite_mixed():
     assert r.part_sizes == (1, 2)
     assert not r.well_covered
     assert r.cm_status == "NotCM"
+
+
+def test_bipartite_case_takes_the_caps():
+    A = validate_factors(chains(3, 3))  # K_{2,2}: 4 vertices
+    with pytest.raises(SizeLimitExceededError, match="cap 3"):
+        bipartite_case(A, max_vertices=3)
+    assert bipartite_case(A, max_vertices=4).cm_status == "NotCM"
 
 
 def test_bipartite_guard():
