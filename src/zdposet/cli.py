@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 from typing import Sequence
 
 from . import complexes, homology, product, zdg
@@ -119,6 +120,16 @@ def cmd_check(args: argparse.Namespace) -> int:
         lines.append(f"well-covered: skipped ({exc})")
         lines.append(f"very-well-covered: skipped ({exc})")
 
+    table = ""
+    if args.verbose and C is not None:
+        # built before the verdict, which then reads the Reisner answer
+        # off the same rows: one face walk for both; above the homology
+        # cap the CM(Reisner) line below reports the skip
+        with suppress(SizeLimitExceededError):
+            table = homology.link_table(
+                C, A.link_rows, label=lambda v: P.elements[v]
+            )
+
     verdict = A.verdict
     status_text = {"CM": "yes", "NotCM": "no", "Inconclusive": "inconclusive"}
     lines.append(f"CM(MY): {status_text[verdict.status]} [{verdict.method}]")
@@ -130,14 +141,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         try:
             reisner_status, _ = A.reisner
             lines.append(f"CM(Reisner): {_yn(reisner_status)}")
-            if args.verbose:
-                table = homology.reisner_report(
-                    C,
-                    args.max_homology_vertices,
-                    verbose=True,
-                    label=lambda v: P.elements[v],
-                )
-                lines.extend("  " + row for row in table.splitlines())
+            lines.extend("  " + row for row in table.splitlines())
         except SizeLimitExceededError as exc:
             lines.append(f"CM(Reisner): skipped ({exc})")
 

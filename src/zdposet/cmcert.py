@@ -383,8 +383,20 @@ class Analysis:
         return independence_complex(self.graph, self.max_vertices)
 
     @cached_property
+    def link_rows(self) -> list[homology.LinkRow]:
+        """``homology.link_rows`` of the complex, the ``check -v`` table;
+        raises SizeLimitExceededError at a cap."""
+        return homology.link_rows(self.complex, self.max_homology_vertices)
+
+    @cached_property
     def reisner(self) -> tuple[bool, tuple[tuple[Vertex, ...], int] | None]:
-        """``reisner_cm`` on the complex; raises SizeLimitExceededError at a cap."""
+        """``reisner_cm`` on the complex; raises SizeLimitExceededError at a cap.
+
+        When ``link_rows`` were built first, the verdict is read off them,
+        so ``check -v`` walks the complex once.
+        """
+        if "link_rows" in self.__dict__:
+            return homology.reisner_verdict(self.complex, self.link_rows)
         return homology.reisner_cm(self.complex, self.max_homology_vertices)
 
     @cached_property

@@ -5,11 +5,18 @@ Rational ranks are computed by integer fraction-free elimination on the
 boundary matrices of the reduced chain complex (the empty face is a
 genuine generator in degree -1).  One face walk yields each link's
 rational Betti vector, for both Reisner's verdict and the ``check -v``
-table.  It ranks a link over F2 first, with boundary rows as bitmasks;
-where F2 homology vanishes below the link's dimension it equals the
-rational homology, and only the other links are eliminated over the
-integers.  No floating point is involved anywhere: Betti numbers are
-integers and tolerances would be meaningless.
+table.  On an independence complex the link of a face F is the
+independence complex of the graph induced on R = V - N[F]; the walk
+shrinks R by cone and fold moves (Engström's fold lemma: if
+N(u) ⊆ N(v) for u != v, then Ind(G) ≃ Ind(G - v)) before it builds
+any face of the link.  Both moves keep the homotopy type, so what is
+left has the link's reduced homology; it is ranked exactly, and zero
+padding up to the link's dimension, which it never exceeds, completes
+the vector.  Any other complex has each link ranked over F2 first, with
+boundary rows as bitmasks; where F2 homology vanishes below the link's
+dimension it equals the rational homology, and only the other links
+are eliminated over the integers.  No floating point is involved
+anywhere: Betti numbers are integers and tolerances would be meaningless.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
-from operator import and_
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from operator import and_, or_
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EmptyComplexError,
@@ -26,10 +33,14 @@ from .errors import (
     SizeLimitExceededError,
     TheoremContractError,
 )
-from .complexes import FacetComplex, lex_sorted
+from .complexes import FacetComplex, IndependenceComplex, lex_sorted
 from .graphs import Vertex
+from .poset import bits
 
 DEFAULT_MAX_HOMOLOGY_VERTICES = 20
+
+# (face mask, link dimension, the link's reduced Betti numbers by dimension)
+LinkRow = tuple[int, int, dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -151,6 +162,18 @@ class _F2RowBasis:
         return len(self.rows)
 
 
+def _by_size(faces: Collection[int]) -> list[list[int]]:
+    """Face bitmasks grouped by size, each size sorted."""
+    by_size: list[list[int]] = [
+        [] for _ in range(max(f.bit_count() for f in faces) + 1)
+    ]
+    for f in faces:
+        by_size[f.bit_count()].append(f)
+    for bucket in by_size:
+        bucket.sort()
+    return by_size
+
+
 def _face_masks(facets: Sequence[int]) -> list[list[int]]:
     """Downward closure of facet bitmasks, grouped by size, each size sorted."""
     faces = {0}
@@ -159,13 +182,7 @@ def _face_masks(facets: Sequence[int]) -> list[list[int]]:
         while sub:
             faces.add(sub)
             sub = (sub - 1) & f
-    top = max(f.bit_count() for f in facets)
-    by_size: list[list[int]] = [[] for _ in range(top + 1)]
-    for f in faces:
-        by_size[f.bit_count()].append(f)
-    for bucket in by_size:
-        bucket.sort()
-    return by_size
+    return _by_size(faces)
 
 
 def _boundary_rank(
@@ -236,28 +253,110 @@ def link_of(C: FacetComplex, face: Iterable[Vertex]) -> FacetComplex:
     return FacetComplex(C.vertices_of(m ^ fm) for m in C.masks if m & fm == fm)
 
 
-def _face_walk(C: FacetComplex) -> Iterator[tuple[int, int, dict[int, int]]]:
+def _fold(nbr: Sequence[int], rest: int) -> int | None:
+    """Shrink ``rest`` by fold moves until none applies; None for a cone.
+
+    A vertex of G[rest] with no neighbour in it lies in every facet of
+    Ind(G[rest]), a cone.  If N(u) ⊆ N(v) in G[rest] for u != v, then
+    Ind(G[rest]) ≃ Ind(G[rest - v]) (Engström's fold lemma); such a
+    containment survives the removal of other vertices, so one pass may
+    drop several.
+    """
+    while True:
+        rows = [(v, nbr[v] & rest) for v in bits(rest)]
+        if not all(row for _, row in rows):
+            return None
+        start = rest
+        for u, nu in rows:
+            if rest >> u & 1:
+                for v, nv in rows:
+                    if v != u and rest >> v & 1 and not nu & ~nv:
+                        rest ^= 1 << v
+        if rest == start:
+            return rest
+
+
+def _independent_sets(nbr: Sequence[int], rest: int) -> list[list[int]]:
+    """The faces of Ind(G[rest]) as masks, grouped by size, each size sorted."""
+    faces = [0]
+    for v in bits(rest):
+        faces += [f | 1 << v for f in faces if not f & nbr[v]]
+    return _by_size(faces)
+
+
+def _face_walk(C: FacetComplex) -> Iterator[LinkRow]:
     """(face mask, link dimension, the link's reduced rational Betti
     numbers over dimensions -1..dim) in (size, lex) face order.
 
     Facets through a face, minus it, are distinct and maximal: the link.
-    A cone link is contractible.  F2 Betti numbers are never below the
+    On an ``IndependenceComplex`` the link of F is Ind(G[R]), R = V - N[F]
+    the union of the link facets.  R is shrunk with the cone and fold
+    moves of ``_fold`` before any face of the link is built; both keep
+    the homotopy type, so what is left has the link's reduced homology,
+    and it is ranked exactly.  Its dimension is at most the link's, so
+    padding with zeros up to dim gives the link's whole vector.  No F2
+    pass runs there: a link that folding leaves uncontracted almost
+    always has homology (every one on the ``reisner-check`` benchmark
+    inputs does), so F2 would only precede the exact pass.
+
+    On a plain ``FacetComplex`` a cone link is contractible, and any
+    other is ranked over F2 first.  F2 Betti numbers are never below the
     rational ones and have the same alternating sum, so where they vanish
     below dim they are the rational ones; only other links are eliminated
     over the integers.
     """
+    nbr = C.graph.nbr if isinstance(C, IndependenceComplex) else None
     for bucket in _face_masks(C.masks):
         for face in lex_sorted(bucket):
             link = [m ^ face for m in C.masks if m & face == face]
             dim = max(m.bit_count() for m in link) - 1
-            if reduce(and_, link):
-                betti = dict.fromkeys(range(-1, dim + 1), 0)
-            else:
+            betti = dict.fromkeys(range(-1, dim + 1), 0)
+            if nbr is not None:
+                rest = _fold(nbr, reduce(or_, link))
+                if rest == 0:  # a facet: the link is {∅}
+                    betti[-1] = 1
+                elif rest is not None:
+                    betti.update(_betti(_independent_sets(nbr, rest), _IntRowBasis))
+            elif not reduce(and_, link):
                 faces = _face_masks(link)
                 betti = _betti(faces, _F2RowBasis)
                 if any(betti[d] for d in range(-1, dim)):
                     betti = _betti(faces, _IntRowBasis)
             yield face, dim, betti
+
+
+def link_rows(
+    C: FacetComplex, max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES
+) -> list[LinkRow]:
+    """Every face's (face mask, link dimension, reduced rational Betti
+    vector over -1..dim) in (size, lex) order: one whole face walk."""
+    _check_cap(C, max_vertices)
+    return list(_face_walk(C))
+
+
+def reisner_verdict(
+    C: FacetComplex, rows: Iterable[LinkRow]
+) -> tuple[bool, tuple[tuple[Vertex, ...], int] | None]:
+    """``reisner_cm``'s answer from face-walk rows, read up to the first
+    face whose link has homology below its dimension."""
+    for face, dim, betti in rows:
+        bad = HomologyProfile(betti).vanishes_below(dim)
+        if bad is not None:
+            return False, (C.vertices_of(face), bad)
+    return True, None
+
+
+def link_table(C: FacetComplex, rows: Sequence[LinkRow], label=str) -> str:
+    """The per-face table of ``link_rows``: a header, one (face, link
+    dimension, betti vector) line per face, then the verdict."""
+    lines = ["face\tlink-dim\tbetti"]
+    for face, dim, betti in rows:
+        cells = ",".join(map(str, betti.values()))
+        names = ",".join(label(v) for v in C.vertices_of(face))
+        lines.append(f"{{{names}}}\t{dim}\t{cells}")
+    ok, _ = reisner_verdict(C, rows)
+    lines.append(f"CM: {'yes' if ok else 'no'}")
+    return "\n".join(lines) + "\n"
 
 
 def reisner_report(
@@ -272,19 +371,10 @@ def reisner_report(
     (face, link dimension, rational betti vector) precedes it, read from
     the face walk that decides ``reisner_cm``.
     """
-    if not verbose:
-        ok, _ = reisner_cm(C, max_vertices)
-        return f"CM: {'yes' if ok else 'no'}\n"
-    _check_cap(C, max_vertices)
-    ok = True
-    lines = ["face\tlink-dim\tbetti"]
-    for face, dim, betti in _face_walk(C):
-        ok = ok and HomologyProfile(betti).vanishes_below(dim) is None
-        cells = ",".join(map(str, betti.values()))
-        face_text = "{" + ",".join(label(v) for v in C.vertices_of(face)) + "}"
-        lines.append(f"{face_text}\t{dim}\t{cells}")
-    lines.append(f"CM: {'yes' if ok else 'no'}")
-    return "\n".join(lines) + "\n"
+    if verbose:
+        return link_table(C, link_rows(C, max_vertices), label)
+    ok, _ = reisner_cm(C, max_vertices)
+    return f"CM: {'yes' if ok else 'no'}\n"
 
 
 def reisner_cm(
@@ -297,12 +387,9 @@ def reisner_cm(
     reduced homology strictly below the link's dimension; on failure the
     witness is the first such (face, dimension) in (size, lex) face order.
     The link vectors come from the face walk the ``check -v`` table
-    prints: exact rational Betti numbers, taken from F2 where that is
-    provably equal.
+    prints: exact rational Betti numbers, from a fold-reduced link graph
+    on an independence complex, and taken from F2 where that is provably
+    equal on any other complex.
     """
     _check_cap(C, max_vertices)
-    for face, dim, betti in _face_walk(C):
-        bad = HomologyProfile(betti).vanishes_below(dim)
-        if bad is not None:
-            return False, (C.vertices_of(face), bad)
-    return True, None
+    return reisner_verdict(C, _face_walk(C))

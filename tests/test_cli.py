@@ -312,3 +312,23 @@ def test_graph_and_facets_built_once(tmp_path, monkeypatch, capsys, argv):
     assert calls["graph"] == 1
     assert calls["facets"] <= 1
     assert calls["reisner"] <= 1
+
+
+@pytest.mark.parametrize("name", sorted(ONCE_POSETS))
+def test_check_verbose_walks_the_complex_once(tmp_path, monkeypatch, capsys, name):
+    # one face walk feeds both the CM(Reisner) line and the per-face table
+    import zdposet.homology as homology_mod
+
+    walks = []
+    walk = homology_mod._face_walk
+
+    def counted(C):
+        walks.append(C)
+        return walk(C)
+
+    monkeypatch.setattr(homology_mod, "_face_walk", counted)
+    path = write_poset(tmp_path, ONCE_POSETS[name])
+    assert main(["check", path, "-v"]) == 0
+    out = capsys.readouterr().out
+    assert "CM(Reisner): " in out and "  face\tlink-dim\tbetti" in out
+    assert len(walks) == 1

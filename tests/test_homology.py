@@ -12,6 +12,7 @@ import brute
 from zdposet import homology
 from zdposet.complexes import FacetComplex, independence_complex
 from zdposet.errors import NotAFaceError, SizeLimitExceededError
+from zdposet.graphs import Graph
 from zdposet.homology import (
     _betti,
     _F2RowBasis,
@@ -137,8 +138,6 @@ def test_betti_invariant_under_relabeling():
         edges = [
             (a, b) for a in verts for b in verts if a < b and rng.random() < 0.5
         ]
-        from zdposet.graphs import Graph
-
         C = independence_complex(Graph(verts, edges))
         perm = verts[:]
         rng.shuffle(perm)
@@ -166,7 +165,6 @@ def test_rank_matches_under_reversed_elimination(figure1):
 
 def test_reisner_pass_implies_pure():
     from zdposet.complexes import is_well_covered
-    from zdposet.graphs import Graph
 
     rng = random.Random(23)
     complexes = [
@@ -202,8 +200,6 @@ def test_reisner_report_summary_and_table():
 
 
 def test_homology_size_cap():
-    from zdposet.graphs import Graph
-
     verts = list(range(21))
     complete = [(a, b) for a in verts for b in verts if a < b]
     C = independence_complex(Graph(verts, complete))
@@ -267,31 +263,85 @@ def test_two_torsion_falls_back_to_exact_elimination(monkeypatch):
     assert brute.reisner_cm_reference(SIGMA_RP2) == (True, None)
 
 
-EXACT_CALL_POSETS = {
+SURVIVOR_POSETS = {
     "atom_coatom 6": generate("atom_coatom", 6),
     "boolean_lattice 4": generate("boolean_lattice", 4),
     "chain 3 x chain 3 x chain 3": direct_product([generate("chain", 3)] * 3).carrier,
+    "chain 4 x m_atoms 3": direct_product(
+        [generate("chain", 4), generate("m_atoms", 3)]
+    ).carrier,
+}
+# CM, links ranked, distinct link graphs among them, vertices left after folding
+FOLD_SURVIVORS = {
+    "figure1": (True, 4, 4, {2}),
+    "atom_coatom 6": (True, 6, 6, {2}),
+    "boolean_lattice 4": (True, 23, 11, {2, 4, 6}),
+    "chain 3 x chain 3 x chain 3": (False, 1, 1, {2}),
+    "chain 4 x m_atoms 3": (False, 1, 1, {2}),
 }
 
 
-@pytest.mark.parametrize(
-    "name,expected",
-    [("figure1", 0), ("atom_coatom 6", 0), ("boolean_lattice 4", 0),
-     ("chain 3 x chain 3 x chain 3", 1)],
-)
-def test_exact_elimination_only_on_f2_homology(name, expected, request, monkeypatch):
-    # CM complexes clear every link over F2; the non-CM product needs
-    # exact elimination on its witness link alone
+def count_fold_survivors(monkeypatch):
+    """Record the link graphs that reach ``_betti``: the rest mask each
+    one was folded from, and the number of vertices left after folding.
+    Also count ``_face_masks`` calls, so link faces built without a
+    fold first show up."""
+    survivors, face_masks = [], []
+    fold, betti, masks = homology._fold, homology._betti, homology._face_masks
+
+    def recording_fold(nbr, rest):
+        folded = fold(nbr, rest)
+        if folded:
+            survivors.append([rest])
+        return folded
+
+    def recording_betti(by_size, new_basis):
+        assert new_basis is homology._IntRowBasis
+        survivors[-1].append(len(by_size[1]))
+        return betti(by_size, new_basis)
+
+    def recording_face_masks(facets):
+        face_masks.append(len(facets))
+        return masks(facets)
+
+    monkeypatch.setattr(homology, "_fold", recording_fold)
+    monkeypatch.setattr(homology, "_betti", recording_betti)
+    monkeypatch.setattr(homology, "_face_masks", recording_face_masks)
+    return survivors, face_masks
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SURVIVORS))
+def test_only_fold_survivors_are_ranked(name, request, monkeypatch):
+    # on an independence complex every link graph is folded before any
+    # of its faces is built; the CM complexes rank only the links left
+    # (each K2, i.e. S^0, on atom_coatom 6), and the non-CM products stop
+    # at their witness, the first survivor
     if name == "figure1":
         P = request.getfixturevalue("figure1")
     else:
-        P = EXACT_CALL_POSETS[name]
+        P = SURVIVOR_POSETS[name]
     C = independence_complex(zero_divisor_graph(P))
-    calls = count_exact_calls(monkeypatch)
-    ok, witness = reisner_cm(C)
-    assert len(calls) == expected
-    assert (ok, witness) == brute.reisner_cm_reference(C)
-    assert ok == (expected == 0)
+    cm, links, graphs, vertices = FOLD_SURVIVORS[name]
+    expected = brute.reisner_cm_reference(C)
+    assert expected[0] == cm
+    survivors, face_masks = count_fold_survivors(monkeypatch)
+    assert reisner_cm(C) == expected
+    assert face_masks == [len(C.masks)]
+    assert len(survivors) == links
+    assert len({rest for rest, _ in survivors}) == graphs
+    assert {n for _, n in survivors} == vertices
+
+
+def test_table_ranks_only_fold_survivors(monkeypatch):
+    # chain 4 x m_atoms 3 is not well-covered: of its 4,656 faces, only
+    # 4 have links that folding leaves uncontracted, each a K2
+    P = SURVIVOR_POSETS["chain 4 x m_atoms 3"]
+    C = independence_complex(zero_divisor_graph(P))
+    survivors, face_masks = count_fold_survivors(monkeypatch)
+    lines = reisner_report(C, verbose=True).splitlines()
+    assert len(lines) == 4656 + 2
+    assert face_masks == [len(C.masks)]
+    assert [n for _, n in survivors] == [2, 2, 2, 2]
 
 
 def table_rows(C):
@@ -332,8 +382,6 @@ def test_table_matches_reference_on_random_facet_lists():
 
 
 def test_table_matches_reference_on_random_independence_complexes():
-    from zdposet.graphs import Graph
-
     rng = random.Random(37)
     for _ in range(300):
         n = rng.randint(1, 8)
@@ -342,23 +390,86 @@ def test_table_matches_reference_on_random_independence_complexes():
         assert_table_matches_reference(independence_complex(Graph(range(n), edges)))
 
 
-def test_table_ranks_exactly_only_where_f2_sees_homology(monkeypatch):
-    # chain 4 x m_atoms 3 is not well-covered: 4,656 faces, most links
-    # settled by a cone or by F2 alone
-    P = direct_product([generate("chain", 4), generate("m_atoms", 3)]).carrier
-    C = independence_complex(zero_divisor_graph(P))
-    faces, expected = 0, []
-    for bucket in faces_by_dimension(C):
-        for face in bucket:
-            faces += 1
-            link = link_of(C, face)
-            f2 = f2_betti(link)
-            if any(f2[d] for d in range(-1, link.dimension)):
-                expected.append(brute.f_vector(link.facets))
-    calls = count_exact_calls(monkeypatch)
-    reisner_report(C, verbose=True)
-    assert calls == expected
-    assert faces == 4656 and 0 < len(calls) < faces
+def neighbours(edges, u):
+    return {a + b - u for a, b in edges if u in (a, b)}
+
+
+def planted_graph(rng, base):
+    """A random graph on ``base`` vertices with one to three dominated
+    vertices planted on it: a false twin of a vertex, a pendant vertex
+    (it dominates every other neighbour of its anchor), or a vertex whose
+    neighbourhood contains another's."""
+    n = base
+    p = rng.random()
+    edges = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p}
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("twin", "pendant", "superset"))
+        u = rng.randrange(n)
+        if kind == "twin":
+            new = neighbours(edges, u)
+        elif kind == "pendant":
+            new = {u}
+        else:
+            extra = {w for w in range(n) if w != u and rng.random() < 0.3}
+            new = neighbours(edges, u) | extra
+        edges |= {(w, n) for w in new}
+        n += 1
+    return Graph(range(n), edges)
+
+
+def test_fold_matches_reference_on_planted_dominated_vertices(monkeypatch):
+    rng = random.Random(41)
+    complexes = [
+        independence_complex(planted_graph(rng, rng.randint(2, 6)))
+        for _ in range(200)
+    ]
+    expected = [
+        (table_rows(C), brute.reisner_cm_reference(C)) for C in complexes
+    ]
+    folds = []
+    fold = homology._fold
+
+    def recording_fold(nbr, rest):
+        folded = fold(nbr, rest)
+        folds.append(folded not in (None, rest))
+        return folded
+
+    monkeypatch.setattr(homology, "_fold", recording_fold)
+    for C, (rows, cm) in zip(complexes, expected):
+        lines = reisner_report(C, verbose=True).splitlines()
+        assert lines[1:-1] == rows, C.facets
+        assert lines[-1] == f"CM: {'yes' if cm[0] else 'no'}"
+        assert reisner_cm(C) == cm, C.facets
+    # the planted vertices make the fold move, not only the cone, do work
+    assert sum(folds) > len(complexes)
+
+
+@st.composite
+def graphs_with_dominated_vertex(draw):
+    """(G, v): a random graph G whose last vertex v has N(u) ⊆ N(v) for
+    some other vertex u."""
+    n = draw(st.integers(1, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = set()
+    if pairs:
+        edges = set(draw(st.lists(st.sampled_from(pairs), max_size=12)))
+    u = draw(st.integers(0, n - 1))
+    extra = draw(st.sets(st.integers(0, n - 1)))
+    new = neighbours(edges, u) | (extra - {u})
+    G = Graph(range(n + 1), edges | {(w, n) for w in new})
+    assert G.neighbors(u) <= G.neighbors(n)
+    return G, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_dominated_vertex())
+def test_fold_lemma_keeps_reduced_betti(case):
+    G, v = case
+    rest = [w for w in G.vertices if w != v]
+    smaller = Graph(rest, [e for e in G.edges() if v not in e])
+    assert betti_map(independence_complex(G)) == betti_map(
+        independence_complex(smaller)
+    )
 
 
 small_complexes = st.lists(

@@ -28,7 +28,9 @@ GOLDENS_PATH = DATA / "verbose_goldens.json"
 
 CASES = {
     "atom_coatom 6": (("atom_coatom", 6),),
+    "atom_coatom 7": (("atom_coatom", 7),),
     "atom_coatom 8": (("atom_coatom", 8),),
+    "atom_coatom 9": (("atom_coatom", 9),),
     "boolean_lattice 3": (("boolean_lattice", 3),),
     "boolean_lattice 4": (("boolean_lattice", 4),),
     "m_atoms 3": (("m_atoms", 3),),
