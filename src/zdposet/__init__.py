@@ -4,6 +4,15 @@ Construct the graph from a poset, enumerate the facets of its
 independence complex, decide well-coveredness and Cohen-Macaulayness
 through a relabeling certificate, and cross-validate every verdict
 against an exact rational-homology oracle.
+
+Importing the package loads the core layers (poset, graphs, complexes,
+homology, zdg, cmcert).  The product layer loads on first access to one
+of its names, or through ``from zdposet import *``; only ``zdposet
+sweep`` runs it.  The result records (``CmVerdict``, ``MyCertificate``,
+``ConditionStatus``, ``Stratification``, ``OrderingOutcome``,
+``HomologyProfile``, ``LemmaReport``, ``PredictedCounts``,
+``EquivalenceReport``, ``BipartiteReport``) are named tuples: immutable,
+and usable as plain tuples (``len``, indexing, iteration, comparison).
 """
 
 from .complexes import (
@@ -38,20 +47,6 @@ from .homology import (
     reisner_report,
 )
 from .poset import Poset, ProductPoset, direct_product, generate, parse_poset
-from .product import (
-    BipartiteReport,
-    EquivalenceReport,
-    ProductAnalysis,
-    bipartite_case,
-    equivalence_suite,
-    j_single,
-    j_triple,
-    predicted_counts,
-    predicted_triple_size,
-    sweep_report,
-    validate_factors,
-    well_covered_verdict,
-)
 from .zdg import (
     ZdGraph,
     check_atom_end_lemma,
@@ -64,6 +59,17 @@ from .zdg import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # only names that no import above binds get here: the exported ones
+    # are the product layer's, which loads on first access (PEP 562)
+    if name in __all__:
+        from . import product
+
+        return getattr(product, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Analysis",

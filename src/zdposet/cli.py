@@ -13,7 +13,7 @@ import sys
 from contextlib import suppress
 from typing import Sequence
 
-from . import complexes, homology, product, zdg
+from . import complexes, homology, zdg
 from .cmcert import DEFAULT_MAX_SEARCH_NODES, Analysis
 from .errors import (
     EmptyGraphError,
@@ -25,8 +25,14 @@ from .poset import Poset, generate, parse_poset
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ZdPosetError(
+            f"{path} is not UTF-8 text: {exc.reason} "
+            f"(byte {exc.object[exc.start]:#04x})"
+        ) from None
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -175,6 +181,8 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import product  # the other subcommands never load the product layer
+
     vectors = product.parse_size_vectors(_read(args.input))
     text = product.sweep_report(
         vectors,

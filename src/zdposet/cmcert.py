@@ -12,10 +12,8 @@ oracle.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import homology
 from .complexes import (
@@ -42,14 +40,12 @@ DEFAULT_MAX_SEARCH_NODES = 10**6
 Pair = tuple[Vertex, Vertex]
 
 
-@dataclass(frozen=True)
-class ConditionStatus:
+class ConditionStatus(NamedTuple):
     ok: bool
     witness: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
-class MyCertificate:
+class MyCertificate(NamedTuple):
     """An ordered pairing plus the per-condition verification outcome."""
 
     pairs: tuple[Pair, ...]
@@ -68,6 +64,8 @@ class MyCertificate:
         raise KeyError(name)
 
     def to_json(self) -> str:
+        import json  # only a failing certificate is rendered
+
         obj = {
             "h": self.h,
             "pairs": [[x, y] for x, y in self.pair_names],
@@ -82,8 +80,7 @@ class MyCertificate:
         return json.dumps(obj, indent=2)
 
 
-@dataclass(frozen=True)
-class Stratification:
+class Stratification(NamedTuple):
     """The weight-stratified canonical facet of a Boolean poset's graph.
 
     ``strata`` maps the level i to the vertices of weight k - i; for even
@@ -97,8 +94,7 @@ class Stratification:
     facet: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OrderingOutcome:
+class OrderingOutcome(NamedTuple):
     pairs: tuple[Pair, ...] | None
     cycle: tuple[int, ...] | None
 
@@ -107,8 +103,7 @@ class OrderingOutcome:
         return self.pairs is not None
 
 
-@dataclass(frozen=True)
-class CmVerdict:
+class CmVerdict(NamedTuple):
     status: str  # "CM" | "NotCM" | "Inconclusive"
     method: str
     certificate: MyCertificate | None = None
@@ -365,17 +360,23 @@ def _search_certificate(
     )
 
 
-@dataclass
 class Analysis:
     """A zero-divisor graph with its facet complex, Reisner result and verdict.
 
     Each is computed at most once, under the caps given here.
     """
 
-    graph: ZdGraph
-    max_vertices: int = DEFAULT_MAX_VERTICES
-    max_homology_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES
-    max_search_nodes: int = DEFAULT_MAX_SEARCH_NODES
+    def __init__(
+        self,
+        graph: ZdGraph,
+        max_vertices: int = DEFAULT_MAX_VERTICES,
+        max_homology_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES,
+        max_search_nodes: int = DEFAULT_MAX_SEARCH_NODES,
+    ):
+        self.graph = graph
+        self.max_vertices = max_vertices
+        self.max_homology_vertices = max_homology_vertices
+        self.max_search_nodes = max_search_nodes
 
     @cached_property
     def complex(self) -> IndependenceComplex:

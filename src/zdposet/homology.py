@@ -21,11 +21,18 @@ anywhere: Betti numbers are integers and tolerances would be meaningless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 from operator import and_, or_
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 from .errors import (
     EmptyComplexError,
@@ -43,8 +50,7 @@ DEFAULT_MAX_HOMOLOGY_VERTICES = 20
 LinkRow = tuple[int, int, dict[int, int]]
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """Reduced Betti numbers over the rationals, keyed by dimension."""
 
     betti: Mapping[int, int]

@@ -63,14 +63,9 @@ class Poset:
         n = len(self.elements)
         if len(self.up) != n:
             raise ValueError("relation size does not match element count")
-        self._index: dict[str, int] = {}
-        for i, name in enumerate(self.elements):
-            if name in self._index:
-                raise DuplicateElementError(f"duplicate element name {name!r}")
-            self._index[name] = i
+        self._index_names()
 
-        full = (1 << n) - 1
-        self.full_mask: int = full
+        full = self.full_mask
         down = [0] * n
         for i, row in enumerate(self.up):
             if row & ~full:
@@ -97,10 +92,34 @@ class Poset:
                         f"relation is not transitive at "
                         f"({self.elements[i]!r}, {self.elements[j]!r})"
                     )
+        self._find_bounds()
 
+    @classmethod
+    def _from_order(
+        cls, elements: Sequence[str], up: Sequence[int], down: Sequence[int]
+    ) -> Poset:
+        """A poset on rows that already form a closed partial order, with
+        ``down`` the transpose of ``up``; the order axioms are not
+        checked again."""
+        P = cls.__new__(cls)
+        P.elements, P.up, P.down = tuple(elements), tuple(up), tuple(down)
+        P._index_names()
+        P._find_bounds()
+        return P
+
+    def _index_names(self) -> None:
+        self.full_mask: int = (1 << len(self.elements)) - 1
+        self._index: dict[str, int] = {}
+        for i, name in enumerate(self.elements):
+            if name in self._index:
+                raise DuplicateElementError(f"duplicate element name {name!r}")
+            self._index[name] = i
+
+    def _find_bounds(self) -> None:
+        full = self.full_mask
         self.bottom: int | None = None
         self.top: int | None = None
-        for i in range(n):
+        for i in range(len(self.elements)):
             if self.up[i] == full:
                 self.bottom = i
             if self.down[i] == full:
@@ -500,26 +519,18 @@ class ProductPoset:
             "(" + ",".join(f.elements[c] for f, c in zip(factors, co)) + ")"
             for co in coords
         ]
-        # above[p][x]: the carrier ids whose p-th coordinate lies above x
-        above = []
-        for p, f in enumerate(factors):
-            at = [0] * len(f)
-            for i, co in enumerate(coords):
-                at[co[p]] |= 1 << i
-            rows = []
-            for urow in f.up:
-                m = 0
-                for y in bits(urow):
-                    m |= at[y]
-                rows.append(m)
-            above.append(rows)
-        up = []
-        for co in coords:
-            row = -1  # every carrier id
-            for rows, x in zip(above, co):
-                row &= rows[x]
-            up.append(row)
-        self.carrier: Poset = Poset(names, up)
+        # at[p][x]: the carrier ids whose p-th coordinate is x
+        at = [[0] * len(f) for f in factors]
+        for i, co in enumerate(coords):
+            for p, x in enumerate(co):
+                at[p][x] |= 1 << i
+        # a product of partial orders is one: the carrier's rows need no
+        # second check of the order axioms
+        self.carrier: Poset = Poset._from_order(
+            names,
+            _product_rows(coords, at, [f.up for f in factors]),
+            _product_rows(coords, at, [f.down for f in factors]),
+        )
         self.coord_of: tuple[tuple[int, ...], ...] = tuple(coords)
         self._by_coord: dict[tuple[int, ...], int] = {
             co: i for i, co in enumerate(coords)
@@ -542,6 +553,34 @@ class ProductPoset:
 
     def id_of_coords(self, coords: Sequence[int]) -> int:
         return self._by_coord[tuple(coords)]
+
+
+def _product_rows(
+    coords: Sequence[tuple[int, ...]],
+    at: Sequence[Sequence[int]],
+    factor_rows: Sequence[Sequence[int]],
+) -> list[int]:
+    """Carrier rows of the componentwise order, from one row per factor
+    element: the factors' ``up`` rows give the carrier's, and so do their
+    ``down`` rows.  ``at[p][x]`` masks the carrier ids whose p-th
+    coordinate is x."""
+    # within[p][x]: the carrier ids whose p-th coordinate lies in row x
+    within = []
+    for at_p, rows_p in zip(at, factor_rows):
+        rows = []
+        for frow in rows_p:
+            m = 0
+            for y in bits(frow):
+                m |= at_p[y]
+            rows.append(m)
+        within.append(rows)
+    out = []
+    for co in coords:
+        row = -1  # every carrier id
+        for rows, x in zip(within, co):
+            row &= rows[x]
+        out.append(row)
+    return out
 
 
 def direct_product(factors: Sequence[Poset]) -> ProductPoset:

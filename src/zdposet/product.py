@@ -10,9 +10,8 @@ decides well-coveredness without any facet enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cmcert import Analysis
 from .complexes import DEFAULT_MAX_VERTICES, is_well_covered
@@ -128,8 +127,7 @@ def j_triple(A: ProductAnalysis, i: int, j: int, k: int) -> frozenset[int]:
     return members
 
 
-@dataclass(frozen=True)
-class PredictedCounts:
+class PredictedCounts(NamedTuple):
     j_single_sizes: tuple[int, ...]
     j_triple_size: int | None
 
@@ -205,8 +203,7 @@ def is_boolean_lattice(P: Poset) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     statements: tuple[tuple[str, bool], ...]
     value: bool
 
@@ -243,8 +240,7 @@ def equivalence_suite(
     return EquivalenceReport(statements, statements[0][1])
 
 
-@dataclass(frozen=True)
-class BipartiteReport:
+class BipartiteReport(NamedTuple):
     part_sizes: tuple[int, int]
     complete_bipartite: bool
     well_covered: bool

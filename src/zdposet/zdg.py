@@ -6,7 +6,7 @@ as vertices, two being adjacent exactly when their lower cone is {0}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotBooleanError, TheoremContractError
 from .graphs import Graph
@@ -67,8 +67,7 @@ def ends(G: Graph) -> frozenset:
     return frozenset(v for v in G.vertices if G.degree(v) == 1)
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 

@@ -58,6 +58,20 @@ def test_info_missing_file(tmp_path, capsys):
     assert main(["info", str(tmp_path / "nope.poset")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["info"], ["zdg"], ["check"], ["export", "-d", "m2"], ["sweep"]],
+    ids=lambda argv: argv[0],
+)
+def test_non_utf8_file_is_input_error(tmp_path, capsys, argv):
+    p = tmp_path / "binary.poset"
+    p.write_bytes(b"\xff\xfe poset")
+    command, *flags = argv
+    assert main([command, str(p), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {p} is not UTF-8 text: invalid start byte (byte 0xff)\n"
+
+
 def test_zdg_dot(fig1_path, capsys):
     assert main(["zdg", fig1_path]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -437,7 +439,29 @@ def test_product_componentwise_order(figure1):
                     f.leq(a, b)
                     for f, a, b in zip(pp.factors, pp.coord_of[i], pp.coord_of[j])
                 )
-                assert P.leq(i, j) == expect
+                assert P.leq(i, j) == expect == bool(P.down[j] >> i & 1)
+
+
+def test_benchmark_product_carriers_pass_the_full_order_check():
+    # a carrier is built without a second check of the order axioms; on
+    # every product the benchmark workloads build, the full constructor
+    # must accept its rows and derive the same order
+    path = Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    specs = workloads.BOOLEAN_CHECK + workloads.REISNER_CM + workloads.REISNER_NOT_CM
+    products = [[generate(name, k) for name, k in s] for s in specs if len(s) > 1]
+    products += [
+        [generate("chain", k) for k in v]
+        for v in workloads.SWEEP_HEAVY + workloads.SWEEP_LIGHT
+    ]
+    assert len(products) == 19
+    for factors in products:
+        C = direct_product(factors).carrier
+        Q = Poset(C.elements, C.up)
+        assert (Q.down, Q.bottom, Q.top) == (C.down, C.bottom, C.top), C
+        assert Q == C
 
 
 def test_product_guards():
