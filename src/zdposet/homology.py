@@ -5,14 +5,13 @@ Rational ranks are computed by integer fraction-free elimination on the
 boundary matrices of the reduced chain complex (the empty face is a
 genuine generator in degree -1).  One face walk yields each link's
 rational Betti vector, for both Reisner's verdict and the ``check -v``
-table.  On an independence complex the link of a face F is the
-independence complex of the graph induced on R = V - N[F]; the walk
-shrinks R by cone and fold moves (Engström's fold lemma: if
-N(u) ⊆ N(v) for u != v, then Ind(G) ≃ Ind(G - v)) before it builds
-any face of the link.  Both moves keep the homotopy type, so what is
-left has the link's reduced homology; it is ranked exactly, and zero
-padding up to the link's dimension, which it never exceeds, completes
-the vector.  Any other complex has each link ranked over F2 first, with
+table.  On an independence complex the walk reads the graph: faces are
+built one size at a time, each with R = V - N[F], whose induced graph
+has the link as its independence complex.  Each distinct R is shrunk
+once by cone and fold moves (Engström's fold lemma: if N(u) ⊆ N(v) for
+u != v, then Ind(G) ≃ Ind(G - v)); both keep the homotopy type, so
+what is left is ranked exactly and padded with zeros up to the link's
+dimension.  Any other complex has each link ranked over F2 first, with
 boundary rows as bitmasks; where F2 homology vanishes below the link's
 dimension it equals the rational homology, and only the other links
 are eliminated over the integers.  No floating point is involved
@@ -23,10 +22,9 @@ from __future__ import annotations
 
 from functools import reduce
 from math import gcd
-from operator import and_, or_
+from operator import and_
 from typing import (
     Callable,
-    Collection,
     Iterable,
     Iterator,
     Mapping,
@@ -168,18 +166,6 @@ class _F2RowBasis:
         return len(self.rows)
 
 
-def _by_size(faces: Collection[int]) -> list[list[int]]:
-    """Face bitmasks grouped by size, each size sorted."""
-    by_size: list[list[int]] = [
-        [] for _ in range(max(f.bit_count() for f in faces) + 1)
-    ]
-    for f in faces:
-        by_size[f.bit_count()].append(f)
-    for bucket in by_size:
-        bucket.sort()
-    return by_size
-
-
 def _face_masks(facets: Sequence[int]) -> list[list[int]]:
     """Downward closure of facet bitmasks, grouped by size, each size sorted."""
     faces = {0}
@@ -188,7 +174,12 @@ def _face_masks(facets: Sequence[int]) -> list[list[int]]:
         while sub:
             faces.add(sub)
             sub = (sub - 1) & f
-    return _by_size(faces)
+    by_size: list[list[int]] = [
+        [] for _ in range(max(map(int.bit_count, faces)) + 1)
+    ]
+    for f in sorted(faces):
+        by_size[f.bit_count()].append(f)
+    return by_size
 
 
 def _boundary_rank(
@@ -266,64 +257,102 @@ def _fold(nbr: Sequence[int], rest: int) -> int | None:
     Ind(G[rest]), a cone.  If N(u) ⊆ N(v) in G[rest] for u != v, then
     Ind(G[rest]) ≃ Ind(G[rest - v]) (Engström's fold lemma); such a
     containment survives the removal of other vertices, so one pass may
-    drop several.
+    drop several.  Within a pass over the start mask S, the vertices u
+    dominates are the common neighbours of N(u) ∩ S, found as one mask.
     """
     while True:
-        rows = [(v, nbr[v] & rest) for v in bits(rest)]
-        if not all(row for _, row in rows):
-            return None
         start = rest
-        for u, nu in rows:
+        for u in bits(start):
+            if not nbr[u] & start:
+                return None
+        for u in bits(start):
             if rest >> u & 1:
-                for v, nv in rows:
-                    if v != u and rest >> v & 1 and not nu & ~nv:
-                        rest ^= 1 << v
+                dom = start
+                for x in bits(nbr[u] & start):
+                    dom &= nbr[x]
+                rest &= ~dom | 1 << u
         if rest == start:
             return rest
 
 
-def _independent_sets(nbr: Sequence[int], rest: int) -> list[list[int]]:
-    """The faces of Ind(G[rest]) as masks, grouped by size, each size sorted."""
-    faces = [0]
-    for v in bits(rest):
-        faces += [f | 1 << v for f in faces if not f & nbr[v]]
-    return _by_size(faces)
+def _levels(nbr: Sequence[int], rest: int) -> Iterator[list[tuple[int, int]]]:
+    """The faces of Ind(G[rest]) as (face, R) pairs, R = rest - N[face],
+    one list per size, each in lex order.
+
+    A face's children are face + v for v in R above its top vertex, with
+    R shrunk by N[v]; taken parent by parent, they come out in lex
+    order.  Each size is built only when the one before it is used up.
+    """
+    closed = [row | 1 << v for v, row in enumerate(nbr)]
+    level = [(0, rest)]
+    while level:
+        yield level
+        level = [
+            (face | 1 << v, r & ~closed[v])
+            for face, r in level
+            for v in bits(r >> face.bit_length() << face.bit_length())
+        ]
+
+
+def _graph_walk(C: IndependenceComplex) -> Iterator[LinkRow]:
+    """``_face_walk`` on an independence complex, one link per rest mask."""
+    nbr = C.graph.nbr
+    facets = sorted(C.masks, key=int.bit_count, reverse=True)
+    links: dict[int, tuple[int, dict[int, int]]] = {}
+    cones: dict[int, tuple[int, dict[int, int]]] = {}
+    for level in _levels(nbr, (1 << len(nbr)) - 1):
+        for face, rest in level:
+            link = links.get(rest)
+            if link is None:
+                top = next(m for m in facets if m & face == face)
+                dim = top.bit_count() - face.bit_count() - 1
+                folded = _fold(nbr, rest)
+                if folded is None:
+                    link = cones.get(dim)
+                    if link is None:
+                        zeros = dict.fromkeys(range(-1, dim + 1), 0)
+                        link = cones[dim] = dim, zeros
+                else:
+                    betti = dict.fromkeys(range(-1, dim + 1), 0)
+                    if rest == 0:  # a facet: the link is {∅}
+                        betti[-1] = 1
+                    else:
+                        faces = [[f for f, _ in lv] for lv in _levels(nbr, folded)]
+                        betti.update(_betti(faces, _IntRowBasis))
+                    link = dim, betti
+                links[rest] = link
+            yield face, *link
 
 
 def _face_walk(C: FacetComplex) -> Iterator[LinkRow]:
     """(face mask, link dimension, the link's reduced rational Betti
     numbers over dimensions -1..dim) in (size, lex) face order.
 
-    Facets through a face, minus it, are distinct and maximal: the link.
-    On an ``IndependenceComplex`` the link of F is Ind(G[R]), R = V - N[F]
-    the union of the link facets.  R is shrunk with the cone and fold
-    moves of ``_fold`` before any face of the link is built; both keep
-    the homotopy type, so what is left has the link's reduced homology,
-    and it is ranked exactly.  Its dimension is at most the link's, so
-    padding with zeros up to dim gives the link's whole vector.  No F2
-    pass runs there: a link that folding leaves uncontracted almost
-    always has homology (every one on the ``reisner-check`` benchmark
-    inputs does), so F2 would only precede the exact pass.
+    On an ``IndependenceComplex`` the link of F is Ind(G[R]), R = V - N[F].
+    ``_levels`` yields the faces one size at a time with R carried down,
+    so a failing complex stops at its witness's size.  Each distinct R
+    is settled once per walk: the dimension from the largest facet
+    through F, then the cone and fold moves of ``_fold``, which keep the
+    homotopy type, before any face of the link is built.  What is left
+    is ranked exactly, and zero padding up to dim, which it never
+    exceeds, completes the vector.  Faces with one R, and cone links of
+    one dimension, share one Betti dict: treat rows as read-only.
 
-    On a plain ``FacetComplex`` a cone link is contractible, and any
-    other is ranked over F2 first.  F2 Betti numbers are never below the
-    rational ones and have the same alternating sum, so where they vanish
-    below dim they are the rational ones; only other links are eliminated
-    over the integers.
+    On a plain ``FacetComplex`` the facets through F, minus it, are the
+    link.  A cone link is contractible, and any other is ranked over F2
+    first.  F2 Betti numbers are never below the rational ones and have
+    the same alternating sum, so where they vanish below dim they are
+    the rational ones; only other links are eliminated over the integers.
     """
-    nbr = C.graph.nbr if isinstance(C, IndependenceComplex) else None
+    if isinstance(C, IndependenceComplex):
+        yield from _graph_walk(C)
+        return
     for bucket in _face_masks(C.masks):
         for face in lex_sorted(bucket):
             link = [m ^ face for m in C.masks if m & face == face]
             dim = max(m.bit_count() for m in link) - 1
             betti = dict.fromkeys(range(-1, dim + 1), 0)
-            if nbr is not None:
-                rest = _fold(nbr, reduce(or_, link))
-                if rest == 0:  # a facet: the link is {∅}
-                    betti[-1] = 1
-                elif rest is not None:
-                    betti.update(_betti(_independent_sets(nbr, rest), _IntRowBasis))
-            elif not reduce(and_, link):
+            if not reduce(and_, link):
                 faces = _face_masks(link)
                 betti = _betti(faces, _F2RowBasis)
                 if any(betti[d] for d in range(-1, dim)):
@@ -335,7 +364,8 @@ def link_rows(
     C: FacetComplex, max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES
 ) -> list[LinkRow]:
     """Every face's (face mask, link dimension, reduced rational Betti
-    vector over -1..dim) in (size, lex) order: one whole face walk."""
+    vector over -1..dim) in (size, lex) order: one whole face walk.
+    Rows may share one Betti dict; they are read-only."""
     _check_cap(C, max_vertices)
     return list(_face_walk(C))
 
@@ -346,8 +376,10 @@ def reisner_verdict(
     """``reisner_cm``'s answer from face-walk rows, read up to the first
     face whose link has homology below its dimension."""
     for face, dim, betti in rows:
-        bad = HomologyProfile(betti).vanishes_below(dim)
-        if bad is not None:
+        # Betti numbers are nonnegative: the sum exceeds the top one
+        # exactly when some lower one is nonzero
+        if sum(betti.values()) > betti[dim]:
+            bad = next(d for d in range(-1, dim) if betti[d])
             return False, (C.vertices_of(face), bad)
     return True, None
 

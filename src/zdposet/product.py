@@ -294,12 +294,13 @@ def parse_size_vectors(text: str) -> list[tuple[int, ...]]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            sizes = tuple(int(tok) for tok in line.split(","))
-        except ValueError:
+        tokens = [tok.strip(" \t") for tok in line.split(",")]
+        # int() also takes signs, underscores and non-ASCII digits
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
             raise BadParamError(
                 f"line {lineno}: expected comma-separated integers, got {line!r}"
-            ) from None
+            )
+        sizes = tuple(map(int, tokens))
         if len(sizes) < 2:
             raise BadParamError(
                 f"line {lineno}: a factor vector needs at least 2 entries"

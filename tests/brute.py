@@ -236,6 +236,31 @@ def link_faces(facets, face) -> set[tuple]:
     return out
 
 
+def fold_reference(nbr, rest):
+    """Cone and fold moves on G[rest], one vertex pair at a time.
+
+    ``nbr`` holds adjacency rows as bitmasks and ``rest`` is a vertex
+    mask; the pass structure is the one ``homology._fold`` keeps.  Each
+    pass takes the neighbourhoods within the vertices it starts with,
+    returns None if one is empty (a cone), and otherwise walks u in
+    ascending order and drops every other remaining v with
+    N(u) ⊆ N(v).  The mask left when a pass drops nothing is returned.
+    """
+    left = {v for v in range(len(nbr)) if rest >> v & 1}
+    while True:
+        start = set(left)
+        rows = {v: {w for w in start if nbr[v] >> w & 1} for v in start}
+        if not all(rows.values()):
+            return None
+        for u in sorted(start):
+            if u in left:
+                for v in sorted(start):
+                    if v != u and v in left and rows[u] <= rows[v]:
+                        left.discard(v)
+        if left == start:
+            return sum(1 << v for v in left)
+
+
 def reisner_cm_reference(C) -> tuple[bool, tuple[tuple, int] | None]:
     """Reisner's criterion with exact rational homology on every link.
 

@@ -181,6 +181,17 @@ def test_sweep_bad_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["1_2,1_2\n", "\u0662,\u0663\n", "+2,3\n"])
+def test_sweep_takes_only_ascii_digits(tmp_path, capsys, text):
+    # int() reads these as 12,12, 2,3 and 2,3; the format is plain digits
+    p = tmp_path / "sizes.txt"
+    p.write_text(text, encoding="utf-8")
+    assert main(["sweep", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 1: expected comma-separated integers" in captured.err
+
+
 def test_sweep_two_factor_row_obeys_caps(tmp_path, capsys):
     # 22,22 is K_{21,21}: 42 vertices, above the default facet cap of 40
     path = write_sizes(tmp_path, "22,22")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import brute
 from zdposet import homology
-from zdposet.complexes import FacetComplex, independence_complex
+from zdposet.complexes import FacetComplex, independence_complex, is_well_covered
 from zdposet.errors import NotAFaceError, SizeLimitExceededError
 from zdposet.graphs import Graph
 from zdposet.homology import (
@@ -271,33 +271,31 @@ SURVIVOR_POSETS = {
         [generate("chain", 4), generate("m_atoms", 3)]
     ).carrier,
 }
-# CM, links ranked, distinct link graphs among them, vertices left after folding
+# CM, link graphs ranked, vertices left after folding
 FOLD_SURVIVORS = {
-    "figure1": (True, 4, 4, {2}),
-    "atom_coatom 6": (True, 6, 6, {2}),
-    "boolean_lattice 4": (True, 23, 11, {2, 4, 6}),
-    "chain 3 x chain 3 x chain 3": (False, 1, 1, {2}),
-    "chain 4 x m_atoms 3": (False, 1, 1, {2}),
+    "figure1": (True, 4, {2}),
+    "atom_coatom 6": (True, 6, {2}),
+    "boolean_lattice 4": (True, 11, {2, 4, 6}),
+    "chain 3 x chain 3 x chain 3": (False, 1, {2}),
+    "chain 4 x m_atoms 3": (False, 1, {2}),
 }
 
 
-def count_fold_survivors(monkeypatch):
-    """Record the link graphs that reach ``_betti``: the rest mask each
-    one was folded from, and the number of vertices left after folding.
-    Also count ``_face_masks`` calls, so link faces built without a
-    fold first show up."""
-    survivors, face_masks = [], []
+def record_link_work(monkeypatch):
+    """Record the rest mask of every ``_fold`` call and the vertex count
+    of every link graph that reaches ``_betti``.  Also record
+    ``_face_masks`` calls, so link faces built without a fold first, or
+    a complex's faces built up front, show up."""
+    folds, ranked, face_masks = [], [], []
     fold, betti, masks = homology._fold, homology._betti, homology._face_masks
 
     def recording_fold(nbr, rest):
-        folded = fold(nbr, rest)
-        if folded:
-            survivors.append([rest])
-        return folded
+        folds.append(rest)
+        return fold(nbr, rest)
 
     def recording_betti(by_size, new_basis):
         assert new_basis is homology._IntRowBasis
-        survivors[-1].append(len(by_size[1]))
+        ranked.append(len(by_size[1]))
         return betti(by_size, new_basis)
 
     def recording_face_masks(facets):
@@ -307,41 +305,86 @@ def count_fold_survivors(monkeypatch):
     monkeypatch.setattr(homology, "_fold", recording_fold)
     monkeypatch.setattr(homology, "_betti", recording_betti)
     monkeypatch.setattr(homology, "_face_masks", recording_face_masks)
-    return survivors, face_masks
+    return folds, ranked, face_masks
+
+
+def rest_masks(C, witness=None):
+    """V - N[F] as a mask for each face F in (size, lex) order, up to and
+    including the face ``witness`` if one is given."""
+    G = C.graph
+    rests = []
+    for bucket in faces_by_dimension(C, len(C.vertices)):
+        for face in bucket:
+            closed = set(face).union(*(G.neighbors(v) for v in face))
+            rests.append(sum(1 << C.index[v] for v in C.vertices if v not in closed))
+            if face == witness:
+                return rests
+    return rests
 
 
 @pytest.mark.parametrize("name", sorted(FOLD_SURVIVORS))
 def test_only_fold_survivors_are_ranked(name, request, monkeypatch):
-    # on an independence complex every link graph is folded before any
-    # of its faces is built; the CM complexes rank only the links left
-    # (each K2, i.e. S^0, on atom_coatom 6), and the non-CM products stop
-    # at their witness, the first survivor
+    # on an independence complex no face is built up front and every link
+    # graph is folded, once per distinct rest mask, before any of its
+    # faces is built; the CM complexes rank only the links left (each K2,
+    # i.e. S^0, on atom_coatom 6), and the non-CM products stop at their
+    # witness, the first survivor
     if name == "figure1":
         P = request.getfixturevalue("figure1")
     else:
         P = SURVIVOR_POSETS[name]
     C = independence_complex(zero_divisor_graph(P))
-    cm, links, graphs, vertices = FOLD_SURVIVORS[name]
+    cm, graphs, vertices = FOLD_SURVIVORS[name]
     expected = brute.reisner_cm_reference(C)
     assert expected[0] == cm
-    survivors, face_masks = count_fold_survivors(monkeypatch)
+    rests = rest_masks(C, expected[1][0] if expected[1] else None)
+    folds, ranked, face_masks = record_link_work(monkeypatch)
     assert reisner_cm(C) == expected
-    assert face_masks == [len(C.masks)]
-    assert len(survivors) == links
-    assert len({rest for rest, _ in survivors}) == graphs
-    assert {n for _, n in survivors} == vertices
+    assert face_masks == []
+    assert sorted(folds) == sorted(set(rests))
+    assert len(ranked) == graphs
+    assert set(ranked) == vertices
 
 
 def test_table_ranks_only_fold_survivors(monkeypatch):
-    # chain 4 x m_atoms 3 is not well-covered: of its 4,656 faces, only
-    # 4 have links that folding leaves uncontracted, each a K2
+    # chain 4 x m_atoms 3 is not well-covered: its 4,656 faces have fewer
+    # distinct rest masks, and only 4 of those leave a link that folding
+    # does not contract, each a K2
     P = SURVIVOR_POSETS["chain 4 x m_atoms 3"]
     C = independence_complex(zero_divisor_graph(P))
-    survivors, face_masks = count_fold_survivors(monkeypatch)
+    rests = rest_masks(C)
+    folds, ranked, face_masks = record_link_work(monkeypatch)
     lines = reisner_report(C, verbose=True).splitlines()
     assert len(lines) == 4656 + 2
-    assert face_masks == [len(C.masks)]
-    assert [n for _, n in survivors] == [2, 2, 2, 2]
+    assert face_masks == []
+    assert sorted(folds) == sorted(set(rests))
+    assert len(folds) < len(rests)
+    assert ranked == [2, 2, 2, 2]
+
+
+def test_failing_walk_stops_at_its_witness_level(monkeypatch):
+    # faces are built one size at a time as the walk reaches them, so a
+    # complex that fails Reisner builds none past the size after its
+    # witness's; chain 3^3 fails at an 8-vertex face of its 6,400
+    C = independence_complex(
+        zero_divisor_graph(SURVIVOR_POSETS["chain 3 x chain 3 x chain 3"])
+    )
+    expected = brute.reisner_cm_reference(C)
+    witness, _ = expected[1]
+    walks = []
+    levels = homology._levels
+
+    def recording_levels(nbr, rest):
+        walks.append([])
+        for level in levels(nbr, rest):
+            walks[-1].append(len(level))
+            yield level
+
+    monkeypatch.setattr(homology, "_levels", recording_levels)
+    assert reisner_cm(C) == expected
+    built = walks[0]  # the complex's faces; later calls build link faces
+    assert len(built) <= len(witness) + 2
+    assert sum(built) < sum(map(len, faces_by_dimension(C)))
 
 
 def table_rows(C):
@@ -444,6 +487,72 @@ def test_fold_matches_reference_on_planted_dominated_vertices(monkeypatch):
     assert sum(folds) > len(complexes)
 
 
+def test_mask_fold_matches_pairwise_reference():
+    # the mask fold drops, pass by pass, exactly the vertices the pairwise
+    # loop drops: same mask left, or None for a cone
+    rng = random.Random(43)
+    moved = 0
+    for _ in range(150):
+        G = planted_graph(rng, rng.randint(2, 7))
+        n = len(G.vertices)
+        rests = {(1 << n) - 1} | {rng.randrange(1 << n) for _ in range(20)}
+        for rest in rests:
+            folded = homology._fold(G.nbr, rest)
+            assert folded == brute.fold_reference(G.nbr, rest), (G.nbr, rest)
+            moved += folded not in (None, rest)
+    assert moved > 150
+
+
+def twinned_graph(rng, base):
+    """A random graph on ``base`` vertices with one to three closed twins
+    planted: a new vertex joined to some u and to all of N(u).  Faces
+    through u and through its twin then have the same closed
+    neighbourhood, so rest masks repeat."""
+    n = base
+    p = rng.random()
+    edges = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p}
+    for _ in range(rng.randint(1, 3)):
+        u = rng.randrange(n)
+        edges |= {(w, n) for w in neighbours(edges, u) | {u}}
+        n += 1
+    return Graph(range(n), edges)
+
+
+def test_rows_match_reference_where_rest_masks_repeat(monkeypatch):
+    # the walk settles each rest mask once and reuses it for every face
+    # with that mask; rows and verdicts must still be the reference's,
+    # on well-covered complexes and on ones that are not
+    rng = random.Random(47)
+    complexes = [
+        independence_complex(twinned_graph(rng, rng.randint(2, 7)))
+        for _ in range(150)
+    ]
+    expected = [
+        (brute.reisner_table_reference(C), brute.reisner_cm_reference(C))
+        for C in complexes
+    ]
+    folds = []
+    fold = homology._fold
+
+    def recording_fold(nbr, rest):
+        folds.append(rest)
+        return fold(nbr, rest)
+
+    monkeypatch.setattr(homology, "_fold", recording_fold)
+    reused = 0
+    for C, (table, cm) in zip(complexes, expected):
+        folds.clear()
+        rows = homology.link_rows(C)
+        got = [(C.vertices_of(f), dim, tuple(b.values())) for f, dim, b in rows]
+        assert got == table, C.facets
+        assert len(folds) == len(set(folds))
+        reused += len(rows) - len(folds)
+        assert reisner_cm(C) == cm, C.facets
+    assert reused > len(complexes)
+    assert not all(map(is_well_covered, complexes))
+    assert any(map(is_well_covered, complexes))
+
+
 @st.composite
 def graphs_with_dominated_vertex(draw):
     """(G, v): a random graph G whose last vertex v has N(u) ⊆ N(v) for
@@ -487,23 +596,31 @@ def test_reisner_matches_exact_reference(C):
 
 
 def test_homology_guards_fire_under_O():
-    # an inflated boundary rank drives a Betti number negative; both the
-    # exact path and the F2 pass must refuse it with asserts stripped
+    # an inflated boundary rank drives a Betti number negative; the exact
+    # path, the F2 pass and the ranking of a link graph left by folding
+    # (each K2 on atom_coatom 6) must refuse it with asserts stripped
     script = (
         "import zdposet.homology as h\n"
-        "from zdposet.complexes import FacetComplex\n"
+        "from zdposet.complexes import FacetComplex, independence_complex\n"
         "from zdposet.errors import TheoremContractError\n"
+        "from zdposet.poset import generate\n"
+        "from zdposet.zdg import zero_divisor_graph\n"
         "print('debug', __debug__)\n"
         "orig = h._boundary_rank\n"
         "h._boundary_rank = lambda *args: orig(*args) + 1\n"
         "C = FacetComplex([(1, 2), (2, 3), (1, 3)])\n"
-        "for run in (h.reduced_betti, h.reisner_cm):\n"
+        "I = independence_complex(zero_divisor_graph(generate('atom_coatom', 6)))\n"
+        "for name, run, K in (\n"
+        "    ('reduced_betti', h.reduced_betti, C),\n"
+        "    ('reisner_cm', h.reisner_cm, C),\n"
+        "    ('reisner_cm on a graph', h.reisner_cm, I),\n"
+        "):\n"
         "    try:\n"
-        "        run(C)\n"
+        "        run(K)\n"
         "    except TheoremContractError as exc:\n"
-        "        print(run.__name__, 'raised:', exc)\n"
+        "        print(name, 'raised:', exc)\n"
         "    else:\n"
-        "        raise SystemExit(f'{run.__name__} accepted a broken rank')\n"
+        "        raise SystemExit(f'{name} accepted a broken rank')\n"
     )
     src = str(Path(homology.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -517,3 +634,4 @@ def test_homology_guards_fire_under_O():
     assert "debug False" in proc.stdout
     assert "reduced_betti raised: negative Betti number" in proc.stdout
     assert "reisner_cm raised: negative Betti number" in proc.stdout
+    assert "reisner_cm on a graph raised: negative Betti number" in proc.stdout

@@ -309,6 +309,7 @@ def test_bipartite_guard():
 
 def test_parse_size_vectors():
     assert parse_size_vectors("2,2,2\n\n# c\n3,3\n") == [(2, 2, 2), (3, 3)]
+    assert parse_size_vectors(" 3 , 4\t,2 \n") == [(3, 4, 2)]
     with pytest.raises(BadParamError) as err:
         parse_size_vectors("2,2\nnope\n")
     assert "line 2" in str(err.value)
