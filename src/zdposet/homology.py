@@ -3,34 +3,26 @@ link criterion.
 
 Rational ranks are computed by integer fraction-free elimination on the
 boundary matrices of the reduced chain complex (the empty face is a
-genuine generator in degree -1).  One face walk yields each link's
-rational Betti vector, for both Reisner's verdict and the ``check -v``
-table.  On an independence complex the walk reads the graph: faces are
-built one size at a time, each with R = V - N[F], whose induced graph
-has the link as its independence complex.  Each distinct R is shrunk
-once by cone and fold moves (Engström's fold lemma: if N(u) ⊆ N(v) for
-u != v, then Ind(G) ≃ Ind(G - v)); both keep the homotopy type, so
-what is left is ranked exactly and padded with zeros up to the link's
-dimension.  Any other complex has each link ranked over F2 first, with
-boundary rows as bitmasks; where F2 homology vanishes below the link's
-dimension it equals the rational homology, and only the other links
-are eliminated over the integers.  No floating point is involved
+genuine generator in degree -1); ``reduced_betti`` and
+``faces_by_dimension`` take any ``FacetComplex``.
+
+Reisner's criterion (``reisner_cm``, ``link_rows``, ``reisner_report``)
+takes only an ``IndependenceComplex``, the flag complex the paper's CM
+claim is about.  One face walk yields each link's rational Betti
+vector, for both the verdict and the ``check -v`` table.  The walk reads
+the graph: faces are built one size at a time, each with R = V - N[F],
+whose induced graph has the link as its independence complex.  Each
+distinct R is shrunk once by cone and fold moves (Engström's fold
+lemma: if N(u) ⊆ N(v) for u != v, then Ind(G) ≃ Ind(G - v)); both keep
+the homotopy type, so what is left is ranked exactly and padded with
+zeros up to the link's dimension.  No floating point is involved
 anywhere: Betti numbers are integers and tolerances would be meaningless.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from math import gcd
-from operator import and_
-from typing import (
-    Callable,
-    Iterable,
-    Iterator,
-    Mapping,
-    NamedTuple,
-    Sequence,
-)
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     EmptyComplexError,
@@ -71,6 +63,14 @@ def _check_cap(C: FacetComplex, max_vertices: int) -> None:
         )
 
 
+def _require_graph(C: FacetComplex, max_vertices: int) -> None:
+    if not isinstance(C, IndependenceComplex):
+        raise TypeError(
+            f"Reisner's criterion needs an IndependenceComplex, not {type(C).__name__}"
+        )
+    _check_cap(C, max_vertices)
+
+
 def faces_by_dimension(
     C: FacetComplex, max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES
 ) -> list[list[tuple[Vertex, ...]]]:
@@ -95,7 +95,7 @@ class _IntRowBasis:
     giving an independent elimination order for cross-checks.
     """
 
-    def __init__(self, prefer_high: bool = False):
+    def __init__(self, prefer_high: bool):
         self.prefer_high = prefer_high
         self.rows: dict[int, dict[int, int]] = {}
 
@@ -138,34 +138,6 @@ class _IntRowBasis:
         return len(self.rows)
 
 
-class _F2RowBasis:
-    """Elimination over F2: rows are bitmasks, reduced by XOR on the lowest bit."""
-
-    def __init__(self):
-        self.rows: dict[int, int] = {}
-
-    def add(self, row: int) -> bool:
-        while row:
-            low = row & -row
-            prow = self.rows.get(low)
-            if prow is None:
-                self.rows[low] = row
-                return True
-            row ^= prow
-        return False
-
-    @staticmethod
-    def boundary_row(cols: Sequence[int]) -> int:
-        row = 0
-        for c in cols:
-            row |= 1 << c
-        return row
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
 def _face_masks(facets: Sequence[int]) -> list[list[int]]:
     """Downward closure of facet bitmasks, grouped by size, each size sorted."""
     faces = {0}
@@ -185,9 +157,10 @@ def _face_masks(facets: Sequence[int]) -> list[list[int]]:
 def _boundary_rank(
     sources: Sequence[int],
     target_index: Mapping[int, int],
-    basis: _IntRowBasis | _F2RowBasis,
+    prefer_high: bool,
 ) -> int:
     """Rank of the boundary map from the ``sources`` faces to the targets."""
+    basis = _IntRowBasis(prefer_high)
     for face in sources:
         cols = []
         rest = face
@@ -199,11 +172,8 @@ def _boundary_rank(
     return basis.rank
 
 
-def _betti(
-    by_size: list[list[int]],
-    new_basis: Callable[[], _IntRowBasis | _F2RowBasis],
-) -> dict[int, int]:
-    """Reduced Betti numbers, dimensions -1..top, over the basis's field.
+def _betti(by_size: list[list[int]], prefer_high: bool = False) -> dict[int, int]:
+    """Reduced rational Betti numbers, dimensions -1..top.
 
     ``by_size[s]`` lists the faces with s vertices as bitmasks.
     The nonnegativity check guards the rank computation; it raises even
@@ -213,7 +183,7 @@ def _betti(
     ranks = [0] * (top + 2)
     for s in range(1, top + 1):
         index = {f: i for i, f in enumerate(by_size[s - 1])}
-        ranks[s] = _boundary_rank(by_size[s], index, new_basis())
+        ranks[s] = _boundary_rank(by_size[s], index, prefer_high)
     betti: dict[int, int] = {}
     for s in range(top + 1):
         b = len(by_size[s]) - ranks[s] - ranks[s + 1]
@@ -235,9 +205,8 @@ def reduced_betti(
     if elimination_order not in ("forward", "reverse"):
         raise ValueError(f"unknown elimination order {elimination_order!r}")
     _check_cap(C, max_vertices)
-    prefer_high = elimination_order == "reverse"
     return HomologyProfile(
-        _betti(_face_masks(C.masks), lambda: _IntRowBasis(prefer_high))
+        _betti(_face_masks(C.masks), elimination_order == "reverse")
     )
 
 
@@ -294,8 +263,20 @@ def _levels(nbr: Sequence[int], rest: int) -> Iterator[list[tuple[int, int]]]:
         ]
 
 
-def _graph_walk(C: IndependenceComplex) -> Iterator[LinkRow]:
-    """``_face_walk`` on an independence complex, one link per rest mask."""
+def _face_walk(C: IndependenceComplex) -> Iterator[LinkRow]:
+    """(face mask, link dimension, the link's reduced rational Betti
+    numbers over dimensions -1..dim) in (size, lex) face order.
+
+    The link of F is Ind(G[R]), R = V - N[F].  ``_levels`` yields the
+    faces one size at a time with R carried down, so a failing complex
+    stops at its witness's size.  Each distinct R is settled once per
+    walk: the dimension from the largest facet through F, then the cone
+    and fold moves of ``_fold``, which keep the homotopy type, before
+    any face of the link is built.  What is left is ranked exactly, and
+    zero padding up to dim, which it never exceeds, completes the
+    vector.  Faces with one R, and cone links of one dimension, share
+    one Betti dict: treat rows as read-only.
+    """
     nbr = C.graph.nbr
     facets = sorted(C.masks, key=int.bit_count, reverse=True)
     links: dict[int, tuple[int, dict[int, int]]] = {}
@@ -318,55 +299,19 @@ def _graph_walk(C: IndependenceComplex) -> Iterator[LinkRow]:
                         betti[-1] = 1
                     else:
                         faces = [[f for f, _ in lv] for lv in _levels(nbr, folded)]
-                        betti.update(_betti(faces, _IntRowBasis))
+                        betti.update(_betti(faces))
                     link = dim, betti
                 links[rest] = link
             yield face, *link
 
 
-def _face_walk(C: FacetComplex) -> Iterator[LinkRow]:
-    """(face mask, link dimension, the link's reduced rational Betti
-    numbers over dimensions -1..dim) in (size, lex) face order.
-
-    On an ``IndependenceComplex`` the link of F is Ind(G[R]), R = V - N[F].
-    ``_levels`` yields the faces one size at a time with R carried down,
-    so a failing complex stops at its witness's size.  Each distinct R
-    is settled once per walk: the dimension from the largest facet
-    through F, then the cone and fold moves of ``_fold``, which keep the
-    homotopy type, before any face of the link is built.  What is left
-    is ranked exactly, and zero padding up to dim, which it never
-    exceeds, completes the vector.  Faces with one R, and cone links of
-    one dimension, share one Betti dict: treat rows as read-only.
-
-    On a plain ``FacetComplex`` the facets through F, minus it, are the
-    link.  A cone link is contractible, and any other is ranked over F2
-    first.  F2 Betti numbers are never below the rational ones and have
-    the same alternating sum, so where they vanish below dim they are
-    the rational ones; only other links are eliminated over the integers.
-    """
-    if isinstance(C, IndependenceComplex):
-        yield from _graph_walk(C)
-        return
-    for bucket in _face_masks(C.masks):
-        for face in lex_sorted(bucket):
-            link = [m ^ face for m in C.masks if m & face == face]
-            dim = max(m.bit_count() for m in link) - 1
-            betti = dict.fromkeys(range(-1, dim + 1), 0)
-            if not reduce(and_, link):
-                faces = _face_masks(link)
-                betti = _betti(faces, _F2RowBasis)
-                if any(betti[d] for d in range(-1, dim)):
-                    betti = _betti(faces, _IntRowBasis)
-            yield face, dim, betti
-
-
 def link_rows(
-    C: FacetComplex, max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES
+    C: IndependenceComplex, max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES
 ) -> list[LinkRow]:
     """Every face's (face mask, link dimension, reduced rational Betti
     vector over -1..dim) in (size, lex) order: one whole face walk.
     Rows may share one Betti dict; they are read-only."""
-    _check_cap(C, max_vertices)
+    _require_graph(C, max_vertices)
     return list(_face_walk(C))
 
 
@@ -398,7 +343,7 @@ def link_table(C: FacetComplex, rows: Sequence[LinkRow], label=str) -> str:
 
 
 def reisner_report(
-    C: FacetComplex,
+    C: IndependenceComplex,
     max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES,
     verbose: bool = False,
     label=str,
@@ -416,18 +361,17 @@ def reisner_report(
 
 
 def reisner_cm(
-    C: FacetComplex,
+    C: IndependenceComplex,
     max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES,
 ) -> tuple[bool, tuple[tuple[Vertex, ...], int] | None]:
-    """Reisner's criterion over the rationals.
+    """Reisner's criterion over the rationals, on an independence complex.
 
     True iff every face's link (the empty face included) has vanishing
     reduced homology strictly below the link's dimension; on failure the
     witness is the first such (face, dimension) in (size, lex) face order.
     The link vectors come from the face walk the ``check -v`` table
-    prints: exact rational Betti numbers, from a fold-reduced link graph
-    on an independence complex, and taken from F2 where that is provably
-    equal on any other complex.
+    prints: exact rational Betti numbers of each fold-reduced link graph.
+    Any other complex raises TypeError.
     """
-    _check_cap(C, max_vertices)
+    _require_graph(C, max_vertices)
     return reisner_verdict(C, _face_walk(C))

@@ -45,10 +45,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 class Poset:
     """An immutable finite poset given by a closed order relation.
 
@@ -149,9 +145,6 @@ class Poset:
         except KeyError:
             raise UnknownNameError(f"unknown element {name!r}") from None
 
-    def name_of(self, i: int) -> str:
-        return self.elements[i]
-
     def names(self, ids: Iterable[int]) -> tuple[str, ...]:
         """Element names in ascending id order (the canonical rendering)."""
         return tuple(self.elements[i] for i in sorted(ids))
@@ -221,7 +214,7 @@ class Poset:
 
     def weight(self, x: int) -> int:
         """Number of atoms lying below ``x``."""
-        return popcount(self.atoms_mask & self.down[x])
+        return (self.atoms_mask & self.down[x]).bit_count()
 
     def poset_weight(self) -> int:
         """Weight of the greatest element, i.e. the total number of atoms."""
@@ -532,15 +525,13 @@ class ProductPoset:
             _product_rows(coords, at, [f.down for f in factors]),
         )
         self.coord_of: tuple[tuple[int, ...], ...] = tuple(coords)
-        self._by_coord: dict[tuple[int, ...], int] = {
-            co: i for i, co in enumerate(coords)
-        }
         # atom_ids[p]: the carrier id of factor p's atom tuple (q at p,
         # bottoms elsewhere), when every factor has a unique atom q
         self.atom_ids: tuple[int, ...] | None = None
         if all(len(f.atoms()) == 1 for f in factors):
+            by_coord = {co: i for i, co in enumerate(coords)}
             self.atom_ids = tuple(
-                self._by_coord[
+                by_coord[
                     tuple(q if m == pos else g.bottom for m, g in enumerate(factors))
                 ]
                 for pos, f in enumerate(factors)
@@ -550,9 +541,6 @@ class ProductPoset:
                 raise TheoremContractError(
                     "product atoms must be the per-factor atom tuples"
                 )
-
-    def id_of_coords(self, coords: Sequence[int]) -> int:
-        return self._by_coord[tuple(coords)]
 
 
 def _product_rows(
@@ -617,7 +605,7 @@ def _boolean_lattice(n: int) -> Poset:
     if n < 1:
         raise BadParamError("boolean_lattice needs n >= 1")
     full = (1 << n) - 1
-    masks = sorted(range(1 << n), key=lambda m: (popcount(m), m))
+    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
     names = [_subset_name(m, n, full) for m in masks]
     return Poset(names, _inclusion_rows(masks))
 

@@ -264,9 +264,10 @@ def fold_reference(nbr, rest):
 def reisner_cm_reference(C) -> tuple[bool, tuple[tuple, int] | None]:
     """Reisner's criterion with exact rational homology on every link.
 
-    The face-by-face loop the F2 shortcut in ``reisner_cm`` replaced: it
-    skips only facets and cone links, and eliminates every other link
-    over the integers.  Same witness order, (size, lex).
+    The face-by-face loop on any ``FacetComplex``, with no graph, fold or
+    rest-mask memo: it builds each link with ``link_of``, skips only
+    facets and cone links, and eliminates every other link over the
+    integers.  Same witness order, (size, lex), as ``reisner_cm``.
     """
     for bucket in faces_by_dimension(C, max_vertices=len(C.vertices)):
         for face in bucket:
@@ -291,7 +292,7 @@ def reisner_table_reference(C) -> list[tuple[tuple, int, tuple[int, ...]]]:
 
     The ``check -v`` table by definition: every link built with
     ``link_of`` and eliminated exactly over the integers, with no cone
-    skip and no F2 pass.
+    skip and no fold.
     """
     rows = []
     for bucket in faces_by_dimension(C, max_vertices=len(C.vertices)):

@@ -14,11 +14,9 @@ from zdposet.complexes import FacetComplex, independence_complex, is_well_covere
 from zdposet.errors import NotAFaceError, SizeLimitExceededError
 from zdposet.graphs import Graph
 from zdposet.homology import (
-    _betti,
-    _F2RowBasis,
-    _face_masks,
     faces_by_dimension,
     link_of,
+    link_rows,
     reduced_betti,
     reisner_cm,
     reisner_report,
@@ -29,6 +27,15 @@ from zdposet.zdg import zero_divisor_graph
 
 def betti_map(C, **kw):
     return {d: b for d, b in reduced_betti(C, **kw).betti.items() if b}
+
+
+# flag complexes as independence complexes: Ind(C4) has the facets
+# {1,3} and {2,4}; the edgeless graph on 1, 2 gives the edge {1,2}; the
+# edge 1-3 gives {1,2}, {2,3}; the edges 1-2, 1-3 give {1}, {2,3}
+FOUR_CYCLE = independence_complex(Graph(range(1, 5), [(1, 2), (2, 3), (3, 4), (1, 4)]))
+SIMPLEX = independence_complex(Graph([1, 2], []))
+PATH_FACETS = independence_complex(Graph([1, 2, 3], [(1, 3)]))
+POINT_AND_EDGE = independence_complex(Graph([1, 2, 3], [(1, 2), (1, 3)]))
 
 
 def test_faces_of_two_points():
@@ -115,8 +122,8 @@ def test_link_rejects_non_face(figure1):
 def test_reisner_verdicts(figure1):
     C = independence_complex(zero_divisor_graph(figure1))
     assert reisner_cm(C) == (True, None)
-    four_cycle = FacetComplex([(1, 3), (2, 4)])
-    assert reisner_cm(four_cycle) == (False, ((), 0))
+    assert FOUR_CYCLE.facets == ((1, 3), (2, 4))
+    assert reisner_cm(FOUR_CYCLE) == (False, ((), 0))
     K3 = independence_complex(zero_divisor_graph(generate("m_atoms", 3)))
     assert reisner_cm(K3) == (True, None)
 
@@ -170,9 +177,11 @@ def test_reisner_pass_implies_pure():
     complexes = [
         independence_complex(zero_divisor_graph(generate("boolean_lattice", 3))),
         independence_complex(zero_divisor_graph(generate("m_atoms", 4))),
-        FacetComplex([(1, 2), (2, 3)]),
-        FacetComplex([(1,), (2, 3)]),
+        PATH_FACETS,
+        POINT_AND_EDGE,
     ]
+    assert PATH_FACETS.facets == ((1, 2), (2, 3))
+    assert POINT_AND_EDGE.facets == ((1,), (2, 3))
     for _ in range(30):
         n = rng.randint(1, 8)
         edges = [
@@ -187,7 +196,7 @@ def test_reisner_pass_implies_pure():
 
 
 def test_reisner_report_summary_and_table():
-    C = FacetComplex([(1, 3), (2, 4)])
+    C = FOUR_CYCLE
     assert reisner_report(C) == "CM: no\n"
     table = reisner_report(C, verbose=True)
     lines = table.splitlines()
@@ -195,8 +204,8 @@ def test_reisner_report_summary_and_table():
     assert lines[1] == "{}\t1\t0,1,0"  # the whole complex is disconnected
     assert lines[-1] == "CM: no"
     assert len(lines) == 2 + 7  # header, 7 faces, summary
-    simplex = FacetComplex([(1, 2)])
-    assert reisner_report(simplex) == "CM: yes\n"
+    assert SIMPLEX.facets == ((1, 2),)
+    assert reisner_report(SIMPLEX) == "CM: yes\n"
 
 
 def test_homology_size_cap():
@@ -222,45 +231,29 @@ RP2 = FacetComplex(
 SIGMA_RP2 = FacetComplex([f + (apex,) for f in RP2.facets for apex in (7, 8)])
 
 
-def f2_betti(C):
-    """Reduced Betti numbers over F2, dimensions -1..dim."""
-    return _betti(_face_masks(C.masks), _F2RowBasis)
-
-
-def count_exact_calls(monkeypatch):
-    """Record the f-vector of every complex ranked over the integers."""
-    calls = []
-    orig = homology._betti
-
-    def counting(by_size, new_basis):
-        if new_basis is homology._IntRowBasis:
-            calls.append(tuple(len(bucket) for bucket in by_size))
-        return orig(by_size, new_basis)
-
-    monkeypatch.setattr(homology, "_betti", counting)
-    return calls
-
-
 def test_two_torsion_seen_over_f2_only():
-    assert f2_betti(RP2) == {-1: 0, 0: 0, 1: 1, 2: 1}
+    # H_1(RP2) = Z/2 leaves no rational homology, in RP2 or its suspension
     assert betti_map(RP2) == {}
-    assert f2_betti(SIGMA_RP2) == {-1: 0, 0: 0, 1: 0, 2: 1, 3: 1}
     assert betti_map(SIGMA_RP2) == {}
-
-
-def test_two_torsion_falls_back_to_exact_elimination(monkeypatch):
-    # F2 sees homology below the top on RP2 itself, and on RP2 and its
-    # suspension as links in the suspension; only there the exact pass
-    # runs, and it clears them
-    calls = count_exact_calls(monkeypatch)
-    rp2, sigma = brute.f_vector(RP2.facets), brute.f_vector(SIGMA_RP2.facets)
-    assert reisner_cm(RP2) == (True, None)
-    assert calls == [rp2]
-    calls.clear()
-    assert reisner_cm(SIGMA_RP2) == (True, None)
-    assert calls == [sigma, rp2, rp2]
     assert brute.reisner_cm_reference(RP2) == (True, None)
     assert brute.reisner_cm_reference(SIGMA_RP2) == (True, None)
+
+
+def test_reisner_refuses_complexes_that_are_not_graphs():
+    # RP2 is not a flag complex, and the 4-cycle given by its facets is
+    # one without its graph: Reisner's walk reads a graph, so both fail
+    # at once, and the same complex as Ind(C4) is accepted
+    plain_four_cycle = FacetComplex(FOUR_CYCLE.facets)
+    for C in (RP2, plain_four_cycle):
+        for run in (
+            reisner_cm,
+            link_rows,
+            reisner_report,
+            lambda C: reisner_report(C, verbose=True),
+        ):
+            with pytest.raises(TypeError, match="needs an IndependenceComplex"):
+                run(C)
+    assert reisner_cm(FOUR_CYCLE) == (False, ((), 0))
 
 
 SURVIVOR_POSETS = {
@@ -293,10 +286,10 @@ def record_link_work(monkeypatch):
         folds.append(rest)
         return fold(nbr, rest)
 
-    def recording_betti(by_size, new_basis):
-        assert new_basis is homology._IntRowBasis
+    def recording_betti(by_size, prefer_high=False):
+        assert not prefer_high
         ranked.append(len(by_size[1]))
-        return betti(by_size, new_basis)
+        return betti(by_size, prefer_high)
 
     def recording_face_masks(facets):
         face_masks.append(len(facets))
@@ -401,27 +394,6 @@ def assert_table_matches_reference(C):
     assert lines[1:-1] == table_rows(C), C.facets
     ok, _ = brute.reisner_cm_reference(C)
     assert lines[-1] == f"CM: {'yes' if ok else 'no'}"
-
-
-def test_table_matches_reference_under_two_torsion(monkeypatch):
-    # F2 sees homology that Q does not: the walk must fall back to exact
-    # elimination for the table to print rational numbers
-    calls = count_exact_calls(monkeypatch)
-    for C in (RP2, SIGMA_RP2):
-        calls.clear()
-        assert_table_matches_reference(C)
-        assert calls
-
-
-def test_table_matches_reference_on_random_facet_lists():
-    rng = random.Random(31)
-    for _ in range(300):
-        n = rng.randint(1, 7)
-        facets = [
-            rng.sample(range(n), rng.randint(0, min(n, 4)))
-            for _ in range(rng.randint(1, 7))
-        ]
-        assert_table_matches_reference(FacetComplex(facets))
 
 
 def test_table_matches_reference_on_random_independence_complexes():
@@ -581,24 +553,27 @@ def test_fold_lemma_keeps_reduced_betti(case):
     )
 
 
-small_complexes = st.lists(
-    st.frozensets(st.integers(0, 6), max_size=4), min_size=1, max_size=7
-).map(FacetComplex)
+@st.composite
+def small_graphs(draw):
+    """A random graph on one to eight vertices."""
+    n = draw(st.integers(1, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(range(n), edges)
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_complexes)
-def test_reisner_matches_exact_reference(C):
+@given(small_graphs())
+def test_reisner_matches_exact_reference(G):
+    C = independence_complex(G)
     assert reisner_cm(C) == brute.reisner_cm_reference(C)
-    # rank over F2 never exceeds rank over Q
-    rational = reduced_betti(C).betti
-    assert all(b >= rational[d] for d, b in f2_betti(C).items())
 
 
 def test_homology_guards_fire_under_O():
     # an inflated boundary rank drives a Betti number negative; the exact
-    # path, the F2 pass and the ranking of a link graph left by folding
-    # (each K2 on atom_coatom 6) must refuse it with asserts stripped
+    # path and the ranking of a link graph left by folding (each K2 on
+    # atom_coatom 6), for the verdict and for the check -v rows, must
+    # refuse it with asserts stripped
     script = (
         "import zdposet.homology as h\n"
         "from zdposet.complexes import FacetComplex, independence_complex\n"
@@ -612,8 +587,8 @@ def test_homology_guards_fire_under_O():
         "I = independence_complex(zero_divisor_graph(generate('atom_coatom', 6)))\n"
         "for name, run, K in (\n"
         "    ('reduced_betti', h.reduced_betti, C),\n"
-        "    ('reisner_cm', h.reisner_cm, C),\n"
         "    ('reisner_cm on a graph', h.reisner_cm, I),\n"
+        "    ('link_rows', h.link_rows, I),\n"
         "):\n"
         "    try:\n"
         "        run(K)\n"
@@ -633,5 +608,5 @@ def test_homology_guards_fire_under_O():
     assert proc.returncode == 0, proc.stderr
     assert "debug False" in proc.stdout
     assert "reduced_betti raised: negative Betti number" in proc.stdout
-    assert "reisner_cm raised: negative Betti number" in proc.stdout
     assert "reisner_cm on a graph raised: negative Betti number" in proc.stdout
+    assert "link_rows raised: negative Betti number" in proc.stdout

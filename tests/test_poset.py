@@ -79,6 +79,32 @@ def test_roundtrip_through_text(figure1):
         assert parse_poset(P.to_text()) == P
 
 
+@st.composite
+def shuffled_bounded_posets(draw):
+    """A bounded poset on one to ten elements, parsed from a file whose
+    ``elem`` and ``le`` lines come in random order: x0 lies below every
+    element, x(n-1) above every element, and each other ``le`` pair goes
+    up in index, so the order is acyclic but ids need not follow it."""
+    n = draw(st.integers(1, 10))
+    middle = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1)]
+    pairs = [(0, j) for j in range(1, n)] + [(i, n - 1) for i in range(1, n - 1)]
+    pairs += draw(st.sets(st.sampled_from(middle))) if middle else []
+    elems = [f"elem x{i}" for i in draw(st.permutations(range(n)))]
+    les = draw(st.permutations([f"le x{i} x{j}" for i, j in pairs]))
+    return parse_poset("\n".join(["poset v1", *elems, *les]) + "\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_bounded_posets())
+def test_roundtrip_through_text_on_shuffled_posets(P):
+    Q = parse_poset(P.to_text())
+    assert Q == P
+    assert Q.down == P.down
+    assert (Q.bottom, Q.top) == (P.bottom, P.top)
+    assert P.elements[P.bottom] == "x0"
+    assert P.elements[P.top] == f"x{len(P) - 1}"
+
+
 # --- cones ---------------------------------------------------------------------
 
 

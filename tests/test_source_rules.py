@@ -2,16 +2,22 @@
 
 Theorem guards must still fire under ``python -O``, which strips
 ``assert`` statements, so the package raises ``TheoremContractError``
-instead; and the package imports nothing beyond the standard library.
+instead; the package imports nothing beyond the standard library; and
+every function or class it defines is named somewhere else in the
+package, its tests or its benchmark.
 """
 
 import ast
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "zdposet").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "zdposet").glob("*.py"))
+CORPUS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def is_stdlib(module: str) -> bool:
@@ -65,3 +71,37 @@ def test_rules_catch_each_violation():
         "line 6: raise AssertionError",
         "line 7: raise AssertionError",
     ]
+
+
+def unreferenced(sources: list[str], corpus: str) -> list[str]:
+    """The non-dunder function and class names defined in ``sources``
+    that occur in ``corpus`` as a whole word no more often than they are
+    defined there, i.e. only in their own definitions."""
+    defined = Counter(
+        node.name
+        for text in sources
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+    words = Counter(re.findall(r"\w+", corpus))
+    return sorted(name for name, k in defined.items() if words[name] <= k)
+
+
+def test_every_definition_is_referenced():
+    sources = [p.read_text() for p in SOURCES]
+    corpus = "\n".join(p.read_text() for p in CORPUS)
+    assert unreferenced(sources, corpus) == []
+
+
+def test_unreferenced_catches_a_dead_definition():
+    source = (
+        "class Kept:\n"
+        "    def __init__(self): pass\n"
+        "    def used(self): pass\n"
+        "    def dead(self): pass\n"
+        "def twice(): pass\n"
+        "def twice(): pass\n"
+    )
+    corpus = source + "Kept().used()\nused_elsewhere = twice_over = 1\n"
+    assert unreferenced([source], corpus) == ["dead", "twice"]

@@ -6,7 +6,7 @@ The per-face tables run to thousands of rows, so only their digests are
 kept.  The inputs are catalog posets and carriers of catalog products,
 built in-process; they cover CM complexes (every link ranked), non-CM
 ones, an empty graph, and complexes where the table ranks links that
-F2 alone cannot settle.  Re-record only when ``check -v`` output is
+no cone or fold move settles.  Re-record only when ``check -v`` output is
 meant to change:
 
     PYTHONPATH=src python tests/test_verbose_goldens.py
