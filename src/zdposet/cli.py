@@ -132,9 +132,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         # off the same rows: one face walk for both; above the homology
         # cap the CM(Reisner) line below reports the skip
         with suppress(SizeLimitExceededError):
-            table = homology.link_table(
-                C, A.link_rows, label=lambda v: P.elements[v]
-            )
+            table = homology.link_table(C, A.link_rows)
 
     verdict = A.verdict
     status_text = {"CM": "yes", "NotCM": "no", "Inconclusive": "inconclusive"}

@@ -30,7 +30,7 @@ from .errors import (
     SizeLimitExceededError,
     TheoremContractError,
 )
-from .graphs import Graph, Vertex, vertex_label
+from .graphs import Graph, Vertex
 from .homology import DEFAULT_MAX_HOMOLOGY_VERTICES
 from .poset import Poset, bits
 from .zdg import ZdGraph, complement_mask, require_boolean, zero_divisor_graph
@@ -184,7 +184,7 @@ def verify_my_conditions(G: Graph, pairs: Sequence[Pair]) -> MyCertificate:
     xs = [G.index[x] for x, _ in pairs]
     ys = [G.index[y] for _, y in pairs]
     tox, toy = _pair_table(nbr, xs), _pair_table(nbr, ys)
-    name = lambda i: vertex_label(G, G.vertices[i])
+    name = lambda i: G.label(G.vertices[i])
 
     conditions: list[tuple[str, ConditionStatus]] = []
 
@@ -447,7 +447,7 @@ class Analysis:
                 "CM", "reisner-oracle", None, "all links have vanishing low homology"
             )
         face, dim = witness
-        face_names = ",".join(vertex_label(G, v) for v in face) or "empty face"
+        face_names = ",".join(map(G.label, face)) or "empty face"
         return CmVerdict(
             "NotCM",
             "reisner-oracle",

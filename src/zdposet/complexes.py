@@ -20,7 +20,7 @@ from .errors import (
     TheoremContractError,
     UnknownVertexError,
 )
-from .graphs import Graph, Vertex, vertex_label
+from .graphs import Graph, Vertex
 from .poset import Poset, bits
 
 DEFAULT_MAX_VERTICES = 40
@@ -212,7 +212,7 @@ def export_edge_ideal(G: Graph, dialect: str) -> str:
         raise NoVariablesError("graph has no vertices: nothing to export")
     gens = [f"v{G.index[a]}*v{G.index[b]}" for a, b in G.edges()]
     comment = "--" if dialect == "m2" else "//"
-    lines = [f"{comment} v{i} = {vertex_label(G, v)}" for i, v in enumerate(verts)]
+    lines = [f"{comment} v{i} = {G.label(v)}" for i, v in enumerate(verts)]
     if dialect == "m2":
         lines.append(f"R = QQ[v0..v{m - 1}];")
         body = ", ".join(gens) if gens else "0_R"

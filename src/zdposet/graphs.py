@@ -60,8 +60,6 @@ class Graph:
     def has_isolated_vertex(self) -> bool:
         return not all(self.nbr)
 
-
-def vertex_label(G: Graph, v: Vertex) -> str:
-    """Element name for zero-divisor graphs, plain str for ad-hoc graphs."""
-    owner = getattr(G, "owner", None)
-    return owner.elements[v] if owner is not None else str(v)
+    def label(self, v: Vertex) -> str:
+        """The name printed for a vertex."""
+        return str(v)

@@ -90,13 +90,10 @@ class _IntRowBasis:
     """Incremental exact integer elimination; rank = number of pivot rows.
 
     Stored rows are gcd-reduced and kept in echelon form: each is stored
-    under its leading column, which no other stored row leads with.
-    ``prefer_high`` leads with the highest column instead of the lowest,
-    giving an independent elimination order for cross-checks.
+    under its lowest column, which no other stored row leads with.
     """
 
-    def __init__(self, prefer_high: bool):
-        self.prefer_high = prefer_high
+    def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
 
     @staticmethod
@@ -121,7 +118,7 @@ class _IntRowBasis:
     def add(self, row: dict[int, int]) -> bool:
         r = {c: v for c, v in row.items() if v}
         while r:
-            col = max(r) if self.prefer_high else min(r)
+            col = min(r)
             if col not in self.rows:
                 self.rows[col] = r
                 return True
@@ -154,13 +151,9 @@ def _face_masks(facets: Sequence[int]) -> list[list[int]]:
     return by_size
 
 
-def _boundary_rank(
-    sources: Sequence[int],
-    target_index: Mapping[int, int],
-    prefer_high: bool,
-) -> int:
+def _boundary_rank(sources: Sequence[int], target_index: Mapping[int, int]) -> int:
     """Rank of the boundary map from the ``sources`` faces to the targets."""
-    basis = _IntRowBasis(prefer_high)
+    basis = _IntRowBasis()
     for face in sources:
         cols = []
         rest = face
@@ -172,7 +165,7 @@ def _boundary_rank(
     return basis.rank
 
 
-def _betti(by_size: list[list[int]], prefer_high: bool = False) -> dict[int, int]:
+def _betti(by_size: list[list[int]]) -> dict[int, int]:
     """Reduced rational Betti numbers, dimensions -1..top.
 
     ``by_size[s]`` lists the faces with s vertices as bitmasks.
@@ -183,7 +176,7 @@ def _betti(by_size: list[list[int]], prefer_high: bool = False) -> dict[int, int
     ranks = [0] * (top + 2)
     for s in range(1, top + 1):
         index = {f: i for i, f in enumerate(by_size[s - 1])}
-        ranks[s] = _boundary_rank(by_size[s], index, prefer_high)
+        ranks[s] = _boundary_rank(by_size[s], index)
     betti: dict[int, int] = {}
     for s in range(top + 1):
         b = len(by_size[s]) - ranks[s] - ranks[s + 1]
@@ -197,17 +190,11 @@ def _betti(by_size: list[list[int]], prefer_high: bool = False) -> dict[int, int
 
 
 def reduced_betti(
-    C: FacetComplex,
-    max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES,
-    elimination_order: str = "forward",
+    C: FacetComplex, max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES
 ) -> HomologyProfile:
     """Reduced rational Betti numbers of the complex, dimensions -1..dim."""
-    if elimination_order not in ("forward", "reverse"):
-        raise ValueError(f"unknown elimination order {elimination_order!r}")
     _check_cap(C, max_vertices)
-    return HomologyProfile(
-        _betti(_face_masks(C.masks), elimination_order == "reverse")
-    )
+    return HomologyProfile(_betti(_face_masks(C.masks)))
 
 
 def link_of(C: FacetComplex, face: Iterable[Vertex]) -> FacetComplex:
@@ -329,13 +316,14 @@ def reisner_verdict(
     return True, None
 
 
-def link_table(C: FacetComplex, rows: Sequence[LinkRow], label=str) -> str:
+def link_table(C: IndependenceComplex, rows: Sequence[LinkRow]) -> str:
     """The per-face table of ``link_rows``: a header, one (face, link
-    dimension, betti vector) line per face, then the verdict."""
+    dimension, betti vector) line per face, then the verdict.  Faces are
+    named through ``C.graph.label``."""
     lines = ["face\tlink-dim\tbetti"]
     for face, dim, betti in rows:
         cells = ",".join(map(str, betti.values()))
-        names = ",".join(label(v) for v in C.vertices_of(face))
+        names = ",".join(map(C.graph.label, C.vertices_of(face)))
         lines.append(f"{{{names}}}\t{dim}\t{cells}")
     ok, _ = reisner_verdict(C, rows)
     lines.append(f"CM: {'yes' if ok else 'no'}")
@@ -346,7 +334,6 @@ def reisner_report(
     C: IndependenceComplex,
     max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES,
     verbose: bool = False,
-    label=str,
 ) -> str:
     """Human-readable Reisner verdict.
 
@@ -355,7 +342,7 @@ def reisner_report(
     the face walk that decides ``reisner_cm``.
     """
     if verbose:
-        return link_table(C, link_rows(C, max_vertices), label)
+        return link_table(C, link_rows(C, max_vertices))
     ok, _ = reisner_cm(C, max_vertices)
     return f"CM: {'yes' if ok else 'no'}\n"
 

@@ -26,6 +26,10 @@ class ZdGraph(Graph):
         self.nbr = nbr
         self.owner = owner
 
+    def label(self, v: int) -> str:
+        """The poset element's name."""
+        return self.owner.elements[v]
+
 
 def zero_divisors(P: Poset) -> frozenset[int]:
     """Ids of all a admitting a nonzero b with lower cone {a,b} = {0}."""
@@ -126,6 +130,6 @@ def to_dot(G: ZdGraph) -> str:
     """Deterministic DOT text: edges sorted by (min id, max id), one per line."""
     lines = ["graph zdg {"]
     for a, b in G.edges():
-        lines.append(f'  "{G.owner.elements[a]}" -- "{G.owner.elements[b]}";')
+        lines.append(f'  "{G.label(a)}" -- "{G.label(b)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,6 @@ import itertools
 
 from zdposet.cmcert import CmVerdict, ConditionStatus, MyCertificate, OrderingOutcome
 from zdposet.errors import PairsDontPartitionError
-from zdposet.graphs import vertex_label
 from zdposet.homology import faces_by_dimension, link_of, reduced_betti
 from zdposet.poset import Poset
 
@@ -342,7 +341,7 @@ def verify_my_conditions_reference(G, pairs) -> MyCertificate:
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
     adj = G.adjacent
-    name = lambda v: vertex_label(G, v)
+    name = G.label
     conditions = []
 
     # (a) the first uncovered edge (in vertex order), else the first x

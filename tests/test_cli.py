@@ -8,6 +8,7 @@ import pytest
 import zdposet
 import zdposet.zdg as zdg_mod
 from zdposet.cli import main
+from zdposet.cmcert import is_cohen_macaulay
 from zdposet.poset import direct_product, generate, parse_poset
 
 
@@ -197,8 +198,30 @@ def test_sweep_two_factor_row_obeys_caps(tmp_path, capsys):
     path = write_sizes(tmp_path, "22,22")
     assert main(["sweep", path, "--max-vertices", "100"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "22,22\t441\t21\t-\tyes\tno\tno"
-    assert main(["sweep", path, "--max-vertices", "41"]) == 2
-    assert "facet-enumeration cap 41" in capsys.readouterr().err
+    flag = " [unverified-by-enumeration]"
+    assert main(["sweep", path]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        f"22,22\t441\t21\t-\tyes{flag}\tno{flag}\tno"
+    )
+
+
+def test_sweep_two_factor_row_above_the_cap_keeps_every_row(tmp_path, capsys):
+    # 21,21 is K_{20,20}: its 40 vertices are above the cap of 12, so it
+    # takes the flagged fallback like the n >= 3 rows, and the rows
+    # around it still print
+    path = tmp_path / "sizes.txt"
+    path.write_text("2,2,2\n3,3\n2,2,2,2\n3,3,3\n21,21\n2,3\n")
+    assert main(["sweep", str(path), "--max-vertices", "12"]) == 0
+    flag = " [unverified-by-enumeration]"
+    assert capsys.readouterr().out.splitlines() == [
+        "sizes\t|D|\t|J_1|\t|J_1,2,3|\twell-covered\tCM\tboolean-lattice",
+        "2,2,2\t1\t3\t3\tyes\tyes\tyes",
+        "3,3\t4\t2\t-\tyes\tno\tno",
+        f"2,2,2,2\t1\t7\t7\tyes{flag}\tyes\tyes",
+        f"3,3,3\t8\t10\t12\tno{flag}\tno{flag}\tno",
+        f"21,21\t400\t20\t-\tyes{flag}\tno{flag}\tno",
+        "2,3\t2\t1\t-\tno\tno\tno",
+    ]
 
 
 def test_gen_roundtrip(tmp_path, capsys):
@@ -280,6 +303,62 @@ def test_boolean_certificate_trap_fires_under_O(tmp_path):
     )
     assert proc.returncode == 1, proc.stderr
     assert "contract violation" in proc.stderr
+
+
+# one input, and the caps it needs, per (status, route) that
+# Analysis.verdict can return
+CHAIN_3_SQUARED = direct_product([generate("chain", 3)] * 2).carrier
+ROUTE_INPUTS = {
+    ("CM", "boolean-certificate"): (generate("boolean_lattice", 3), {}),
+    # 0 < a, b < c < 1: the graph is the edge a-b
+    ("CM", "matching-search"): (
+        parse_poset(
+            "poset v1\nelem 0\nelem a\nelem b\nelem c\nelem 1\n"
+            "le 0 a\nle 0 b\nle a c\nle b c\nle c 1\n"
+        ),
+        {},
+    ),
+    ("NotCM", "matching-search"): (CHAIN_3_SQUARED, {}),
+    ("Inconclusive", "matching-search"): (CHAIN_3_SQUARED, {"max_search_nodes": 1}),
+    ("NotCM", "not-well-covered"): (
+        direct_product([generate("chain", 3)] * 3).carrier,
+        {},
+    ),
+    ("Inconclusive", "facet-cap"): (generate("m_atoms", 3), {"max_vertices": 2}),
+    ("CM", "reisner-oracle"): (generate("m_atoms", 3), {}),
+    # 0 < e0..e4 < 1 with e0, e1 < e3 and e2 < e4
+    ("NotCM", "reisner-oracle"): (
+        parse_poset(
+            "poset v1\nelem 0\n"
+            + "".join(f"elem e{i}\n" for i in range(5))
+            + "elem 1\n"
+            + "".join(f"le 0 e{i}\nle e{i} 1\n" for i in range(5))
+            + "le e0 e3\nle e1 e3\nle e2 e4\n"
+        ),
+        {},
+    ),
+    ("Inconclusive", "homology-cap"): (
+        generate("m_atoms", 3),
+        {"max_homology_vertices": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_INPUTS), ids="/".join)
+def test_every_route_through_library_and_check(tmp_path, capsys, route):
+    P, caps = ROUTE_INPUTS[route]
+    verdict = is_cohen_macaulay(P, **caps)
+    assert (verdict.status, verdict.method) == route
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in caps.items()]
+    assert main(["check", write_poset(tmp_path, P), *flags]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cell = {"CM": "yes", "NotCM": "no", "Inconclusive": "inconclusive"}
+    assert f"CM(MY): {cell[route[0]]} [{route[1]}]" in lines
+    if route == ("NotCM", "reisner-oracle"):
+        assert "CM(Reisner): no" in lines
+        assert verdict.detail == "link of (empty face) has homology in dimension 0"
+    if route == ("Inconclusive", "homology-cap"):
+        assert "CM(Reisner): skipped (3 vertices exceed the homology cap 2)" in lines
 
 
 # one input per route of the CM verdict

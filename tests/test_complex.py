@@ -16,6 +16,7 @@ from zdposet.errors import (
     NotIndependentError,
     NoVariablesError,
     SizeLimitExceededError,
+    UnknownVertexError,
 )
 from zdposet.complexes import FacetComplex
 from zdposet.graphs import Graph
@@ -37,6 +38,15 @@ def test_figure1_facets_exact(figure1):
         ("q1'", "q2'", "q3'", "q4'"),
     ]
     assert C.dimension == 3
+
+
+def test_graph_rejects_unknown_vertices_and_loops():
+    with pytest.raises(UnknownVertexError) as err:
+        Graph("ab", [("a", "z")])
+    assert str(err.value) == "edge ('a', 'z') uses an unknown vertex"
+    with pytest.raises(ValueError) as err:
+        Graph("ab", [("a", "a")])
+    assert str(err.value) == "loop at 'a': graphs here are simple"
 
 
 def test_k2_facets():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+from test_crossval import betti_by_dense_fractions
 from zdposet import homology
 from zdposet.complexes import FacetComplex, independence_complex, is_well_covered
 from zdposet.errors import NotAFaceError, SizeLimitExceededError
@@ -154,7 +155,8 @@ def test_betti_invariant_under_relabeling():
         assert reduced_betti(C).betti == reduced_betti(relabeled).betti
 
 
-def test_rank_matches_under_reversed_elimination(figure1):
+def test_rank_matches_dense_fractions(figure1):
+    # an independent rank: plain Fraction elimination, nothing shared
     complexes = [
         independence_complex(zero_divisor_graph(figure1)),
         FacetComplex([(1, 2), (2, 3), (1, 3)]),
@@ -164,10 +166,7 @@ def test_rank_matches_under_reversed_elimination(figure1):
         ),
     ]
     for C in complexes:
-        assert (
-            reduced_betti(C, elimination_order="forward").betti
-            == reduced_betti(C, elimination_order="reverse").betti
-        )
+        assert reduced_betti(C).betti == betti_by_dense_fractions(C.facets)
 
 
 def test_reisner_pass_implies_pure():
@@ -286,10 +285,9 @@ def record_link_work(monkeypatch):
         folds.append(rest)
         return fold(nbr, rest)
 
-    def recording_betti(by_size, prefer_high=False):
-        assert not prefer_high
+    def recording_betti(by_size):
         ranked.append(len(by_size[1]))
-        return betti(by_size, prefer_high)
+        return betti(by_size)
 
     def recording_face_masks(facets):
         face_masks.append(len(facets))

@@ -69,6 +69,32 @@ def test_parse_errors_carry_line_numbers():
         parse_poset("# only a comment\n")
 
 
+@pytest.mark.parametrize(
+    "up, message",
+    [
+        ([1], "relation size does not match element count"),
+        ([0b1001, 0b010, 0b100], "relation references unknown element ids"),
+        ([0b010, 0b010, 0b100], "relation is not reflexive at 'a'"),
+        ([0b011, 0b110, 0b100], "relation is not transitive at ('a', 'b')"),
+    ],
+)
+def test_constructor_rejects_bad_relations(up, message):
+    with pytest.raises(ValueError) as err:
+        Poset(["a", "b", "c"], up)
+    assert str(err.value) == message
+
+
+def test_lookups_reject_unknown_names_and_ids():
+    P = generate("chain", 3)
+    with pytest.raises(UnknownNameError) as err:
+        P.id_of("zz")
+    assert str(err.value) == "unknown element 'zz'"
+    for bad in (3, -1):
+        with pytest.raises(UnknownNameError) as err:
+            P.upper_cone([0, bad])
+        assert str(err.value) == f"element id {bad} out of range"
+
+
 def test_parse_comments_and_blanks():
     P = parse_poset("poset v1\n\n# a comment\nelem x  # trailing\n")
     assert P.elements == ("x",)

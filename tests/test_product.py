@@ -18,7 +18,6 @@ from zdposet.errors import (
     IndicesNotOrderedError,
     NeedEqualSizesForTripleError,
     NotAscendingError,
-    SizeLimitExceededError,
     TooFewFactorsError,
     WrongArityError,
 )
@@ -189,6 +188,35 @@ def test_well_covered_verdicts():
         well_covered_verdict(validate_factors(chains(2, 2)))
 
 
+def unique_atom_factor(rng):
+    """A 2-chain, or a random bounded poset with a new bottom under it:
+    the old bottom is then the only atom, so Z(P) = {0}."""
+    n = rng.randint(-1, 2)
+    if n < 0:
+        return generate("chain", 2)
+    text = random_bounded_poset(rng, n).to_text()
+    text = text.replace("poset v1\n", "poset v1\nelem o\n", 1) + "le o z\n"
+    return parse_poset(text)
+
+
+def test_product_theorem_beyond_chains():
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(150):
+        factors = sorted((unique_atom_factor(rng) for _ in range(3)), key=len)
+        A = validate_factors(factors)
+        sizes = A.factor_sizes
+        predicted = predicted_counts(sizes)
+        singles = tuple(len(j_single(A, i)) for i in (1, 2, 3))
+        assert singles == predicted.j_single_sizes, sizes
+        if len(set(sizes)) == 1:
+            assert len(j_triple(A, 1, 2, 3)) == predicted_triple_size(sizes)
+        two_chains = all(len(f) == 2 for f in factors)
+        assert well_covered_verdict(A)[0] is two_chains, sizes
+        seen.add((two_chains, len(set(sizes)) == 1))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
 def test_equivalence_suite_all_true():
     r = equivalence_suite(validate_factors(chains(2, 2, 2)))
     assert r.value is True
@@ -295,13 +323,6 @@ def test_bipartite_mixed():
     assert r.cm_status == "NotCM"
 
 
-def test_bipartite_case_takes_the_caps():
-    A = validate_factors(chains(3, 3))  # K_{2,2}: 4 vertices
-    with pytest.raises(SizeLimitExceededError, match="cap 3"):
-        bipartite_case(A, max_vertices=3)
-    assert bipartite_case(A, max_vertices=4).cm_status == "NotCM"
-
-
 def test_bipartite_guard():
     with pytest.raises(WrongArityError):
         bipartite_case(validate_factors(chains(2, 2, 2)))
@@ -332,6 +353,22 @@ def test_sweep_report_golden():
 def test_sweep_report_parallel_matches_serial():
     vectors = [(2, 2, 2), (2, 2), (3, 3), (2, 2, 3)]
     assert sweep_report(vectors, workers=2) == sweep_report(vectors)
+
+
+def test_sweep_report_parallel_matches_serial_on_random_vectors():
+    rng = random.Random(59)
+    flagged = 0
+    for _ in range(6):
+        vectors = [
+            tuple(sorted(rng.randint(2, 4) for _ in range(rng.randint(2, 4))))
+            for _ in range(rng.randint(2, 4))
+        ]
+        vectors.append((rng.randint(2, 4),) * 2)
+        max_vertices = rng.choice((3, 6, 10))
+        serial = sweep_report(vectors, max_vertices)
+        assert sweep_report(vectors, max_vertices, workers=2) == serial
+        flagged += serial.count("[unverified-by-enumeration]")
+    assert flagged
 
 
 def test_sweep_above_cap_flags_formula_verdict():
