@@ -14,7 +14,7 @@ from contextlib import suppress
 from typing import Sequence
 
 from . import complexes, homology, zdg
-from .cmcert import DEFAULT_MAX_SEARCH_NODES, Analysis
+from .cmcert import DEFAULT_MAX_SEARCH_NODES, STATUS_TEXT, Analysis, yes_no
 from .errors import (
     EmptyGraphError,
     SizeLimitExceededError,
@@ -47,10 +47,6 @@ def _load_poset(path: str) -> Poset:
     return parse_poset(_read(path))
 
 
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
 def cmd_info(args: argparse.Namespace) -> int:
     P = _load_poset(args.input)
     lines = [f"elements: {len(P)}"]
@@ -80,8 +76,8 @@ def cmd_info(args: argparse.Namespace) -> int:
         "boolean: yes" if reason is None else f"boolean: no ({reason})"
     )
     if P.bottom is not None:
-        lines.append(f"ssc: {_yn(P.is_ssc())}")
-        lines.append(f"wssc: {_yn(P.is_wssc())}")
+        lines.append(f"ssc: {yes_no(P.is_ssc())}")
+        lines.append(f"wssc: {yes_no(P.is_wssc())}")
         lines.append(f"zero-divisors: {len(zdg.zero_divisors(P))}")
     else:
         lines.append("ssc: n/a (no least element)")
@@ -105,7 +101,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         G, args.max_vertices, args.max_homology_vertices, args.max_search_nodes
     )
     lines = [
-        f"poset: {len(P)} elements, boolean: {_yn(P.is_boolean())}",
+        f"poset: {len(P)} elements, boolean: {yes_no(P.is_boolean())}",
         f"graph: {len(G.vertices)} vertices, {len(G.edges())} edges",
     ]
     if not G.vertices:
@@ -119,8 +115,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         C = A.complex
         wc = complexes.is_well_covered(C)
         vwc = complexes.is_very_well_covered(C)
-        lines.append(f"well-covered: {_yn(wc)}")
-        lines.append(f"very-well-covered: {_yn(vwc)}")
+        lines.append(f"well-covered: {yes_no(wc)}")
+        lines.append(f"very-well-covered: {yes_no(vwc)}")
     except SizeLimitExceededError as exc:
         C = None
         lines.append(f"well-covered: skipped ({exc})")
@@ -135,8 +131,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             table = homology.link_table(C, A.link_rows)
 
     verdict = A.verdict
-    status_text = {"CM": "yes", "NotCM": "no", "Inconclusive": "inconclusive"}
-    lines.append(f"CM(MY): {status_text[verdict.status]} [{verdict.method}]")
+    lines.append(f"CM(MY): {STATUS_TEXT[verdict.status]} [{verdict.method}]")
 
     reisner_status: bool | None = None
     if C is None:
@@ -144,7 +139,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         try:
             reisner_status, _ = A.reisner
-            lines.append(f"CM(Reisner): {_yn(reisner_status)}")
+            lines.append(f"CM(Reisner): {yes_no(reisner_status)}")
             lines.extend("  " + row for row in table.splitlines())
         except SizeLimitExceededError as exc:
             lines.append(f"CM(Reisner): skipped ({exc})")
@@ -162,7 +157,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 f"certificate verdict {verdict.status} disagrees with the "
                 f"homology oracle"
             )
-    lines.append(f"consistent: {_yn(not problems)}")
+    lines.append(f"consistent: {yes_no(not problems)}")
     for p in problems:
         lines.append(f"  !! {p}")
     _write_output("\n".join(lines) + "\n", args.output)
@@ -185,7 +180,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     text = product.sweep_report(
         vectors,
         max_vertices=args.max_vertices,
-        max_homology_vertices=args.max_homology_vertices,
         workers=args.workers,
     )
     _write_output(text, args.output)
@@ -209,18 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_output(p: argparse.ArgumentParser) -> None:
         p.add_argument("-o", "--output", default=None, help="write here instead of stdout")
 
-    def add_caps(p: argparse.ArgumentParser) -> None:
+    def add_facet_cap(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--max-vertices",
             type=int,
             default=complexes.DEFAULT_MAX_VERTICES,
             help="facet enumeration cap (default %(default)s)",
-        )
-        p.add_argument(
-            "--max-homology-vertices",
-            type=int,
-            default=homology.DEFAULT_MAX_HOMOLOGY_VERTICES,
-            help="homology oracle cap (default %(default)s)",
         )
 
     p = sub.add_parser("info", help="order-theoretic profile of a poset file")
@@ -236,7 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="consolidated coveredness / CM verdict")
     p.add_argument("input")
     add_output(p)
-    add_caps(p)
+    add_facet_cap(p)
+    p.add_argument(
+        "--max-homology-vertices",
+        type=int,
+        default=homology.DEFAULT_MAX_HOMOLOGY_VERTICES,
+        help="homology oracle cap (default %(default)s)",
+    )
     p.add_argument(
         "--max-search-nodes",
         type=int,
@@ -262,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="TSV verdicts over factor-size vectors")
     p.add_argument("input")
     add_output(p)
-    add_caps(p)
+    add_facet_cap(p)
     p.add_argument(
         "--workers",
         type=int,

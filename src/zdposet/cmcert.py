@@ -110,6 +110,14 @@ class CmVerdict(NamedTuple):
     detail: str = ""
 
 
+# the printed form of a verdict status, in check's CM(MY) line and sweep's CM cell
+STATUS_TEXT = {"CM": "yes", "NotCM": "no", "Inconclusive": "inconclusive"}
+
+
+def yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
 def boolean_facet(P: Poset, G: ZdGraph | None = None) -> Stratification:
     """Build the canonical facet of a Boolean poset's graph by weight strata."""
     require_boolean(P)

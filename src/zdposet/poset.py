@@ -525,22 +525,6 @@ class ProductPoset:
             _product_rows(coords, at, [f.down for f in factors]),
         )
         self.coord_of: tuple[tuple[int, ...], ...] = tuple(coords)
-        # atom_ids[p]: the carrier id of factor p's atom tuple (q at p,
-        # bottoms elsewhere), when every factor has a unique atom q
-        self.atom_ids: tuple[int, ...] | None = None
-        if all(len(f.atoms()) == 1 for f in factors):
-            by_coord = {co: i for i, co in enumerate(coords)}
-            self.atom_ids = tuple(
-                by_coord[
-                    tuple(q if m == pos else g.bottom for m, g in enumerate(factors))
-                ]
-                for pos, f in enumerate(factors)
-                for q in f.atoms()
-            )
-            if self.carrier.atoms() != frozenset(self.atom_ids):
-                raise TheoremContractError(
-                    "product atoms must be the per-factor atom tuples"
-                )
 
 
 def _product_rows(

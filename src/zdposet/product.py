@@ -13,7 +13,7 @@ import math
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .cmcert import Analysis
+from .cmcert import STATUS_TEXT, Analysis, yes_no
 from .complexes import DEFAULT_MAX_VERTICES, is_well_covered
 from .errors import (
     BadParamError,
@@ -22,34 +22,52 @@ from .errors import (
     IndicesNotOrderedError,
     NeedEqualSizesForTripleError,
     NotAscendingError,
+    SizeLimitExceededError,
     TheoremContractError,
     TooFewFactorsError,
     WrongArityError,
 )
-from .homology import DEFAULT_MAX_HOMOLOGY_VERTICES
-from .poset import Poset, ProductPoset, bits, direct_product, generate
+from .poset import Poset, ProductPoset, bits, generate
 from .zdg import ZdGraph, zero_divisor_graph, zero_divisors
 
 
-class ProductAnalysis:
-    """A validated product of unique-atom factors plus its dense elements."""
+class ProductAnalysis(ProductPoset):
+    """A direct product whose factors have Z(P_i) = {0}, with its atom
+    tuples and dense elements.
 
-    def __init__(self, product: ProductPoset):
-        self.product = product
-        self.factor_sizes: tuple[int, ...] = tuple(
-            len(f) for f in product.factors
+    The constructor checks the hypotheses in the order: two or more
+    factors, each bounded (``ProductPoset``), then Z(P_i) = {0}.
+    """
+
+    def __init__(self, factors: Sequence[Poset]):
+        super().__init__(factors)
+        for pos, f in enumerate(self.factors, 1):
+            if zero_divisors(f) != {f.bottom}:
+                raise FactorHasZeroDivisorsError(
+                    f"factor {pos} must satisfy Z(P) = {{0}} "
+                    "(equivalently: at least two elements and a unique atom)"
+                )
+        self.factor_sizes: tuple[int, ...] = tuple(len(f) for f in self.factors)
+        bottoms = tuple(f.bottom for f in self.factors)
+        # atom_ids[p]: the carrier id of factor p's atom tuple (its unique
+        # atom at p, bottoms elsewhere)
+        self.atom_ids: tuple[int, ...] = tuple(
+            self.coord_of.index(bottoms[:p] + tuple(f.atoms()) + bottoms[p + 1 :])
+            for p, f in enumerate(self.factors)
         )
-        carrier = product.carrier
-        bottoms = tuple(f.bottom for f in product.factors)
+        if self.carrier.atoms() != frozenset(self.atom_ids):
+            raise TheoremContractError(
+                "product atoms must be the per-factor atom tuples"
+            )
         dense = frozenset(
             i
-            for i, co in enumerate(product.coord_of)
+            for i, co in enumerate(self.coord_of)
             if all(c != b for c, b in zip(co, bottoms))
         )
         # dense elements are exactly the non-zero-divisors; Z(P) is the
         # graph's vertex set plus the bottom
-        z = frozenset(self.graph.vertices) | {carrier.bottom}
-        if dense != frozenset(range(len(carrier))) - z:
+        z = frozenset(self.graph.vertices) | {self.carrier.bottom}
+        if dense != frozenset(range(len(self.carrier))) - z:
             raise TheoremContractError("dense set must equal the complement of Z(P)")
         if len(dense) != math.prod(s - 1 for s in self.factor_sizes):
             raise TheoremContractError("|D| must be the product of (|P_i| - 1)")
@@ -59,30 +77,17 @@ class ProductAnalysis:
     def n(self) -> int:
         return len(self.factor_sizes)
 
-    @property
-    def carrier(self) -> Poset:
-        return self.product.carrier
-
     @cached_property
     def graph(self) -> ZdGraph:
         return zero_divisor_graph(self.carrier)
 
 
 def validate_factors(factors: Sequence[Poset]) -> ProductAnalysis:
-    """Check the factor hypotheses (bounded, ascending, Z = {0}) and build."""
-    if len(factors) < 2:
-        raise TooFewFactorsError("need at least two factors")
+    """Check that the factor sizes ascend, then build the validated product."""
     sizes = [len(f) for f in factors]
     if sizes != sorted(sizes):
         raise NotAscendingError(f"factor sizes {sizes} are not ascending")
-    for pos, f in enumerate(factors, 1):
-        expected = {f.bottom} if f.bottom is not None else set()
-        if zero_divisors(f) != expected or len(f) < 2:
-            raise FactorHasZeroDivisorsError(
-                f"factor {pos} must satisfy Z(P) = {{0}} "
-                "(equivalently: at least two elements and a unique atom)"
-            )
-    return ProductAnalysis(direct_product(factors))
+    return ProductAnalysis(factors)
 
 
 def _assert_maximal_independent(G: ZdGraph, members: frozenset[int]) -> None:
@@ -103,7 +108,7 @@ def j_single(A: ProductAnalysis, i: int) -> frozenset[int]:
     """The maximal independent set above the i-th atom (1-based), minus D."""
     if not 1 <= i <= A.n:
         raise IndexOutOfRangeError(f"factor index {i} not in 1..{A.n}")
-    q = A.product.atom_ids[i - 1]
+    q = A.atom_ids[i - 1]
     members = frozenset(bits(A.carrier.up[q])) - A.dense
     _assert_maximal_independent(A.graph, members)
     return members
@@ -116,7 +121,7 @@ def j_triple(A: ProductAnalysis, i: int, j: int, k: int) -> frozenset[int]:
             f"indices ({i},{j},{k}) must satisfy 1 <= i < j < k <= {A.n}"
         )
     carrier = A.carrier
-    qi, qj, qk = (A.product.atom_ids[m - 1] for m in (i, j, k))
+    qi, qj, qk = (A.atom_ids[m - 1] for m in (i, j, k))
     mask = (
         (carrier.up[qi] & carrier.up[qj])
         | (carrier.up[qj] & carrier.up[qk])
@@ -249,22 +254,14 @@ def bipartite_case(A: ProductAnalysis) -> BipartiteReport:
     bipartite on the axes."""
     if A.n != 2:
         raise WrongArityError(f"bipartite analysis needs exactly 2 factors, got {A.n}")
-    f1, f2 = A.product.factors
-    part1, part2 = [], []
-    for v in A.graph.vertices:
-        c1, c2 = A.product.coord_of[v]
-        if c1 != f1.bottom and c2 == f2.bottom:
-            part1.append(v)
-        elif c1 == f1.bottom and c2 != f2.bottom:
-            part2.append(v)
-    complete = len(part1) + len(part2) == len(A.graph.vertices)
-    if complete:
-        for a in part1:
-            if A.graph.neighbors(a) != frozenset(part2):
-                complete = False
-                break
+    # with a unique atom, J_i is the i-th axis: coordinate i nonzero,
+    # the other at the bottom
+    part1, part2 = j_single(A, 1), j_single(A, 2)
+    complete = len(part1) + len(part2) == len(A.graph.vertices) and all(
+        A.graph.neighbors(a) == part2 for a in part1
+    )
     sizes = (len(part1), len(part2))
-    if sizes != (len(f1) - 1, len(f2) - 1):
+    if sizes != tuple(s - 1 for s in A.factor_sizes):
         raise TheoremContractError(f"axis parts {sizes} are not |P_i| - 1")
     analysis = Analysis(A.graph)
     wc = is_well_covered(analysis.complex)
@@ -307,20 +304,15 @@ def parse_size_vectors(text: str) -> list[tuple[int, ...]]:
 
 SWEEP_HEADER = "sizes\t|D|\t|J_1|\t|J_1,2,3|\twell-covered\tCM\tboolean-lattice"
 
-_YES_NO = {True: "yes", False: "no"}
-_STATUS_CELL = {"CM": "yes", "NotCM": "no", "Inconclusive": "inconclusive"}
 
-
-def sweep_row(
-    sizes: Sequence[int],
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-    max_homology_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES,
-) -> str:
+def sweep_row(sizes: Sequence[int], max_vertices: int = DEFAULT_MAX_VERTICES) -> str:
     """One TSV row for the chain product with the given factor sizes.
 
     The well-covered formula (|P_1| = |P_2| for n = 2, where the graph
     is K_{|P_1|-1,|P_2|-1}) is cross-checked below the facet cap and
-    printed, flagged, above it."""
+    printed, flagged, above it.  No row needs the homology oracle: CM
+    chain products are Boolean, and the others are not well-covered or,
+    for n = 2, very well-covered."""
     A = validate_factors([generate("chain", s) for s in sizes])
     if A.n == 2:
         jt_cell = "-"
@@ -328,24 +320,25 @@ def sweep_row(
     else:
         jt_cell = str(len(j_triple(A, 1, 2, 3)))
         wc_formula, _ = well_covered_verdict(A)
-    analysis = Analysis(A.graph, max_vertices, max_homology_vertices)
-    if len(A.graph.vertices) <= max_vertices:
+    analysis = Analysis(A.graph, max_vertices)
+    try:
         wc = is_well_covered(analysis.complex)
+    except SizeLimitExceededError:
+        flag = " [unverified-by-enumeration]"
+        wc_cell = yes_no(wc_formula) + flag
+        if all(s == 2 for s in sizes):
+            # the Boolean path needs no facet enumeration
+            cm_cell = STATUS_TEXT[analysis.verdict.status]
+        else:
+            cm_cell = "no" + flag
+    else:
         if wc != wc_formula:
             raise TheoremContractError(
                 f"formula verdict {wc_formula} disagrees with enumeration "
                 f"{wc} for sizes {tuple(sizes)}"
             )
-        wc_cell = _YES_NO[wc]
-        cm_cell = _STATUS_CELL[analysis.verdict.status]
-    else:
-        flag = " [unverified-by-enumeration]"
-        wc_cell = _YES_NO[wc_formula] + flag
-        if all(s == 2 for s in sizes):
-            # the Boolean path needs no facet enumeration
-            cm_cell = _STATUS_CELL[analysis.verdict.status]
-        else:
-            cm_cell = "no" + flag
+        wc_cell = yes_no(wc)
+        cm_cell = STATUS_TEXT[analysis.verdict.status]
     cells = [
         ",".join(str(s) for s in sizes),
         str(len(A.dense)),
@@ -353,7 +346,7 @@ def sweep_row(
         jt_cell,
         wc_cell,
         cm_cell,
-        _YES_NO[is_boolean_lattice(A.carrier)],
+        yes_no(is_boolean_lattice(A.carrier)),
     ]
     return "\t".join(cells)
 
@@ -361,7 +354,6 @@ def sweep_row(
 def sweep_report(
     vectors: Sequence[Sequence[int]],
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    max_homology_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES,
     workers: int = 1,
 ) -> str:
     """TSV report over factor-size vectors, in input order."""
@@ -369,16 +361,7 @@ def sweep_report(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    sweep_row,
-                    vectors,
-                    [max_vertices] * len(vectors),
-                    [max_homology_vertices] * len(vectors),
-                )
-            )
+            rows = list(pool.map(sweep_row, vectors, [max_vertices] * len(vectors)))
     else:
-        rows = [
-            sweep_row(v, max_vertices, max_homology_vertices) for v in vectors
-        ]
+        rows = [sweep_row(v, max_vertices) for v in vectors]
     return "\n".join([SWEEP_HEADER, *rows]) + "\n"

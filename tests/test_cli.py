@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ import pytest
 
 import zdposet
 import zdposet.zdg as zdg_mod
-from zdposet.cli import main
+from zdposet.cli import build_parser, main
 from zdposet.cmcert import is_cohen_macaulay
 from zdposet.poset import direct_product, generate, parse_poset
 
@@ -279,6 +281,38 @@ def test_flags_only_where_they_act(fig1_path):
     with pytest.raises(SystemExit) as exc:
         main(["info", fig1_path, "--workers", "2"])
     assert exc.value.code == 2
+    # no sweep row reaches the homology oracle, so sweep has no cap for it
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", fig1_path, "--max-homology-vertices", "5"])
+    assert exc.value.code == 2
+
+
+def readme_flag_table():
+    """README's per-subcommand flag table: subcommand -> option strings."""
+    readme = Path(__file__).parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    table = text.split("| subcommand | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    flags = {}
+    for row in table.splitlines():
+        _, command, cell, _ = row.split("|")
+        # a cell entry is `-o`, `-v/--verbose` or `-d/--dialect {m2,singular}`
+        flags[command.strip(" `").split()[0]] = {
+            option
+            for entry in re.findall(r"`([^`]*)`", cell)
+            for option in entry.split()[0].split("/")
+        }
+    return flags
+
+
+def test_readme_flag_table_matches_the_parser():
+    (subparsers,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert readme_flag_table() == parsed
 
 
 def test_boolean_certificate_trap_fires_under_O(tmp_path):

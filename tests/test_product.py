@@ -19,9 +19,12 @@ from zdposet.errors import (
     NeedEqualSizesForTripleError,
     NotAscendingError,
     TooFewFactorsError,
+    UnboundedFactorError,
     WrongArityError,
 )
-from zdposet.poset import direct_product, generate, parse_poset
+from zdposet.cmcert import Analysis
+from zdposet.complexes import DEFAULT_MAX_VERTICES
+from zdposet.poset import ProductPoset, direct_product, generate, parse_poset
 from zdposet.product import (
     bipartite_case,
     equivalence_suite,
@@ -42,7 +45,7 @@ def chains(*sizes):
 
 
 def coords_of(A, members):
-    return {A.product.coord_of[v] for v in members}
+    return {A.coord_of[v] for v in members}
 
 
 def names_of_coords(A, members, pos=0):
@@ -54,7 +57,7 @@ def test_validate_three_two_chains():
     assert A.factor_sizes == (2, 2, 2)
     assert len(A.dense) == 1
     (d,) = A.dense
-    assert A.product.coord_of[d] == (1, 1, 1)
+    assert A.coord_of[d] == (1, 1, 1)
 
 
 def test_validate_three_three_chains():
@@ -89,11 +92,34 @@ def test_validate_accepts_non_chain_unique_atom_factor():
     assert len(A.dense) == 4
 
 
+# a < b > c has a top but no bottom
+NO_BOTTOM = "poset v1\nelem a\nelem b\nelem c\nle a b\nle c b\n"
+
+
+def test_validate_rejects_factor_without_least_element():
+    P = parse_poset(NO_BOTTOM)
+    with pytest.raises(UnboundedFactorError, match="factor 2 is not bounded"):
+        validate_factors([generate("chain", 2), P])
+
+
+def test_validate_checks_ascending_then_arity_then_bounded_then_z():
+    unbounded = parse_poset(NO_BOTTOM)
+    multi_atom = generate("m_atoms", 2)  # 4 elements, Z != {0}
+    with pytest.raises(NotAscendingError):
+        validate_factors([multi_atom, unbounded])
+    with pytest.raises(TooFewFactorsError):
+        validate_factors([unbounded])
+    with pytest.raises(UnboundedFactorError, match="factor 1"):
+        validate_factors([unbounded, multi_atom])
+    with pytest.raises(FactorHasZeroDivisorsError, match="factor 2"):
+        validate_factors([generate("chain", 2), multi_atom])
+
+
 def test_product_atom_ids_are_the_atom_tuples():
-    pp = direct_product(chains(2, 3, 4))
-    assert [pp.coord_of[q] for q in pp.atom_ids] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert frozenset(pp.atom_ids) == pp.carrier.atoms()
-    assert direct_product([generate("m_atoms", 2), generate("chain", 3)]).atom_ids is None
+    A = validate_factors(chains(2, 3, 4))
+    assert isinstance(A, ProductPoset)
+    assert [A.coord_of[q] for q in A.atom_ids] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert frozenset(A.atom_ids) == A.carrier.atoms()
 
 
 def test_j_single_two_chains():
@@ -369,6 +395,28 @@ def test_sweep_report_parallel_matches_serial_on_random_vectors():
         assert sweep_report(vectors, max_vertices, workers=2) == serial
         flagged += serial.count("[unverified-by-enumeration]")
     assert flagged
+
+
+def test_no_sweep_row_reaches_the_homology_oracle():
+    # CM chain products are Boolean; the rest are not well-covered, or
+    # for n = 2 the very well-covered K_{a,a} that the matching search
+    # settles; so no vector under the facet cap needs the oracle, even
+    # with a homology cap of 1.  The vectors: 2-4 chains of sizes 2-6,
+    # ascending, whose graph (|P| - 1 - |D| vertices) is under the cap.
+    vectors = [
+        sizes
+        for n in (2, 3, 4)
+        for sizes in itertools.combinations_with_replacement(range(2, 7), n)
+        if math.prod(sizes) - 1 - math.prod(s - 1 for s in sizes)
+        <= DEFAULT_MAX_VERTICES
+    ]
+    assert len(vectors) == 41
+    for sizes in vectors:
+        A = validate_factors(chains(*sizes))
+        route = Analysis(A.graph, max_homology_vertices=1).verdict.method
+        assert route in (
+            "boolean-certificate", "not-well-covered", "matching-search"
+        ), sizes
 
 
 def test_sweep_above_cap_flags_formula_verdict():
