@@ -4,6 +4,7 @@ Subcommands: info, zdg, check, export, sweep, gen.  All output is
 byte-deterministic for fixed inputs and flags.  Exit codes: 0 on
 success, 1 when two internally-equivalent verdicts disagree (a bug
 trap), 2 on input or usage errors.
+Each subcommand imports only the layers it runs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from contextlib import suppress
 from typing import Sequence
 
-from . import complexes, homology, zdg
+from . import complexes, zdg
 from .cmcert import DEFAULT_MAX_SEARCH_NODES, STATUS_TEXT, Analysis, yes_no
 from .errors import (
     EmptyGraphError,
@@ -21,7 +22,7 @@ from .errors import (
     TheoremContractError,
     ZdPosetError,
 )
-from .poset import Poset, generate, parse_poset
+from .order import Poset, parse_poset
 
 
 def _read(path: str) -> str:
@@ -124,11 +125,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     table = ""
     if args.verbose and C is not None:
+        from .homology import link_table
+
         # built before the verdict, which then reads the Reisner answer
         # off the same rows: one face walk for both; above the homology
         # cap the CM(Reisner) line below reports the skip
         with suppress(SizeLimitExceededError):
-            table = homology.link_table(C, A.link_rows)
+            table = link_table(C, A.link_rows)
 
     verdict = A.verdict
     lines.append(f"CM(MY): {STATUS_TEXT[verdict.status]} [{verdict.method}]")
@@ -187,6 +190,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .poset import generate  # the catalog: no other subcommand loads it
+
     P = generate(args.catalog, *args.params)
     _write_output(P.to_text(), args.output)
     return 0
@@ -228,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-homology-vertices",
         type=int,
-        default=homology.DEFAULT_MAX_HOMOLOGY_VERTICES,
+        default=complexes.DEFAULT_MAX_HOMOLOGY_VERTICES,
         help="homology oracle cap (default %(default)s)",
     )
     p.add_argument(

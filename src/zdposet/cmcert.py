@@ -6,17 +6,18 @@ independent set {y_1..y_h}, matched along edges and ordered so that cross
 edges x_i - y_j only run forward (i <= j).  For Boolean posets the pairs
 come from the weight-stratified canonical facet and its complement
 matching; for other very well-covered graphs a bounded backtracking
-search decides existence; everything else is delegated to the homology
-oracle.
+search decides existence (``search``); everything else is delegated to
+the homology oracle.  ``Analysis`` imports ``search`` and ``homology``
+only on the routes that run them.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import homology
 from .complexes import (
+    DEFAULT_MAX_HOMOLOGY_VERTICES,
     DEFAULT_MAX_VERTICES,
     IndependenceComplex,
     independence_complex,
@@ -31,9 +32,11 @@ from .errors import (
     TheoremContractError,
 )
 from .graphs import Graph, Vertex
-from .homology import DEFAULT_MAX_HOMOLOGY_VERTICES
-from .poset import Poset, bits
-from .zdg import ZdGraph, complement_mask, require_boolean, zero_divisor_graph
+from .order import Poset, bits
+from .zdg import ZdGraph, require_boolean, zero_divisor_graph
+
+if TYPE_CHECKING:
+    from .homology import LinkRow
 
 DEFAULT_MAX_SEARCH_NODES = 10**6
 
@@ -92,15 +95,6 @@ class Stratification(NamedTuple):
     strata: tuple[tuple[int, tuple[int, ...]], ...]
     b_hat: tuple[int, ...]
     facet: tuple[int, ...]
-
-
-class OrderingOutcome(NamedTuple):
-    pairs: tuple[Pair, ...] | None
-    cycle: tuple[int, ...] | None
-
-    @property
-    def feasible(self) -> bool:
-        return self.pairs is not None
 
 
 class CmVerdict(NamedTuple):
@@ -260,114 +254,6 @@ def verify_my_conditions(G: Graph, pairs: Sequence[Pair]) -> MyCertificate:
     return MyCertificate(tuple(pairs), pair_names, h, tuple(conditions))
 
 
-def find_ordering(G: Graph, matching: Sequence[Pair]) -> OrderingOutcome:
-    """Order a matching so cross edges run forward, if possible.
-
-    Builds the digraph p -> q whenever x_p is adjacent to y_q and returns
-    a topological order of the pairs, always taking the lowest ready pair;
-    on a cycle, reports the pair indices (0-based, in input order) along it.
-    """
-    tox = _pair_table(G.nbr, [G.index[x] for x, _ in matching])
-    pred = [tox[G.index[y]] & ~(1 << q) for q, (_, y) in enumerate(matching)]
-    left = (1 << len(matching)) - 1
-    order: list[int] = []
-    while ready := [q for q in bits(left) if not pred[q] & left]:
-        order.append(ready[0])
-        left ^= 1 << ready[0]
-    if not left:
-        return OrderingOutcome(tuple(matching[p] for p in order), None)
-    # every leftover node keeps a predecessor among the leftovers, so a
-    # backwards walk must revisit a node; that closes a cycle
-    seen: list[int] = []
-    current = next(bits(left))
-    while current not in seen:
-        seen.append(current)
-        current = next(bits(pred[current] & left))
-    cyc = list(reversed(seen[seen.index(current) :]))
-    i0 = cyc.index(min(cyc))
-    return OrderingOutcome(None, tuple(cyc[i0:] + cyc[:i0]))
-
-
-def _search_certificate(
-    G: Graph, facets: Sequence[tuple[Vertex, ...]], budget: int
-) -> CmVerdict:
-    """Backtracking search for a passing labeling of a very well-covered graph.
-
-    Exhausts every facet as the independent side and every edge-matching
-    against its complement; prunes partial matchings that already violate
-    condition (d) or contain an unorderable two-cycle of cross edges.
-    Works on vertex positions: x_t is the t-th position outside the facet,
-    and ``tox`` is the pair table of these x's.
-    """
-    nbr, V = G.nbr, G.vertices
-    nodes = 0
-    exhausted = False
-
-    for Y in facets:
-        ymask = sum(1 << G.index[y] for y in Y)
-        X = [x for x in range(len(V)) if not ymask >> x & 1]
-        tox = _pair_table(nbr, X)
-        candidates = []
-        for x in X:
-            comps = complement_mask(nbr, nbr[x]) & ymask
-            candidates.append([*bits(comps), *bits(nbr[x] & ymask & ~comps)])
-
-        ys: list[int] = []
-        used = 0
-
-        def backtrack(idx: int) -> MyCertificate | None:
-            nonlocal nodes, exhausted, used
-            if exhausted:
-                return None
-            if idx == len(X):
-                outcome = find_ordering(G, [(V[x], V[y]) for x, y in zip(X, ys)])
-                if not outcome.feasible:
-                    return None
-                cert = verify_my_conditions(G, outcome.pairs)
-                return cert if cert.ok else None
-            x = X[idx]
-            # earlier pairs t with x ~ x_t, and with x ~ y_t
-            to_x = tox[x] & ((1 << idx) - 1)
-            to_y = sum(1 << t for t, y2 in enumerate(ys) if nbr[x] >> y2 & 1)
-            for y in candidates[idx]:
-                if used >> y & 1:
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    exhausted = True
-                    return None
-                # earlier pairs t with y ~ x_t; a pair in two of the three
-                # sets breaks (d) or closes a two-cycle of cross edges
-                from_y = tox[y] & ((1 << idx) - 1)
-                if to_y & (to_x | from_y) or from_y & to_x:
-                    continue
-                ys.append(y)
-                used |= 1 << y
-                found = backtrack(idx + 1)
-                if found is not None:
-                    return found
-                ys.pop()
-                used ^= 1 << y
-            return None
-
-        cert = backtrack(0)
-        if cert is not None:
-            return CmVerdict("CM", "matching-search", cert)
-        if exhausted:
-            return CmVerdict(
-                "Inconclusive",
-                "matching-search",
-                None,
-                f"search budget of {budget} nodes exhausted",
-            )
-    return CmVerdict(
-        "NotCM",
-        "matching-search",
-        None,
-        "no labeling satisfies all five conditions (search was exhaustive)",
-    )
-
-
 class Analysis:
     """A zero-divisor graph with its facet complex, Reisner result and verdict.
 
@@ -392,9 +278,11 @@ class Analysis:
         return independence_complex(self.graph, self.max_vertices)
 
     @cached_property
-    def link_rows(self) -> list[homology.LinkRow]:
+    def link_rows(self) -> list[LinkRow]:
         """``homology.link_rows`` of the complex, the ``check -v`` table;
         raises SizeLimitExceededError at a cap."""
+        from . import homology  # the oracle loads only when a run asks for it
+
         return homology.link_rows(self.complex, self.max_homology_vertices)
 
     @cached_property
@@ -404,6 +292,8 @@ class Analysis:
         When ``link_rows`` were built first, the verdict is read off them,
         so ``check -v`` walks the complex once.
         """
+        from . import homology
+
         if "link_rows" in self.__dict__:
             return homology.reisner_verdict(self.complex, self.link_rows)
         return homology.reisner_cm(self.complex, self.max_homology_vertices)
@@ -445,6 +335,8 @@ class Analysis:
                 f"facet sizes {sizes} differ; Cohen-Macaulay graphs are well-covered",
             )
         if is_very_well_covered(C):
+            from .search import _search_certificate  # this route alone loads it
+
             return _search_certificate(G, C.facets, self.max_search_nodes)
         try:
             ok, witness = self.reisner

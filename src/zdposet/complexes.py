@@ -11,19 +11,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import (
-    EmptyComplexError,
-    NotBooleanError,
-    NotIndependentError,
-    NoVariablesError,
-    SizeLimitExceededError,
-    TheoremContractError,
-    UnknownVertexError,
-)
+from .errors import EmptyComplexError, NoVariablesError, SizeLimitExceededError
 from .graphs import Graph, Vertex
-from .poset import Poset, bits
+from .order import bits
 
 DEFAULT_MAX_VERTICES = 40
+# the homology oracle's cap, kept here so that the CLI and ``Analysis``
+# read it without compiling ``homology``
+DEFAULT_MAX_HOMOLOGY_VERTICES = 20
 
 
 def lex_sorted(masks: Iterable[int]) -> tuple[int, ...]:
@@ -145,57 +140,6 @@ def is_very_well_covered(C: IndependenceComplex) -> bool:
     if C.graph.has_isolated_vertex():
         return False
     return len(C.graph.vertices) == 2 * C.masks[0].bit_count()
-
-
-def extend_independent(
-    P: Poset, G: Graph, seed: Iterable[int]
-) -> tuple[int, ...]:
-    """Grow an independent set of a Boolean poset's graph to half the vertices.
-
-    Scans complementary pairs untouched by the current set in ascending id
-    order; from each pair it adds the member that keeps the set independent,
-    preferring the heavier element (then the smaller id) when both work.
-    The result is always a facet of size |V|/2.
-    """
-    if not P.is_boolean():
-        raise NotBooleanError(f"poset is not Boolean: {P.boolean_failure}")
-    vertex_set = set(G.vertices)
-    current = set()
-    for v in seed:
-        if v not in vertex_set:
-            raise UnknownVertexError(f"seed element {v!r} is not a vertex")
-        current.add(v)
-    for v in current:
-        hit = G.neighbors(v) & current
-        if hit:
-            w = min(hit)
-            raise NotIndependentError(
-                f"seed contains the adjacent pair "
-                f"({P.elements[v]}, {P.elements[w]})"
-            )
-
-    pairs = sorted(
-        {tuple(sorted((v, min(P.complements_of(v))))) for v in G.vertices}
-    )
-    for a, b in pairs:
-        if a in current or b in current:
-            continue
-        can_a = not (G.neighbors(a) & current)
-        can_b = not (G.neighbors(b) & current)
-        if can_a and can_b:
-            wa, wb = P.weight(a), P.weight(b)
-            pick = a if (wa, -a) >= (wb, -b) else b
-        elif can_a:
-            pick = a
-        elif can_b:
-            pick = b
-        else:
-            raise TheoremContractError(
-                "no member of an untouched complementary pair extends the set; "
-                "impossible for a Boolean poset"
-            )
-        current.add(pick)
-    return tuple(sorted(current))
 
 
 def export_edge_ideal(G: Graph, dialect: str) -> str:

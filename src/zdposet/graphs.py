@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable
 
 from .errors import UnknownVertexError
-from .poset import bits
+from .order import bits
 
 Vertex = Hashable
 

@@ -30,11 +30,14 @@ from .errors import (
     SizeLimitExceededError,
     TheoremContractError,
 )
-from .complexes import FacetComplex, IndependenceComplex, lex_sorted
+from .complexes import (
+    DEFAULT_MAX_HOMOLOGY_VERTICES,
+    FacetComplex,
+    IndependenceComplex,
+    lex_sorted,
+)
 from .graphs import Vertex
-from .poset import bits
-
-DEFAULT_MAX_HOMOLOGY_VERTICES = 20
+from .order import bits
 
 # (face mask, link dimension, the link's reduced Betti numbers by dimension)
 LinkRow = tuple[int, int, dict[int, int]]

@@ -27,7 +27,8 @@ from .errors import (
     TooFewFactorsError,
     WrongArityError,
 )
-from .poset import Poset, ProductPoset, bits, generate
+from .order import Poset, bits
+from .poset import ProductPoset, generate
 from .zdg import ZdGraph, zero_divisor_graph, zero_divisors
 
 
@@ -72,6 +73,9 @@ class ProductAnalysis(ProductPoset):
         if len(dense) != math.prod(s - 1 for s in self.factor_sizes):
             raise TheoremContractError("|D| must be the product of (|P_i| - 1)")
         self.dense = dense
+        # the J-sets built so far, by index tuple: each one is built and
+        # checked once, however many callers ask for it
+        self._j_sets: dict[tuple[int, ...], frozenset[int]] = {}
 
     @property
     def n(self) -> int:
@@ -104,14 +108,22 @@ def _assert_maximal_independent(G: ZdGraph, members: frozenset[int]) -> None:
             raise TheoremContractError(f"set is not maximal: {name(v)} could be added")
 
 
+def _j_set(A: ProductAnalysis, key: tuple[int, ...], mask: int) -> frozenset[int]:
+    """The J-set ``key`` of A: the carrier ids in ``mask`` minus D, checked
+    maximal independent on its first build."""
+    members = A._j_sets.get(key)
+    if members is None:
+        members = frozenset(bits(mask)) - A.dense
+        _assert_maximal_independent(A.graph, members)
+        A._j_sets[key] = members
+    return members
+
+
 def j_single(A: ProductAnalysis, i: int) -> frozenset[int]:
     """The maximal independent set above the i-th atom (1-based), minus D."""
     if not 1 <= i <= A.n:
         raise IndexOutOfRangeError(f"factor index {i} not in 1..{A.n}")
-    q = A.atom_ids[i - 1]
-    members = frozenset(bits(A.carrier.up[q])) - A.dense
-    _assert_maximal_independent(A.graph, members)
-    return members
+    return _j_set(A, (i,), A.carrier.up[A.atom_ids[i - 1]])
 
 
 def j_triple(A: ProductAnalysis, i: int, j: int, k: int) -> frozenset[int]:
@@ -120,16 +132,8 @@ def j_triple(A: ProductAnalysis, i: int, j: int, k: int) -> frozenset[int]:
         raise IndicesNotOrderedError(
             f"indices ({i},{j},{k}) must satisfy 1 <= i < j < k <= {A.n}"
         )
-    carrier = A.carrier
-    qi, qj, qk = (A.atom_ids[m - 1] for m in (i, j, k))
-    mask = (
-        (carrier.up[qi] & carrier.up[qj])
-        | (carrier.up[qj] & carrier.up[qk])
-        | (carrier.up[qi] & carrier.up[qk])
-    )
-    members = frozenset(bits(mask)) - A.dense
-    _assert_maximal_independent(A.graph, members)
-    return members
+    ui, uj, uk = (A.carrier.up[A.atom_ids[m - 1]] for m in (i, j, k))
+    return _j_set(A, (i, j, k), ui & uj | uj & uk | ui & uk)
 
 
 class PredictedCounts(NamedTuple):

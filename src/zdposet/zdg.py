@@ -1,4 +1,4 @@
-"""Zero-divisor graphs of posets and their structural lemma checks.
+"""Zero-divisor graphs of posets, their graph complements, and DOT output.
 
 The graph of a poset with least element 0 has the nonzero zero-divisors
 as vertices, two being adjacent exactly when their lower cone is {0}.
@@ -6,11 +6,9 @@ as vertices, two being adjacent exactly when their lower cone is {0}.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .errors import NotBooleanError, TheoremContractError
+from .errors import NotBooleanError
 from .graphs import Graph
-from .poset import Poset, bits
+from .order import Poset, bits
 
 
 class ZdGraph(Graph):
@@ -61,69 +59,10 @@ def complement_mask(nbr: list[int], row: int) -> int:
     return sum(1 << j for j in bits(row) if not row & nbr[j])
 
 
-def graph_complements(G: Graph, v) -> frozenset:
-    """Neighbors w of v such that the edge v-w lies in no triangle."""
-    return frozenset(G.vertices[j] for j in bits(complement_mask(G.nbr, G._row(v))))
-
-
-def ends(G: Graph) -> frozenset:
-    """Vertices of degree exactly one."""
-    return frozenset(v for v in G.vertices if G.degree(v) == 1)
-
-
-class LemmaReport(NamedTuple):
-    ok: bool
-    violations: tuple[str, ...]
-
-
 def require_boolean(P: Poset) -> None:
     reason = P.boolean_failure
     if reason is not None:
         raise NotBooleanError(f"poset is not Boolean: {reason}")
-
-
-def check_unique_complementation(P: Poset, G: ZdGraph) -> LemmaReport:
-    """Every vertex must have exactly one graph complement, equal to its
-    order-theoretic complement."""
-    require_boolean(P)
-    violations = []
-    for v in G.vertices:
-        gc = graph_complements(G, v)
-        oc = P.complements_of(v)
-        if len(oc) != 1:
-            raise TheoremContractError("Boolean posets are uniquely complemented")
-        (c,) = oc
-        if gc != {c}:
-            got = ",".join(P.names(gc)) or "(none)"
-            violations.append(
-                f"{P.elements[v]}: graph complements {{{got}}} != "
-                f"order complement {P.elements[c]}"
-            )
-    return LemmaReport(not violations, tuple(violations))
-
-
-def check_atom_end_lemma(P: Poset, G: ZdGraph) -> LemmaReport:
-    """A vertex is an atom iff its complement is the unique end adjacent to it."""
-    require_boolean(P)
-    atoms = P.atoms()
-    end_set = ends(G)
-    violations = []
-    for b in G.vertices:
-        (c,) = P.complements_of(b)
-        ends_at_b = end_set & G.neighbors(b)
-        if b in atoms:
-            if ends_at_b != {c}:
-                got = ",".join(P.names(ends_at_b)) or "(none)"
-                violations.append(
-                    f"atom {P.elements[b]}: adjacent ends {{{got}}} != "
-                    f"complement {P.elements[c]}"
-                )
-        elif c in end_set and G.adjacent(b, c):
-            violations.append(
-                f"{P.elements[b]} is not an atom but its complement "
-                f"{P.elements[c]} is an adjacent end"
-            )
-    return LemmaReport(not violations, tuple(violations))
 
 
 def to_dot(G: ZdGraph) -> str:

@@ -3,17 +3,34 @@
 Everything here works straight from the mathematical definitions with
 plain set arithmetic, independent of the bitmask implementations under
 test.  Keep these slow and obvious.
+
+The last section holds the lemma checks and helpers that the package no
+longer exports, because no subcommand calls them: the unique
+complementation and atom/end lemma checks, ends, graph complements, the
+complementary-pair greedy extension and the mask-level pseudocomplement.
+Their tests run them here.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from typing import Iterable, NamedTuple
 
-from zdposet.cmcert import CmVerdict, ConditionStatus, MyCertificate, OrderingOutcome
-from zdposet.errors import PairsDontPartitionError
+from zdposet.cmcert import CmVerdict, ConditionStatus, MyCertificate
+from zdposet.errors import (
+    NotBooleanError,
+    NotIndependentError,
+    PairsDontPartitionError,
+    TheoremContractError,
+    UnknownVertexError,
+)
+from zdposet.graphs import Graph
 from zdposet.homology import faces_by_dimension, link_of, reduced_betti
+from zdposet.order import bits
 from zdposet.poset import Poset
+from zdposet.search import OrderingOutcome
+from zdposet.zdg import ZdGraph, complement_mask, require_boolean
 
 
 def elements(P: Poset) -> range:
@@ -451,7 +468,7 @@ def search_certificate_reference(G, facets, budget: int) -> CmVerdict:
     side, candidates per x its graph complements (neighbours with no
     common neighbour) then its other neighbours on that side, each in
     vertex order; one node per tried candidate, same prune and budget as
-    ``cmcert._search_certificate``."""
+    ``search._search_certificate``."""
     adj = G.adjacent
     nodes = 0
     exhausted = False
@@ -515,3 +532,123 @@ def search_certificate_reference(G, facets, budget: int) -> CmVerdict:
         None,
         "no labeling satisfies all five conditions (search was exhaustive)",
     )
+
+
+# --- helpers that left the package: no subcommand calls them ------------------
+
+
+def pseudocomplement_of(P: Poset, x: int) -> int | None:
+    """The element whose lower set equals x-perp, or None if absent."""
+    target = P.perp_mask(x)
+    found = [y for y in range(len(P.elements)) if P.down[y] == target]
+    if len(found) > 1:
+        raise TheoremContractError("distinct elements cannot share a lower set")
+    return found[0] if found else None
+
+
+def graph_complements(G: Graph, v) -> frozenset:
+    """Neighbors w of v such that the edge v-w lies in no triangle."""
+    return frozenset(G.vertices[j] for j in bits(complement_mask(G.nbr, G._row(v))))
+
+
+def ends(G: Graph) -> frozenset:
+    """Vertices of degree exactly one."""
+    return frozenset(v for v in G.vertices if G.degree(v) == 1)
+
+
+class LemmaReport(NamedTuple):
+    ok: bool
+    violations: tuple[str, ...]
+
+
+def check_unique_complementation(P: Poset, G: ZdGraph) -> LemmaReport:
+    """Every vertex must have exactly one graph complement, equal to its
+    order-theoretic complement."""
+    require_boolean(P)
+    violations = []
+    for v in G.vertices:
+        gc = graph_complements(G, v)
+        oc = P.complements_of(v)
+        if len(oc) != 1:
+            raise TheoremContractError("Boolean posets are uniquely complemented")
+        (c,) = oc
+        if gc != {c}:
+            got = ",".join(P.names(gc)) or "(none)"
+            violations.append(
+                f"{P.elements[v]}: graph complements {{{got}}} != "
+                f"order complement {P.elements[c]}"
+            )
+    return LemmaReport(not violations, tuple(violations))
+
+
+def check_atom_end_lemma(P: Poset, G: ZdGraph) -> LemmaReport:
+    """A vertex is an atom iff its complement is the unique end adjacent to it."""
+    require_boolean(P)
+    atoms = P.atoms()
+    end_set = ends(G)
+    violations = []
+    for b in G.vertices:
+        (c,) = P.complements_of(b)
+        ends_at_b = end_set & G.neighbors(b)
+        if b in atoms:
+            if ends_at_b != {c}:
+                got = ",".join(P.names(ends_at_b)) or "(none)"
+                violations.append(
+                    f"atom {P.elements[b]}: adjacent ends {{{got}}} != "
+                    f"complement {P.elements[c]}"
+                )
+        elif c in end_set and G.adjacent(b, c):
+            violations.append(
+                f"{P.elements[b]} is not an atom but its complement "
+                f"{P.elements[c]} is an adjacent end"
+            )
+    return LemmaReport(not violations, tuple(violations))
+
+
+def extend_independent(P: Poset, G: Graph, seed: Iterable[int]) -> tuple[int, ...]:
+    """Grow an independent set of a Boolean poset's graph to half the vertices.
+
+    Scans complementary pairs untouched by the current set in ascending id
+    order; from each pair it adds the member that keeps the set independent,
+    preferring the heavier element (then the smaller id) when both work.
+    The result is always a facet of size |V|/2.
+    """
+    if not P.is_boolean():
+        raise NotBooleanError(f"poset is not Boolean: {P.boolean_failure}")
+    vertex_set = set(G.vertices)
+    current = set()
+    for v in seed:
+        if v not in vertex_set:
+            raise UnknownVertexError(f"seed element {v!r} is not a vertex")
+        current.add(v)
+    for v in current:
+        hit = G.neighbors(v) & current
+        if hit:
+            w = min(hit)
+            raise NotIndependentError(
+                f"seed contains the adjacent pair "
+                f"({P.elements[v]}, {P.elements[w]})"
+            )
+
+    pairs = sorted(
+        {tuple(sorted((v, min(P.complements_of(v))))) for v in G.vertices}
+    )
+    for a, b in pairs:
+        if a in current or b in current:
+            continue
+        can_a = not (G.neighbors(a) & current)
+        can_b = not (G.neighbors(b) & current)
+        if can_a and can_b:
+            wa, wb = P.weight(a), P.weight(b)
+            pick = a if (wa, -a) >= (wb, -b) else b
+        elif can_a:
+            pick = a
+        elif can_b:
+            pick = b
+        else:
+            raise TheoremContractError(
+                "no member of an untouched complementary pair extends the set; "
+                "impossible for a Boolean poset"
+            )
+        current.add(pick)
+    return tuple(sorted(current))

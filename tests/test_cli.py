@@ -245,11 +245,9 @@ def test_output_flag(tmp_path, fig1_path):
 
 def test_internal_disagreement_trips_exit_1(fig1_path, capsys, monkeypatch):
     # no real input can disagree; force the oracle to lie to test the trap
-    import zdposet.cli as cli_mod
+    import zdposet.homology as homology_mod
 
-    monkeypatch.setattr(
-        cli_mod.homology, "reisner_cm", lambda C, cap: (False, ((), 0))
-    )
+    monkeypatch.setattr(homology_mod, "reisner_cm", lambda C, cap: (False, ((), 0)))
     assert main(["check", fig1_path]) == 1
     out = capsys.readouterr().out
     assert "consistent: no" in out

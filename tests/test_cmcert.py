@@ -7,10 +7,8 @@ import pytest
 import brute
 from zdposet.cmcert import (
     Analysis,
-    _search_certificate,
     boolean_facet,
     boolean_labeling,
-    find_ordering,
     is_cohen_macaulay,
     verify_my_conditions,
 )
@@ -28,6 +26,7 @@ from zdposet.errors import (
 from zdposet.graphs import Graph
 from zdposet.homology import reisner_cm
 from zdposet.poset import direct_product, generate
+from zdposet.search import _search_certificate, find_ordering
 from zdposet.zdg import zero_divisor_graph
 
 

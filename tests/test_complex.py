@@ -3,9 +3,9 @@ import random
 import pytest
 
 import brute
+from brute import extend_independent
 from zdposet.complexes import (
     export_edge_ideal,
-    extend_independent,
     independence_complex,
     is_very_well_covered,
     is_well_covered,

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 import brute
-from zdposet.cmcert import _search_certificate
+from zdposet.search import _search_certificate
 from zdposet.complexes import (
     FacetComplex,
     independence_complex,

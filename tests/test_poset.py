@@ -224,11 +224,11 @@ def test_three_atom_counterexample_has_non_unique_complements():
 
 def test_pseudocomplements():
     P = generate("boolean_lattice", 3)
-    assert P.pseudocomplement_of(P.id_of("a1")) == P.id_of("a23")
-    assert P.pseudocomplement_of(P.bottom) == P.top
+    assert brute.pseudocomplement_of(P, P.id_of("a1")) == P.id_of("a23")
+    assert brute.pseudocomplement_of(P, P.bottom) == P.top
     M = generate("m_atoms", 3)
     a = M.id_of("a1")
-    assert M.pseudocomplement_of(a) is None
+    assert brute.pseudocomplement_of(M, a) is None
     assert brute.pseudocomplement(M, a) is None
 
 
@@ -454,7 +454,7 @@ def test_unique_complementation_on_boolean_catalog(boolean_catalog):
         for x in range(len(P)):
             cs = P.complements_of(x)
             assert len(cs) == 1
-            assert P.pseudocomplement_of(x) == min(cs)
+            assert brute.pseudocomplement_of(P, x) == min(cs)
 
 
 # --- products -----------------------------------------------------------------------

@@ -419,6 +419,32 @@ def test_no_sweep_row_reaches_the_homology_oracle():
         ), sizes
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [(2, 2), (3, 4), (2, 2, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2), (3, 3, 3, 3)],
+    ids=lambda v: ",".join(map(str, v)),
+)
+def test_sweep_row_builds_each_j_set_once(sizes, monkeypatch):
+    # a row reads J_1 (for its cell) and, for n >= 3, every J_i (through
+    # well_covered_verdict) and J_1,2,3: each is built and checked once,
+    # above and below the facet cap
+    import zdposet.product as product_mod
+
+    checked = []
+    check = product_mod._assert_maximal_independent
+
+    def counted(G, members):
+        checked.append(members)
+        check(G, members)
+
+    monkeypatch.setattr(product_mod, "_assert_maximal_independent", counted)
+    expected = len(sizes) + 1 if len(sizes) >= 3 else 1
+    for max_vertices in (DEFAULT_MAX_VERTICES, 3):
+        checked.clear()
+        row = product_mod.sweep_row(sizes, max_vertices)
+        assert len(checked) == expected, row
+
+
 def test_sweep_above_cap_flags_formula_verdict():
     row = sweep_report([(3, 3, 3)], max_vertices=10).splitlines()[1]
     assert "no [unverified-by-enumeration]" in row

@@ -1,11 +1,16 @@
 """What a subcommand loads, and the shape of the result records.
 
-A ``zdposet`` run is mostly interpreter start-up and imports, so each
-subcommand imports only the layers it runs: the product layer loads for
-``sweep`` alone, and neither ``dataclasses`` nor ``json`` loads on the
-way to a verdict.  The result records are named tuples.
+A ``zdposet`` run is mostly interpreter start-up and imports, and
+without cached bytecode every module it loads is compiled from source,
+so each subcommand imports only the layers it runs: the product layer
+loads for ``sweep`` alone, the catalog (``poset``) for ``gen`` and
+``sweep``, the labeling search only on the matching-search route, the
+homology oracle never for ``sweep``, and neither ``dataclasses`` nor
+``json`` loads on the way to a verdict.  The result records are named
+tuples.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -19,31 +24,29 @@ from zdposet.cmcert import (
     CmVerdict,
     ConditionStatus,
     MyCertificate,
-    OrderingOutcome,
     Stratification,
 )
 from zdposet.homology import HomologyProfile
-from zdposet.poset import generate
+from zdposet.poset import direct_product, generate
 from zdposet.product import (
     BipartiteReport,
     EquivalenceReport,
     PredictedCounts,
 )
-from zdposet.zdg import LemmaReport
+from zdposet.search import OrderingOutcome
 
-HEAVY = ("dataclasses", "json", "zdposet.product")
+HEAVY = {"dataclasses", "json", "zdposet.product"}
 
 
-def modules_loaded_by(argv):
-    """The modules among HEAVY that ``cli.main(argv)`` loads in a fresh
-    interpreter, after checking that it exits 0."""
+def new_modules(script):
+    """The modules that ``script`` adds to ``sys.modules`` in a fresh
+    interpreter; the script may bind ``code``, which must then be 0."""
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "from zdposet.cli import main\n"
-        f"code = main({argv!r})\n"
-        f"loaded = [m for m in {HEAVY!r} if m in set(sys.modules) - before]\n"
-        "print(code, *loaded)\n"
+        "code = 0\n"
+        f"{script}\n"
+        "print(code, *sorted(set(sys.modules) - before))\n"
     )
     src = str(Path(zdposet.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -56,7 +59,17 @@ def modules_loaded_by(argv):
     assert proc.returncode == 0, proc.stderr
     code, *loaded = proc.stdout.split()
     assert code == "0"
-    return loaded
+    return set(loaded)
+
+
+def modules_loaded_by(argv):
+    """The modules that ``cli.main(argv)`` loads, after checking that it
+    exits 0."""
+    return new_modules(f"from zdposet.cli import main\ncode = main({argv!r})")
+
+
+def package_modules(loaded):
+    return {m for m in loaded if m.split(".")[0] == "zdposet"}
 
 
 @pytest.mark.parametrize(
@@ -69,19 +82,114 @@ def test_poset_subcommands_load_no_heavy_module(tmp_path, command):
     path.write_text(generate("boolean_lattice", 3).to_text())
     out = str(tmp_path / "out")
     argv = [command[0], str(path), *command[1:], "-o", out]
-    assert modules_loaded_by(argv) == []
+    assert modules_loaded_by(argv) & HEAVY == set()
 
 
 def test_gen_loads_no_heavy_module(tmp_path):
     out = str(tmp_path / "out")
-    assert modules_loaded_by(["gen", "boolean_lattice", "3", "-o", out]) == []
+    assert modules_loaded_by(["gen", "boolean_lattice", "3", "-o", out]) & HEAVY == set()
 
 
 def test_sweep_loads_the_product_layer(tmp_path):
     path = tmp_path / "sizes.txt"
     path.write_text("2,2,2\n")
     out = str(tmp_path / "out")
-    assert modules_loaded_by(["sweep", str(path), "-o", out]) == ["zdposet.product"]
+    loaded = modules_loaded_by(["sweep", str(path), "-o", out])
+    assert loaded & HEAVY == {"zdposet.product"}
+
+
+def test_sweep_loads_no_homology(tmp_path):
+    # no sweep row reaches the oracle; 3,3 takes the matching search
+    path = tmp_path / "sizes.txt"
+    path.write_text("2,2,2\n3,3\n2,3,4\n")
+    out = str(tmp_path / "out")
+    loaded = modules_loaded_by(["sweep", str(path), "-o", out])
+    assert "zdposet.search" in loaded
+    assert "zdposet.homology" not in loaded
+
+
+def test_poset_and_zdg_imports_load_only_the_order_core():
+    loaded = new_modules("import zdposet.poset, zdposet.zdg")
+    assert package_modules(loaded) == {
+        "zdposet",
+        "zdposet.errors",
+        "zdposet.order",
+        "zdposet.poset",
+        "zdposet.graphs",
+        "zdposet.zdg",
+    }
+
+
+def test_package_import_loads_no_layer():
+    assert package_modules(new_modules("import zdposet")) == {"zdposet"}
+
+
+@pytest.mark.parametrize("route", ["boolean-certificate", "not-well-covered"])
+def test_check_loads_neither_catalog_nor_search_nor_products(tmp_path, route):
+    if route == "boolean-certificate":
+        P = generate("boolean_lattice", 3)
+    else:  # the graph is K_{1,2}
+        P = direct_product([generate("chain", 2), generate("chain", 3)]).carrier
+    path = tmp_path / "in.poset"
+    path.write_text(P.to_text())
+    out = tmp_path / "out"
+    loaded = modules_loaded_by(["check", str(path), "-o", str(out)])
+    assert f"[{route}]" in out.read_text()
+    assert {"zdposet.poset", "zdposet.search", "zdposet.product"} & loaded == set()
+    assert "zdposet.homology" in loaded
+
+
+def test_check_on_a_very_well_covered_poset_loads_the_search(tmp_path):
+    path = tmp_path / "c3c3.poset"
+    path.write_text(direct_product([generate("chain", 3)] * 2).carrier.to_text())
+    out = tmp_path / "out"
+    loaded = modules_loaded_by(["check", str(path), "-o", str(out)])
+    assert "very-well-covered: yes" in out.read_text()
+    assert "[matching-search]" in out.read_text()
+    assert "zdposet.search" in loaded
+    assert {"zdposet.poset", "zdposet.product"} & loaded == set()
+
+
+def test_gen_loads_the_catalog(tmp_path):
+    out = str(tmp_path / "out")
+    loaded = modules_loaded_by(["gen", "chain", "3", "-o", out])
+    assert "zdposet.poset" in loaded
+    assert "zdposet.homology" not in loaded
+
+
+# the zdposet names the benchmark imports, by module (bench/workloads.py
+# and bench/tracing.py); the benchmark is run on other commits, so these
+# stay importable from these modules
+BENCH_IMPORTS = {
+    "zdposet.poset": {"generate", "direct_product", "parse_poset"},
+    "zdposet.homology": {"DEFAULT_MAX_HOMOLOGY_VERTICES", "faces_by_dimension", "reisner_cm"},
+}
+
+
+def bench_imports():
+    """Every ``from zdposet... import ...`` in the benchmark's sources, by module."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    found = {}
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("zdposet"):
+                found.setdefault(node.module, set()).update(a.name for a in node.names)
+    return found
+
+
+def test_names_the_benchmark_imports_resolve():
+    from zdposet.homology import DEFAULT_MAX_HOMOLOGY_VERTICES, faces_by_dimension, reisner_cm
+    from zdposet.poset import direct_product, generate, parse_poset
+
+    assert DEFAULT_MAX_HOMOLOGY_VERTICES == 20
+    assert callable(faces_by_dimension) and callable(reisner_cm)
+    assert callable(direct_product) and callable(generate) and callable(parse_poset)
+    found = bench_imports()
+    if found:  # the benchmark sources ship with the repository
+        for module, names in BENCH_IMPORTS.items():
+            assert names <= found[module]
+    for module, names in found.items():
+        exec(f"from {module} import {', '.join(sorted(names))}", {})
 
 
 def test_star_import_binds_every_exported_name():
@@ -100,7 +208,6 @@ RECORDS = {
     OrderingOutcome: ("pairs", "cycle"),
     CmVerdict: ("status", "method", "certificate", "detail"),
     HomologyProfile: ("betti",),
-    LemmaReport: ("ok", "violations"),
     PredictedCounts: ("j_single_sizes", "j_triple_size"),
     EquivalenceReport: ("statements", "value"),
     BipartiteReport: (

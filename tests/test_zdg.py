@@ -5,15 +5,13 @@ import pytest
 import brute
 from zdposet.errors import NotBooleanError, UnknownVertexError
 from zdposet.poset import direct_product, generate, parse_poset
-from zdposet.zdg import (
+from brute import (
     check_atom_end_lemma,
     check_unique_complementation,
     ends,
     graph_complements,
-    to_dot,
-    zero_divisor_graph,
-    zero_divisors,
 )
+from zdposet.zdg import to_dot, zero_divisor_graph, zero_divisors
 
 
 def names(P, vs):
