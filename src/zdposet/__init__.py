@@ -14,7 +14,7 @@ short.  The order core (``bits``, ``Poset``, ``parse_poset``) lives in
 the core.  The result records
 (``CmVerdict``, ``MyCertificate``, ``ConditionStatus``,
 ``Stratification``, ``OrderingOutcome``, ``HomologyProfile``,
-``PredictedCounts``, ``EquivalenceReport``, ``BipartiteReport``) are
+``PredictedCounts``, ``TheoremCheck``) are
 named tuples: immutable, and usable as plain tuples (``len``, indexing,
 iteration, comparison).
 """
@@ -31,13 +31,12 @@ _EXPORTS = {
     "independence_complex is_very_well_covered is_well_covered",
     "errors": "ZdPosetError",
     "graphs": "Graph",
-    "homology": "HomologyProfile faces_by_dimension link_of reduced_betti "
-    "reisner_cm reisner_report",
+    "homology": "HomologyProfile faces_by_dimension link_of reduced_betti reisner_cm",
     "order": "Poset parse_poset",
     "poset": "ProductPoset direct_product generate",
-    "product": "BipartiteReport EquivalenceReport ProductAnalysis bipartite_case "
-    "equivalence_suite j_single j_triple predicted_counts predicted_triple_size "
-    "sweep_report validate_factors well_covered_verdict",
+    "product": "ProductAnalysis TheoremCheck j_single j_triple predicted_counts "
+    "predicted_triple_size product_theorem sweep_report validate_factors "
+    "well_covered_verdict",
     "search": "OrderingOutcome find_ordering",
     "zdg": "ZdGraph to_dot zero_divisor_graph zero_divisors",
 }

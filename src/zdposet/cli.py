@@ -15,7 +15,7 @@ from contextlib import suppress
 from typing import Sequence
 
 from . import complexes, zdg
-from .cmcert import DEFAULT_MAX_SEARCH_NODES, STATUS_TEXT, Analysis, yes_no
+from .complexes import STATUS_TEXT, yes_no
 from .errors import (
     EmptyGraphError,
     SizeLimitExceededError,
@@ -96,6 +96,8 @@ def cmd_zdg(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .cmcert import Analysis  # the certificate layer: only check runs it
+
     P = _load_poset(args.input)
     G = zdg.zero_divisor_graph(P)
     A = Analysis(
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-search-nodes",
         type=int,
-        default=DEFAULT_MAX_SEARCH_NODES,
+        default=complexes.DEFAULT_MAX_SEARCH_NODES,
         help="matching-search budget (default %(default)s)",
     )
     p.add_argument(

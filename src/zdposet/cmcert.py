@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .complexes import (
     DEFAULT_MAX_HOMOLOGY_VERTICES,
+    DEFAULT_MAX_SEARCH_NODES,
     DEFAULT_MAX_VERTICES,
     IndependenceComplex,
     independence_complex,
@@ -37,8 +38,6 @@ from .zdg import ZdGraph, require_boolean, zero_divisor_graph
 
 if TYPE_CHECKING:
     from .homology import LinkRow
-
-DEFAULT_MAX_SEARCH_NODES = 10**6
 
 Pair = tuple[Vertex, Vertex]
 
@@ -102,14 +101,6 @@ class CmVerdict(NamedTuple):
     method: str
     certificate: MyCertificate | None = None
     detail: str = ""
-
-
-# the printed form of a verdict status, in check's CM(MY) line and sweep's CM cell
-STATUS_TEXT = {"CM": "yes", "NotCM": "no", "Inconclusive": "inconclusive"}
-
-
-def yes_no(flag: bool) -> str:
-    return "yes" if flag else "no"
 
 
 def boolean_facet(P: Poset, G: ZdGraph | None = None) -> Stratification:

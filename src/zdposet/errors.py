@@ -123,10 +123,6 @@ class NeedEqualSizesForTripleError(ZdPosetError):
     pass
 
 
-class WrongArityError(ZdPosetError):
-    pass
-
-
 # --- cross-module consistency trap -------------------------------------------
 
 class TheoremContractError(ZdPosetError):

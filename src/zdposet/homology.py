@@ -6,7 +6,7 @@ boundary matrices of the reduced chain complex (the empty face is a
 genuine generator in degree -1); ``reduced_betti`` and
 ``faces_by_dimension`` take any ``FacetComplex``.
 
-Reisner's criterion (``reisner_cm``, ``link_rows``, ``reisner_report``)
+Reisner's criterion (``reisner_cm``, ``link_rows``, ``link_table``)
 takes only an ``IndependenceComplex``, the flag complex the paper's CM
 claim is about.  One face walk yields each link's rational Betti
 vector, for both the verdict and the ``check -v`` table.  The walk reads
@@ -331,23 +331,6 @@ def link_table(C: IndependenceComplex, rows: Sequence[LinkRow]) -> str:
     ok, _ = reisner_verdict(C, rows)
     lines.append(f"CM: {'yes' if ok else 'no'}")
     return "\n".join(lines) + "\n"
-
-
-def reisner_report(
-    C: IndependenceComplex,
-    max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES,
-    verbose: bool = False,
-) -> str:
-    """Human-readable Reisner verdict.
-
-    Summary line only by default; with ``verbose`` a per-face table of
-    (face, link dimension, rational betti vector) precedes it, read from
-    the face walk that decides ``reisner_cm``.
-    """
-    if verbose:
-        return link_table(C, link_rows(C, max_vertices))
-    ok, _ = reisner_cm(C, max_vertices)
-    return f"CM: {'yes' if ok else 'no'}\n"
 
 
 def reisner_cm(

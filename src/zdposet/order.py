@@ -203,6 +203,16 @@ class Poset:
                 m |= 1 << i
         return m
 
+    @cached_property
+    def coatoms_mask(self) -> int:
+        """Mask of the elements the greatest element covers."""
+        top = self._require_top()
+        m = 0
+        for i in range(len(self.elements)):
+            if i != top and self.up[i] == (1 << top) | (1 << i):
+                m |= 1 << i
+        return m
+
     def atoms(self) -> frozenset[int]:
         """Elements covering the least element."""
         return frozenset(bits(self.atoms_mask))
@@ -223,25 +233,26 @@ class Poset:
         Returns a set even when the poset is uniquely complemented; callers
         relying on uniqueness must check for a singleton themselves.
         """
-        bot = self._require_bottom()
-        top = self._require_top()
-        out = []
-        for y in range(len(self.elements)):
-            if (self.down[x] & self.down[y]) == 1 << bot and (
-                self.up[x] & self.up[y]
-            ) == 1 << top:
-                out.append(y)
-        return frozenset(out)
+        return frozenset(bits(self.perp_mask(x) & self.coperp_mask(x)))
 
     def perp_mask(self, x: int) -> int:
-        """Mask of {y : the lower cone of {x, y} is exactly {bottom}}."""
-        bot = self._require_bottom()
-        dx = self.down[x]
+        """Mask of {y : the lower cone of {x, y} is exactly {bottom}}.
+
+        Every nonzero element lies above an atom, so y has a nonzero lower
+        bound in common with x iff y lies above an atom below x.
+        """
         m = 0
-        for y in range(len(self.elements)):
-            if (dx & self.down[y]) == 1 << bot:
-                m |= 1 << y
-        return m
+        for a in bits(self.atoms_mask & self.down[x]):
+            m |= self.up[a]
+        return self.full_mask & ~m
+
+    def coperp_mask(self, x: int) -> int:
+        """Mask of {y : the upper cone of {x, y} is exactly {top}}: the
+        dual of ``perp_mask``, through the coatoms above x."""
+        m = 0
+        for c in bits(self.coatoms_mask & self.up[x]):
+            m |= self.down[c]
+        return self.full_mask & ~m
 
     # -- structural predicates ------------------------------------------------------
 
@@ -318,16 +329,9 @@ class Poset:
 
     @cached_property
     def _first_uncomplemented(self) -> int | None:
-        """The first element of a bounded poset with no complement, or None.
-
-        Unlike ``complements_of``, the scan for each x stops at its first
-        complement.
-        """
-        zero = 1 << self._require_bottom()
-        one = 1 << self._require_top()
-        rows = list(zip(self.up, self.down))
-        for x, (ux, dx) in enumerate(rows):
-            if not any(dx & dy == zero and ux & uy == one for uy, dy in rows):
+        """The first element of a bounded poset with no complement, or None."""
+        for x in range(len(self.elements)):
+            if not self.perp_mask(x) & self.coperp_mask(x):
                 return x
         return None
 
@@ -362,8 +366,9 @@ class Poset:
     def is_boolean(self) -> bool:
         """Bounded, complemented and distributive.
 
-        The clauses are tested in that order, so the quadratic complement
-        test rejects most non-Boolean posets before distributivity runs.
+        The clauses are tested in that order, so the complement test (one
+        mask per element, from its atoms and coatoms) rejects most
+        non-Boolean posets before distributivity runs.
         """
         return self._boolean
 

@@ -13,8 +13,8 @@ import math
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .cmcert import STATUS_TEXT, Analysis, yes_no
-from .complexes import DEFAULT_MAX_VERTICES, is_well_covered
+from .cmcert import Analysis
+from .complexes import DEFAULT_MAX_VERTICES, STATUS_TEXT, is_well_covered, yes_no
 from .errors import (
     BadParamError,
     FactorHasZeroDivisorsError,
@@ -25,7 +25,6 @@ from .errors import (
     SizeLimitExceededError,
     TheoremContractError,
     TooFewFactorsError,
-    WrongArityError,
 )
 from .order import Poset, bits
 from .poset import ProductPoset, generate
@@ -196,6 +195,8 @@ def is_boolean_lattice(P: Poset) -> bool:
     A bounded poset with 2^k elements and k atoms, whose atom supports
     are distinct and order it by inclusion, is isomorphic to 2^k: so it is
     a distributive, complemented lattice, and those need no separate test.
+    Ordered by inclusion means that the up row of each x is the meet of
+    the up rows of the atoms below x.
     """
     if not P.is_bounded():
         return False
@@ -205,76 +206,95 @@ def is_boolean_lattice(P: Poset) -> bool:
     supports = [P.atoms_mask & P.down[x] for x in range(len(P))]
     if len(set(supports)) != len(P):
         return False
-    for a in range(len(P)):
-        for b in range(len(P)):
-            if P.leq(a, b) != (supports[a] & ~supports[b] == 0):
-                return False
-    return True
+    return all(row == P.ucone_mask(s) for row, s in zip(P.up, supports))
 
 
-class EquivalenceReport(NamedTuple):
-    statements: tuple[tuple[str, bool], ...]
-    value: bool
+class TheoremCheck(NamedTuple):
+    """``product_theorem``'s findings: the value every decided statement
+    shares, the verdict's status (None where the facet cap kept it from
+    running), and well-covered, enumerated or else the formula's."""
 
-
-def equivalence_suite(A: ProductAnalysis) -> EquivalenceReport:
-    """Evaluate the five equivalent statements, at the default caps, and
-    insist they agree."""
-    if A.n < 3:
-        raise TooFewFactorsError("the equivalence applies for n >= 3")
-    analysis = Analysis(A.graph)
-    verdict = analysis.verdict
-    if verdict.status == "Inconclusive":
-        raise TheoremContractError(
-            f"CM verdict inconclusive under the configured caps: {verdict.detail}"
-        )
-    wc = is_well_covered(analysis.complex)
-    statements = (
-        ("cohen-macaulay", verdict.status == "CM"),
-        ("well-covered", wc),
-        ("all-factors-2-chains", all(s == 2 for s in A.factor_sizes)),
-        ("boolean-lattice", is_boolean_lattice(A.carrier)),
-        ("boolean-poset", A.carrier.is_boolean()),
-    )
-    values = {v for _, v in statements}
-    if len(values) != 1:
-        detail = ", ".join(f"{name}={v}" for name, v in statements)
-        raise TheoremContractError(
-            f"the five equivalent statements disagree: {detail}"
-        )
-    return EquivalenceReport(statements, statements[0][1])
-
-
-class BipartiteReport(NamedTuple):
-    part_sizes: tuple[int, int]
-    complete_bipartite: bool
+    boolean_lattice: bool
+    cm_status: str | None
     well_covered: bool
-    cm_status: str
-    note: str
+    enumerated: bool
 
 
-def bipartite_case(A: ProductAnalysis) -> BipartiteReport:
-    """The two-factor case, at the default caps: the graph is complete
-    bipartite on the axes."""
-    if A.n != 2:
-        raise WrongArityError(f"bipartite analysis needs exactly 2 factors, got {A.n}")
-    # with a unique atom, J_i is the i-th axis: coordinate i nonzero,
-    # the other at the bottom
-    part1, part2 = j_single(A, 1), j_single(A, 2)
-    complete = len(part1) + len(part2) == len(A.graph.vertices) and all(
-        A.graph.neighbors(a) == part2 for a in part1
-    )
-    sizes = (len(part1), len(part2))
-    if sizes != tuple(s - 1 for s in A.factor_sizes):
-        raise TheoremContractError(f"axis parts {sizes} are not |P_i| - 1")
-    analysis = Analysis(A.graph)
-    wc = is_well_covered(analysis.complex)
-    status = analysis.verdict.status
-    note = (
-        f"parts have sizes |P_1|-1 = {sizes[0]} and |P_2|-1 = {sizes[1]}; "
-        f"the graph is K_{{{sizes[0]},{sizes[1]}}}"
-    )
-    return BipartiteReport(sizes, complete, wc, status, note)
+def product_theorem(
+    A: ProductAnalysis, analysis: Analysis | None = None
+) -> TheoremCheck:
+    """Check the product theorem on A under the caps of ``analysis``, an
+    ``Analysis`` of ``A.graph`` (default caps when None); any disagreement
+    raises ``TheoremContractError``.
+
+    For n >= 3 the five statements (CM, well-covered, every factor a
+    2-chain, Boolean lattice, Boolean poset) agree, and the J-set sizes
+    match ``predicted_counts``.  For n = 2 the graph is
+    K_{|P_1|-1,|P_2|-1} on the axes, well-covered iff |P_1| = |P_2|, and
+    the other four statements agree.  Facet enumeration checks the
+    well-covered formula below the facet cap; above it only a Boolean
+    lattice, whose certificate needs no facets, gets a CM verdict.  An
+    ``Inconclusive`` verdict decides no statement.
+    """
+    if analysis is None:
+        analysis = Analysis(A.graph)
+    sizes = A.factor_sizes
+    singles = tuple(j_single(A, i) for i in range(1, A.n + 1))
+    if A.n == 2:
+        # with a unique atom, J_i is the i-th axis: coordinate i nonzero,
+        # the other at the bottom
+        part1, part2 = singles
+        complete = len(part1) + len(part2) == len(A.graph.vertices) and all(
+            A.graph.neighbors(a) == part2 for a in part1
+        )
+        a, b = (s - 1 for s in sizes)
+        if not complete or (len(part1), len(part2)) != (a, b):
+            raise TheoremContractError(
+                f"the graph is not K_{{{a},{b}}} on the axes J_1 and J_2"
+            )
+        formula = sizes[0] == sizes[1]
+    else:
+        predicted = predicted_counts(sizes)
+        counts = tuple(map(len, singles))
+        triple = len(j_triple(A, 1, 2, 3))
+        if counts != predicted.j_single_sizes or predicted.j_triple_size not in (
+            None,
+            triple,
+        ):
+            raise TheoremContractError(
+                f"J-set sizes {counts}, {triple} differ from the counting "
+                f"formulas {tuple(predicted)}"
+            )
+        formula, _ = well_covered_verdict(A)
+    lattice = is_boolean_lattice(A.carrier)
+    try:
+        wc = is_well_covered(analysis.complex)
+    except SizeLimitExceededError:
+        wc, enumerated = formula, False
+    else:
+        enumerated = True
+        if wc != formula:
+            raise TheoremContractError(
+                f"formula verdict {formula} disagrees with enumeration "
+                f"{wc} for sizes {sizes}"
+            )
+    status = analysis.verdict.status if enumerated or lattice else None
+    statements = {}
+    if status in ("CM", "NotCM"):
+        statements["cohen-macaulay"] = status == "CM"
+    if A.n >= 3:
+        statements["well-covered"] = wc
+    statements["all-factors-2-chains"] = all(s == 2 for s in sizes)
+    statements["boolean-lattice"] = lattice
+    if status is not None:
+        # the verdict has already decided, and cached, is_boolean()
+        statements["boolean-poset"] = A.carrier.is_boolean()
+    if len(set(statements.values())) != 1:
+        detail = ", ".join(f"{name}={v}" for name, v in statements.items())
+        raise TheoremContractError(
+            f"the product theorem's statements disagree for sizes {sizes}: {detail}"
+        )
+    return TheoremCheck(lattice, status, wc, enumerated)
 
 
 # -- sweep harness -------------------------------------------------------------
@@ -310,47 +330,22 @@ SWEEP_HEADER = "sizes\t|D|\t|J_1|\t|J_1,2,3|\twell-covered\tCM\tboolean-lattice"
 
 
 def sweep_row(sizes: Sequence[int], max_vertices: int = DEFAULT_MAX_VERTICES) -> str:
-    """One TSV row for the chain product with the given factor sizes.
-
-    The well-covered formula (|P_1| = |P_2| for n = 2, where the graph
-    is K_{|P_1|-1,|P_2|-1}) is cross-checked below the facet cap and
-    printed, flagged, above it.  No row needs the homology oracle: CM
-    chain products are Boolean, and the others are not well-covered or,
-    for n = 2, very well-covered."""
+    """One TSV row for the chain product with the given factor sizes, read
+    off ``product_theorem`` under the facet cap ``max_vertices``; above
+    it, formula cells carry a flag.  No row needs the homology oracle:
+    CM chain products are Boolean, and the others are not well-covered
+    or, for n = 2, very well-covered."""
     A = validate_factors([generate("chain", s) for s in sizes])
-    if A.n == 2:
-        jt_cell = "-"
-        wc_formula = sizes[0] == sizes[1]
-    else:
-        jt_cell = str(len(j_triple(A, 1, 2, 3)))
-        wc_formula, _ = well_covered_verdict(A)
-    analysis = Analysis(A.graph, max_vertices)
-    try:
-        wc = is_well_covered(analysis.complex)
-    except SizeLimitExceededError:
-        flag = " [unverified-by-enumeration]"
-        wc_cell = yes_no(wc_formula) + flag
-        if all(s == 2 for s in sizes):
-            # the Boolean path needs no facet enumeration
-            cm_cell = STATUS_TEXT[analysis.verdict.status]
-        else:
-            cm_cell = "no" + flag
-    else:
-        if wc != wc_formula:
-            raise TheoremContractError(
-                f"formula verdict {wc_formula} disagrees with enumeration "
-                f"{wc} for sizes {tuple(sizes)}"
-            )
-        wc_cell = yes_no(wc)
-        cm_cell = STATUS_TEXT[analysis.verdict.status]
+    t = product_theorem(A, Analysis(A.graph, max_vertices))
+    flag = "" if t.enumerated else " [unverified-by-enumeration]"
     cells = [
         ",".join(str(s) for s in sizes),
         str(len(A.dense)),
         str(len(j_single(A, 1))),
-        jt_cell,
-        wc_cell,
-        cm_cell,
-        yes_no(is_boolean_lattice(A.carrier)),
+        "-" if A.n == 2 else str(len(j_triple(A, 1, 2, 3))),
+        yes_no(t.well_covered) + flag,
+        "no" + flag if t.cm_status is None else STATUS_TEXT[t.cm_status],
+        yes_no(t.boolean_lattice),
     ]
     return "\t".join(cells)
 

@@ -72,6 +72,46 @@ def perp(P: Poset, x: int) -> set[int]:
     return {y for y in elements(P) if lower_cone(P, {x, y}) == {P.bottom}}
 
 
+def perp_mask_reference(P: Poset, x: int) -> int:
+    """The O(n) scan ``Poset.perp_mask`` replaces: every y whose down row
+    meets x's in the bottom alone."""
+    bot = 1 << P.bottom
+    return sum(1 << y for y in elements(P) if P.down[x] & P.down[y] == bot)
+
+
+def coperp_mask_reference(P: Poset, x: int) -> int:
+    """The dual scan: every y whose up row meets x's in the top alone."""
+    top = 1 << P.top
+    return sum(1 << y for y in elements(P) if P.up[x] & P.up[y] == top)
+
+
+def first_uncomplemented_reference(P: Poset) -> int | None:
+    """The O(n²) scan ``Poset._first_uncomplemented`` replaces."""
+    for x in elements(P):
+        if not perp_mask_reference(P, x) & coperp_mask_reference(P, x):
+            return x
+    return None
+
+
+def is_boolean_lattice_by_pairs(P: Poset) -> bool:
+    """``product.is_boolean_lattice`` with its n² ``leq`` calls: the
+    power-set test that compares every pair's order with support
+    inclusion."""
+    if not P.is_bounded():
+        return False
+    n = len(P)
+    if n != 2 ** len(P.atoms()):
+        return False
+    supports = [P.atoms_mask & P.down[x] for x in range(n)]
+    if len(set(supports)) != n:
+        return False
+    return all(
+        P.leq(a, b) == (supports[a] & ~supports[b] == 0)
+        for a in range(n)
+        for b in range(n)
+    )
+
+
 def pseudocomplement(P: Poset, x: int) -> int | None:
     target = perp(P, x)
     hits = [b for b in elements(P) if lower_cone(P, {b}) == target]

@@ -161,7 +161,7 @@ def test_criterion_5_counting_formulas():
 
 def test_criterion_6_equivalence_sweep():
     budget = Budget(6, "five-statement equivalence over n=3 products", 60.0)
-    from zdposet.product import equivalence_suite
+    from zdposet.product import product_theorem
 
     vectors = [
         s
@@ -171,10 +171,10 @@ def test_criterion_6_equivalence_sweep():
     assert len(vectors) == 10
     for sizes in vectors:
         A = validate_factors([generate("chain", s) for s in sizes])
-        report = equivalence_suite(A)
-        values = {v for _, v in report.statements}
-        assert len(values) == 1
-        assert report.value == all(s == 2 for s in sizes)
+        # product_theorem raises unless the five statements agree
+        report = product_theorem(A)
+        assert report.cm_status in ("CM", "NotCM") and report.enumerated
+        assert report.boolean_lattice == all(s == 2 for s in sizes)
     budget.finish()
 
 

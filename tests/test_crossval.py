@@ -22,7 +22,7 @@ from zdposet.complexes import (
 from zdposet.graphs import Graph
 from zdposet.homology import reduced_betti, reisner_cm
 from zdposet.poset import generate, parse_poset
-from zdposet.product import bipartite_case, validate_factors
+from zdposet.product import product_theorem, validate_factors
 from zdposet.zdg import zero_divisor_graph
 
 
@@ -131,7 +131,7 @@ def test_kmm_search_terminates_fast():
     # the two-cycle prune keeps complete bipartite searches polynomial
     t0 = time.monotonic()
     for size in (4, 5, 6):
-        r = bipartite_case(validate_factors([generate("chain", size)] * 2))
+        r = product_theorem(validate_factors([generate("chain", size)] * 2))
         assert r.cm_status == "NotCM"
     assert time.monotonic() - t0 < 5.0
 

@@ -18,9 +18,9 @@ from zdposet.homology import (
     faces_by_dimension,
     link_of,
     link_rows,
+    link_table,
     reduced_betti,
     reisner_cm,
-    reisner_report,
 )
 from zdposet.poset import direct_product, generate
 from zdposet.zdg import zero_divisor_graph
@@ -194,17 +194,16 @@ def test_reisner_pass_implies_pure():
             assert is_well_covered(C)
 
 
-def test_reisner_report_summary_and_table():
+def test_reisner_cm_and_link_table():
     C = FOUR_CYCLE
-    assert reisner_report(C) == "CM: no\n"
-    table = reisner_report(C, verbose=True)
-    lines = table.splitlines()
+    assert reisner_cm(C)[0] is False
+    lines = link_table(C, link_rows(C)).splitlines()
     assert lines[0] == "face\tlink-dim\tbetti"
     assert lines[1] == "{}\t1\t0,1,0"  # the whole complex is disconnected
     assert lines[-1] == "CM: no"
     assert len(lines) == 2 + 7  # header, 7 faces, summary
     assert SIMPLEX.facets == ((1, 2),)
-    assert reisner_report(SIMPLEX) == "CM: yes\n"
+    assert reisner_cm(SIMPLEX) == (True, None)
 
 
 def test_homology_size_cap():
@@ -244,12 +243,7 @@ def test_reisner_refuses_complexes_that_are_not_graphs():
     # at once, and the same complex as Ind(C4) is accepted
     plain_four_cycle = FacetComplex(FOUR_CYCLE.facets)
     for C in (RP2, plain_four_cycle):
-        for run in (
-            reisner_cm,
-            link_rows,
-            reisner_report,
-            lambda C: reisner_report(C, verbose=True),
-        ):
+        for run in (reisner_cm, link_rows):
             with pytest.raises(TypeError, match="needs an IndependenceComplex"):
                 run(C)
     assert reisner_cm(FOUR_CYCLE) == (False, ((), 0))
@@ -345,7 +339,7 @@ def test_table_ranks_only_fold_survivors(monkeypatch):
     C = independence_complex(zero_divisor_graph(P))
     rests = rest_masks(C)
     folds, ranked, face_masks = record_link_work(monkeypatch)
-    lines = reisner_report(C, verbose=True).splitlines()
+    lines = link_table(C, link_rows(C)).splitlines()
     assert len(lines) == 4656 + 2
     assert face_masks == []
     assert sorted(folds) == sorted(set(rests))
@@ -379,7 +373,7 @@ def test_failing_walk_stops_at_its_witness_level(monkeypatch):
 
 
 def table_rows(C):
-    """``reisner_report``'s table rows for the reference's (face, dim, betti)."""
+    """``link_table``'s rows for the reference's (face, dim, betti)."""
     return [
         "{" + ",".join(map(str, face)) + "}\t" + f"{dim}\t" + ",".join(map(str, betti))
         for face, dim, betti in brute.reisner_table_reference(C)
@@ -387,7 +381,7 @@ def table_rows(C):
 
 
 def assert_table_matches_reference(C):
-    lines = reisner_report(C, verbose=True).splitlines()
+    lines = link_table(C, link_rows(C)).splitlines()
     assert lines[0] == "face\tlink-dim\tbetti"
     assert lines[1:-1] == table_rows(C), C.facets
     ok, _ = brute.reisner_cm_reference(C)
@@ -449,7 +443,7 @@ def test_fold_matches_reference_on_planted_dominated_vertices(monkeypatch):
 
     monkeypatch.setattr(homology, "_fold", recording_fold)
     for C, (rows, cm) in zip(complexes, expected):
-        lines = reisner_report(C, verbose=True).splitlines()
+        lines = link_table(C, link_rows(C)).splitlines()
         assert lines[1:-1] == rows, C.facets
         assert lines[-1] == f"CM: {'yes' if cm[0] else 'no'}"
         assert reisner_cm(C) == cm, C.facets

@@ -305,6 +305,39 @@ def test_boolean_gate_on_named_posets(figure1, b4_without_a12_a34):
     assert not any(P._is_distributive_lattice() for P in named[4:])
 
 
+def test_order_queries_match_the_quadratic_scans(figure1, b4_without_a12_a34):
+    # perp and coperp masks read the atoms below x and the coatoms above
+    # it; is_boolean_lattice reads one up row per element
+    from test_zdg import random_bounded_poset
+    from zdposet.product import is_boolean_lattice
+
+    rng = random.Random(61)
+    chain = lambda k: generate("chain", k)
+    posets = [figure1, b4_without_a12_a34, N5]
+    posets += [generate("boolean_lattice", k) for k in range(1, 6)]
+    posets += [generate("atom_coatom", k) for k in range(2, 6)]
+    posets += [generate(name, k) for name in ("chain", "m_atoms") for k in range(1, 6)]
+    posets += [
+        direct_product([chain(a) for a in sizes]).carrier
+        for sizes in ((2, 2), (3, 4), (2, 2, 2), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2))
+    ]
+    posets += [direct_product([generate("m_atoms", 3), chain(2)]).carrier]
+    posets += [random_bounded_poset(rng, rng.randint(0, 9)) for _ in range(120)]
+    verdicts = set()
+    for P in posets:
+        fresh = Poset(P.elements, P.up)  # nothing cached
+        for x in range(len(P)):
+            assert P.perp_mask(x) == brute.perp_mask_reference(P, x), P.to_text()
+            assert P.coperp_mask(x) == brute.coperp_mask_reference(P, x), P.to_text()
+            assert P.complements_of(x) == brute.complements(P, x), P.to_text()
+        first = brute.first_uncomplemented_reference(P)
+        assert fresh._first_uncomplemented == first, P.to_text()
+        lattice = is_boolean_lattice(P)
+        assert lattice == brute.is_boolean_lattice_by_pairs(P), P.to_text()
+        verdicts.add((first is None, lattice))
+    assert verdicts == {(True, True), (True, False), (False, False)}
+
+
 @st.composite
 def random_posets(draw):
     """Random order on up to 7 elements in a random id order, optionally

@@ -20,20 +20,19 @@ from zdposet.errors import (
     NotAscendingError,
     TooFewFactorsError,
     UnboundedFactorError,
-    WrongArityError,
 )
 from zdposet.cmcert import Analysis
 from zdposet.complexes import DEFAULT_MAX_VERTICES
 from zdposet.poset import ProductPoset, direct_product, generate, parse_poset
 from zdposet.product import (
-    bipartite_case,
-    equivalence_suite,
+    TheoremCheck,
     is_boolean_lattice,
     j_single,
     j_triple,
     parse_size_vectors,
     predicted_counts,
     predicted_triple_size,
+    product_theorem,
     sweep_report,
     validate_factors,
     well_covered_verdict,
@@ -226,44 +225,53 @@ def unique_atom_factor(rng):
 
 
 def test_product_theorem_beyond_chains():
+    # n = 4 products take two 2-chains, so that some stay under the facet cap
     rng = random.Random(53)
+    chain2 = generate("chain", 2)
     seen = set()
-    for _ in range(150):
-        factors = sorted((unique_atom_factor(rng) for _ in range(3)), key=len)
-        A = validate_factors(factors)
-        sizes = A.factor_sizes
-        predicted = predicted_counts(sizes)
-        singles = tuple(len(j_single(A, i)) for i in (1, 2, 3))
-        assert singles == predicted.j_single_sizes, sizes
-        if len(set(sizes)) == 1:
-            assert len(j_triple(A, 1, 2, 3)) == predicted_triple_size(sizes)
-        two_chains = all(len(f) == 2 for f in factors)
-        assert well_covered_verdict(A)[0] is two_chains, sizes
-        seen.add((two_chains, len(set(sizes)) == 1))
-    assert seen == {(True, True), (False, True), (False, False)}
-
-
-def test_equivalence_suite_all_true():
-    r = equivalence_suite(validate_factors(chains(2, 2, 2)))
-    assert r.value is True
-    assert dict(r.statements) == {
-        "cohen-macaulay": True,
-        "well-covered": True,
-        "all-factors-2-chains": True,
-        "boolean-lattice": True,
-        "boolean-poset": True,
+    for n, drawn, count in ((3, 3, 150), (4, 2, 40)):
+        for _ in range(count):
+            factors = [chain2] * (n - drawn)
+            factors += [unique_atom_factor(rng) for _ in range(drawn)]
+            A = validate_factors(sorted(factors, key=len))
+            sizes = A.factor_sizes
+            predicted = predicted_counts(sizes)
+            singles = tuple(len(j_single(A, i)) for i in range(1, n + 1))
+            assert singles == predicted.j_single_sizes, sizes
+            if len(set(sizes)) == 1:
+                assert len(j_triple(A, 1, 2, 3)) == predicted_triple_size(sizes)
+            two_chains = all(len(f) == 2 for f in factors)
+            assert well_covered_verdict(A)[0] is two_chains, sizes
+            r = product_theorem(A)
+            assert r.boolean_lattice is two_chains and r.well_covered is two_chains
+            assert r.cm_status == ("CM" if two_chains else "NotCM" if r.enumerated else None)
+            seen.add((n, two_chains, len(set(sizes)) == 1, r.enumerated))
+    assert seen == {
+        (3, True, True, True),
+        (3, False, True, False),
+        (3, False, False, True),
+        (3, False, False, False),
+        (4, True, True, True),
+        (4, False, False, True),
+        (4, False, False, False),
     }
 
 
+def test_equivalence_suite_all_true():
+    r = product_theorem(validate_factors(chains(2, 2, 2)))
+    assert r == TheoremCheck(
+        boolean_lattice=True, cm_status="CM", well_covered=True, enumerated=True
+    )
+
+
 def test_equivalence_suite_all_false():
-    r = equivalence_suite(validate_factors(chains(3, 3, 3)))
-    assert r.value is False
-    assert all(v is False for _, v in r.statements)
+    r = product_theorem(validate_factors(chains(3, 3, 3)))
+    assert r == (False, "NotCM", False, True)
 
 
 def test_equivalence_suite_four_factors():
-    r = equivalence_suite(validate_factors(chains(2, 2, 2, 2)))
-    assert r.value is True
+    r = product_theorem(validate_factors(chains(2, 2, 2, 2)))
+    assert r == (True, "CM", True, True)
 
 
 def test_is_boolean_lattice_distinguishes_posets(figure1):
@@ -327,31 +335,21 @@ def test_maximality_trap_fires_under_O():
 
 
 def test_bipartite_two_two():
-    r = bipartite_case(validate_factors(chains(2, 2)))
-    assert r.part_sizes == (1, 1)
-    assert r.complete_bipartite and r.well_covered
-    assert r.cm_status == "CM"
+    assert product_theorem(validate_factors(chains(2, 2))) == (True, "CM", True, True)
 
 
 def test_bipartite_three_three():
-    r = bipartite_case(validate_factors(chains(3, 3)))
-    assert r.part_sizes == (2, 2)
-    assert r.complete_bipartite
-    assert r.well_covered  # K_{2,2} is well-covered but not CM
-    assert r.cm_status == "NotCM"
-    assert "K_{2,2}" in r.note
+    # K_{2,2} is well-covered but not CM
+    A = validate_factors(chains(3, 3))
+    assert product_theorem(A) == (False, "NotCM", True, True)
+    # an Inconclusive verdict decides no statement, and is passed on
+    r = product_theorem(A, Analysis(A.graph, max_search_nodes=1))
+    assert r == (False, "Inconclusive", True, True)
 
 
 def test_bipartite_mixed():
-    r = bipartite_case(validate_factors(chains(2, 3)))
-    assert r.part_sizes == (1, 2)
-    assert not r.well_covered
-    assert r.cm_status == "NotCM"
-
-
-def test_bipartite_guard():
-    with pytest.raises(WrongArityError):
-        bipartite_case(validate_factors(chains(2, 2, 2)))
+    r = product_theorem(validate_factors(chains(2, 3)))
+    assert r == (False, "NotCM", False, True)
 
 
 def test_parse_size_vectors():
@@ -425,9 +423,9 @@ def test_no_sweep_row_reaches_the_homology_oracle():
     ids=lambda v: ",".join(map(str, v)),
 )
 def test_sweep_row_builds_each_j_set_once(sizes, monkeypatch):
-    # a row reads J_1 (for its cell) and, for n >= 3, every J_i (through
-    # well_covered_verdict) and J_1,2,3: each is built and checked once,
-    # above and below the facet cap
+    # a row reads J_1 (for its cell), J_2 (the n = 2 axes) and, for
+    # n >= 3, every J_i (the counts and well_covered_verdict) and J_1,2,3:
+    # each is built and checked once, above and below the facet cap
     import zdposet.product as product_mod
 
     checked = []
@@ -438,7 +436,7 @@ def test_sweep_row_builds_each_j_set_once(sizes, monkeypatch):
         check(G, members)
 
     monkeypatch.setattr(product_mod, "_assert_maximal_independent", counted)
-    expected = len(sizes) + 1 if len(sizes) >= 3 else 1
+    expected = len(sizes) + 1 if len(sizes) >= 3 else 2
     for max_vertices in (DEFAULT_MAX_VERTICES, 3):
         checked.clear()
         row = product_mod.sweep_row(sizes, max_vertices)
@@ -448,3 +446,104 @@ def test_sweep_row_builds_each_j_set_once(sizes, monkeypatch):
 def test_sweep_above_cap_flags_formula_verdict():
     row = sweep_report([(3, 3, 3)], max_vertices=10).splitlines()[1]
     assert "no [unverified-by-enumeration]" in row
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(2, 2), (3, 4), (2, 2, 2), (3, 3, 3), (3, 3, 3, 3)],
+    ids=lambda v: ",".join(map(str, v)),
+)
+def test_sweep_row_builds_one_analysis_and_one_lattice_test(sizes, monkeypatch):
+    # the theorem check reads the row's own Analysis: one call to the
+    # facet enumeration, and one is_boolean_lattice call
+    import zdposet.cmcert as cmcert_mod
+    import zdposet.product as product_mod
+
+    calls = []
+
+    class CountedAnalysis(Analysis):
+        def __init__(self, *args):
+            calls.append("Analysis")
+            super().__init__(*args)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(product_mod, "Analysis", CountedAnalysis)
+    monkeypatch.setattr(
+        product_mod, "is_boolean_lattice", counted("lattice", is_boolean_lattice)
+    )
+    monkeypatch.setattr(
+        cmcert_mod,
+        "independence_complex",
+        counted("facets", cmcert_mod.independence_complex),
+    )
+    for max_vertices in (DEFAULT_MAX_VERTICES, 3):
+        calls.clear()
+        product_mod.sweep_row(sizes, max_vertices)
+        assert calls.count("Analysis") == 1
+        assert calls.count("lattice") == 1
+        assert calls.count("facets") == 1  # raising above the cap
+
+
+def test_product_theorem_on_four_chains_under_the_facet_cap():
+    vectors = [
+        sizes
+        for sizes in itertools.combinations_with_replacement(range(2, 7), 4)
+        if math.prod(sizes) - 1 - math.prod(s - 1 for s in sizes)
+        <= DEFAULT_MAX_VERTICES
+    ]
+    assert vectors == [
+        (2, 2, 2, 2), (2, 2, 2, 3), (2, 2, 2, 4), (2, 2, 2, 5), (2, 2, 3, 3)
+    ]
+    for sizes in vectors:
+        boolean = sizes == (2, 2, 2, 2)
+        r = product_theorem(validate_factors(chains(*sizes)))
+        assert r == (boolean, "CM" if boolean else "NotCM", boolean, True), sizes
+
+
+def test_product_theorem_on_complete_bipartite_graphs():
+    # chains a + 1 and b + 1 give K_{a,b}: well-covered iff a = b, and
+    # CM for no a, b >= 2
+    for a in range(2, 8):
+        for b in range(a, 8):
+            r = product_theorem(validate_factors(chains(a + 1, b + 1)))
+            assert r == (False, "NotCM", a == b, True), (a, b)
+
+
+@pytest.mark.parametrize(
+    "plant, vectors, message",
+    [
+        ("lattice", "2,2,2\n", "statements disagree"),
+        ("lattice", "3,3\n", "statements disagree"),
+        ("counts", "2,2,2\n", "differ from the counting formulas"),
+        ("formula", "2,3,4\n", "disagrees with enumeration"),
+        ("axes", "2,3\n", "is not K_{1,2} on the axes"),
+    ],
+)
+def test_planted_disagreement_fails_the_sweep(
+    plant, vectors, message, tmp_path, monkeypatch, capsys
+):
+    import zdposet.product as product_mod
+    from zdposet.cli import main
+
+    if plant == "lattice":
+        patched = lambda P: not is_boolean_lattice(P)
+        monkeypatch.setattr(product_mod, "is_boolean_lattice", patched)
+    elif plant == "counts":
+        patched = lambda sizes: predicted_counts(sizes)._replace(j_triple_size=0)
+        monkeypatch.setattr(product_mod, "predicted_counts", patched)
+    elif plant == "formula":
+        patched = lambda A: (not well_covered_verdict(A)[0], "planted")
+        monkeypatch.setattr(product_mod, "well_covered_verdict", patched)
+    else:  # J_1 in place of J_2: the axes are not the parts
+        monkeypatch.setattr(product_mod, "j_single", lambda A, i: j_single(A, 1))
+    path = tmp_path / "sizes.txt"
+    path.write_text(vectors)
+    assert main(["sweep", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation: ") and message in err

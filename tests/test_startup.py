@@ -4,6 +4,7 @@ A ``zdposet`` run is mostly interpreter start-up and imports, and
 without cached bytecode every module it loads is compiled from source,
 so each subcommand imports only the layers it runs: the product layer
 loads for ``sweep`` alone, the catalog (``poset``) for ``gen`` and
+``sweep``, the certificate layer (``cmcert``) for ``check`` and
 ``sweep``, the labeling search only on the matching-search route, the
 homology oracle never for ``sweep``, and neither ``dataclasses`` nor
 ``json`` loads on the way to a verdict.  The result records are named
@@ -28,11 +29,7 @@ from zdposet.cmcert import (
 )
 from zdposet.homology import HomologyProfile
 from zdposet.poset import direct_product, generate
-from zdposet.product import (
-    BipartiteReport,
-    EquivalenceReport,
-    PredictedCounts,
-)
+from zdposet.product import PredictedCounts, TheoremCheck
 from zdposet.search import OrderingOutcome
 
 HEAVY = {"dataclasses", "json", "zdposet.product"}
@@ -83,6 +80,26 @@ def test_poset_subcommands_load_no_heavy_module(tmp_path, command):
     out = str(tmp_path / "out")
     argv = [command[0], str(path), *command[1:], "-o", out]
     assert modules_loaded_by(argv) & HEAVY == set()
+
+
+@pytest.mark.parametrize(
+    "command", [["info"], ["zdg"], ["export", "-d", "m2"]], ids=" ".join
+)
+def test_info_zdg_and_export_load_no_certificate_layer(tmp_path, command):
+    # the parser reads its cap defaults, and info its yes/no text, from
+    # complexes; only check imports cmcert
+    path = tmp_path / "b3.poset"
+    path.write_text(generate("boolean_lattice", 3).to_text())
+    argv = [command[0], str(path), *command[1:], "-o", str(tmp_path / "out")]
+    assert package_modules(modules_loaded_by(argv)) == {
+        "zdposet",
+        "zdposet.cli",
+        "zdposet.complexes",
+        "zdposet.errors",
+        "zdposet.graphs",
+        "zdposet.order",
+        "zdposet.zdg",
+    }
 
 
 def test_gen_loads_no_heavy_module(tmp_path):
@@ -209,14 +226,7 @@ RECORDS = {
     CmVerdict: ("status", "method", "certificate", "detail"),
     HomologyProfile: ("betti",),
     PredictedCounts: ("j_single_sizes", "j_triple_size"),
-    EquivalenceReport: ("statements", "value"),
-    BipartiteReport: (
-        "part_sizes",
-        "complete_bipartite",
-        "well_covered",
-        "cm_status",
-        "note",
-    ),
+    TheoremCheck: ("boolean_lattice", "cm_status", "well_covered", "enumerated"),
 }
 
 
