@@ -3,7 +3,9 @@
 Construct the graph from a poset, enumerate the facets of its
 independence complex, decide well-coveredness and Cohen-Macaulayness
 through a relabeling certificate, and cross-validate every verdict
-against an exact rational-homology oracle.
+against Reisner's criterion with exact rational homology.  The one
+complex type is ``IndependenceComplex``: every complex here is the
+independence complex of a graph.
 
 Importing the package loads none of its layers: each exported name
 loads its module on first access, through one name-to-module table (PEP
@@ -11,12 +13,10 @@ loads its module on first access, through one name-to-module table (PEP
 bytecode a run compiles every module it loads, so this keeps short runs
 short.  The order core (``bits``, ``Poset``, ``parse_poset``) lives in
 ``order``; ``poset`` adds the catalog and the products, and re-exports
-the core.  The result records
-(``CmVerdict``, ``MyCertificate``, ``ConditionStatus``,
-``Stratification``, ``OrderingOutcome``, ``HomologyProfile``,
-``PredictedCounts``, ``TheoremCheck``) are
-named tuples: immutable, and usable as plain tuples (``len``, indexing,
-iteration, comparison).
+the core.  The result records (``CmVerdict``, ``MyCertificate``,
+``ConditionStatus``, ``Stratification``, ``OrderingOutcome``,
+``PredictedCounts``, ``TheoremCheck``) are named tuples: immutable, and
+usable as plain tuples (``len``, indexing, iteration, comparison).
 """
 
 import importlib
@@ -27,11 +27,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cmcert": "Analysis CmVerdict MyCertificate Stratification boolean_facet "
     "boolean_labeling is_cohen_macaulay verify_my_conditions",
-    "complexes": "FacetComplex IndependenceComplex export_edge_ideal "
-    "independence_complex is_very_well_covered is_well_covered",
+    "complexes": "IndependenceComplex export_edge_ideal independence_complex "
+    "is_very_well_covered is_well_covered",
     "errors": "ZdPosetError",
     "graphs": "Graph",
-    "homology": "HomologyProfile faces_by_dimension link_of reduced_betti reisner_cm",
+    "homology": "faces_by_dimension reisner_cm",
     "order": "Poset parse_poset",
     "poset": "ProductPoset direct_product generate",
     "product": "ProductAnalysis TheoremCheck j_single j_triple predicted_counts "

@@ -328,7 +328,7 @@ class Analysis:
         if is_very_well_covered(C):
             from .search import _search_certificate  # this route alone loads it
 
-            return _search_certificate(G, C.facets, self.max_search_nodes)
+            return _search_certificate(G, C.masks, self.max_search_nodes)
         try:
             ok, witness = self.reisner
         except SizeLimitExceededError as exc:

@@ -9,7 +9,7 @@ all downstream output is reproducible bit for bit.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import EmptyComplexError, NoVariablesError, SizeLimitExceededError
 from .graphs import Graph, Vertex
@@ -30,27 +30,19 @@ def yes_no(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def lex_sorted(masks: Iterable[int]) -> tuple[int, ...]:
-    """Masks in the lexicographic order of their ascending position tuples."""
-    return tuple(sorted(masks, key=lambda m: tuple(bits(m))))
+class IndependenceComplex:
+    """The independence complex of ``graph``, the package's one complex.
 
-
-class FacetComplex:
-    """A finite simplicial complex presented by its facets.
-
-    ``vertices`` is sorted, and ``masks`` holds one facet each, as a
-    bitmask over positions in ``vertices``.  The constructor takes vertex
-    sequences, deduplicates them and drops non-maximal sets, so two
-    complexes with the same faces compare equal.
+    ``masks`` holds its facets, the maximal independent sets, as bitmasks
+    over the positions of ``graph.vertices``, in the lexicographic order
+    of their position tuples; every vertex lies in one, so the complex
+    and the graph share ``vertices``.
     """
 
-    def __init__(self, facets: Iterable[Sequence[Vertex]]):
-        sets = {frozenset(f) for f in facets}
-        self.vertices: tuple[Vertex, ...] = tuple(sorted(set().union(*sets)))
-        distinct = {sum(1 << self.index[v] for v in f) for f in sets}
-        self.masks: tuple[int, ...] = lex_sorted(
-            m for m in distinct if not any(m != g and m & g == m for g in distinct)
-        )
+    def __init__(self, graph: Graph, masks: Iterable[int]):
+        self.graph = graph
+        self.vertices: tuple[Vertex, ...] = graph.vertices
+        self.masks: tuple[int, ...] = tuple(sorted(masks, key=lambda m: tuple(bits(m))))
 
     def vertices_of(self, mask: int) -> tuple[Vertex, ...]:
         """The sorted vertex tuple of a face mask."""
@@ -60,45 +52,8 @@ class FacetComplex:
     def facets(self) -> tuple[tuple[Vertex, ...], ...]:
         return tuple(self.vertices_of(m) for m in self.masks)
 
-    @cached_property
-    def index(self) -> dict[Vertex, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @property
-    def dimension(self) -> int:
-        if not self.masks:
-            raise EmptyComplexError("complex has no facets")
-        return max(m.bit_count() for m in self.masks) - 1
-
-    def has_face(self, face: Iterable[Vertex]) -> bool:
-        try:
-            fm = sum(1 << self.index[v] for v in set(face))
-        except KeyError:
-            return False
-        return any(fm & m == fm for m in self.masks)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FacetComplex)
-            and self.vertices == other.vertices
-            and self.masks == other.masks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.masks))
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self.masks)} facets)"
-
-
-class IndependenceComplex(FacetComplex):
-    """Facets are maximal independent sets of ``graph``, as masks over its
-    vertex positions; every vertex lies in one, so the vertices agree."""
-
-    def __init__(self, graph: Graph, masks: Iterable[int]):
-        self.graph = graph
-        self.vertices = graph.vertices
-        self.masks = lex_sorted(masks)
 
 
 def _maximal_independent_masks(nbr: list[int], n: int) -> list[int]:
@@ -135,7 +90,7 @@ def independence_complex(
     return IndependenceComplex(G, _maximal_independent_masks(G.nbr, n))
 
 
-def is_well_covered(C: FacetComplex) -> bool:
+def is_well_covered(C: IndependenceComplex) -> bool:
     """True when every facet has the same cardinality."""
     if not C.masks:
         raise EmptyComplexError("complex has no facets")

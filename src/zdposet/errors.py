@@ -79,16 +79,8 @@ class EmptyComplexError(ZdPosetError):
     pass
 
 
-class NotIndependentError(ZdPosetError):
-    pass
-
-
 class NoVariablesError(ZdPosetError):
     """Edge-ideal export of a graph with no vertices."""
-
-
-class NotAFaceError(ZdPosetError):
-    pass
 
 
 # --- certificate machinery ---------------------------------------------------

@@ -1,41 +1,29 @@
-"""Exact reduced simplicial homology over the rationals, plus Reisner's
-link criterion.
-
-Rational ranks are computed by integer fraction-free elimination on the
-boundary matrices of the reduced chain complex (the empty face is a
-genuine generator in degree -1); ``reduced_betti`` and
-``faces_by_dimension`` take any ``FacetComplex``.
+"""Reisner's link criterion over the rationals, on independence complexes.
 
 Reisner's criterion (``reisner_cm``, ``link_rows``, ``link_table``)
-takes only an ``IndependenceComplex``, the flag complex the paper's CM
-claim is about.  One face walk yields each link's rational Betti
-vector, for both the verdict and the ``check -v`` table.  The walk reads
-the graph: faces are built one size at a time, each with R = V - N[F],
-whose induced graph has the link as its independence complex.  Each
-distinct R is shrunk once by cone and fold moves (Engström's fold
-lemma: if N(u) ⊆ N(v) for u != v, then Ind(G) ≃ Ind(G - v)); both keep
-the homotopy type, so what is left is ranked exactly and padded with
-zeros up to the link's dimension.  No floating point is involved
-anywhere: Betti numbers are integers and tolerances would be meaningless.
+is read off the graph of an ``IndependenceComplex``, the flag complex
+the paper's CM claim is about.  One face walk yields each link's
+rational Betti vector, for both the verdict and the ``check -v`` table.
+Faces are built one size at a time, each with R = V - N[F], whose
+induced graph has the link as its independence complex;
+``faces_by_dimension`` reads the same generator.  Each distinct R is
+shrunk once by cone and fold moves (Engström's fold lemma: if
+N(u) ⊆ N(v) for u != v, then Ind(G) ≃ Ind(G - v)); both keep the
+homotopy type, so what is left is ranked exactly and padded with zeros
+up to the link's dimension.  Ranks come from integer fraction-free
+elimination on the boundary matrices of the reduced chain complex (the
+empty face is a genuine generator in degree -1).  No floating point is
+involved anywhere: Betti numbers are integers and tolerances would be
+meaningless.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    EmptyComplexError,
-    NotAFaceError,
-    SizeLimitExceededError,
-    TheoremContractError,
-)
-from .complexes import (
-    DEFAULT_MAX_HOMOLOGY_VERTICES,
-    FacetComplex,
-    IndependenceComplex,
-    lex_sorted,
-)
+from .errors import EmptyComplexError, SizeLimitExceededError, TheoremContractError
+from .complexes import DEFAULT_MAX_HOMOLOGY_VERTICES, IndependenceComplex, yes_no
 from .graphs import Vertex
 from .order import bits
 
@@ -43,20 +31,7 @@ from .order import bits
 LinkRow = tuple[int, int, dict[int, int]]
 
 
-class HomologyProfile(NamedTuple):
-    """Reduced Betti numbers over the rationals, keyed by dimension."""
-
-    betti: Mapping[int, int]
-
-    def vanishes_below(self, dim: int) -> int | None:
-        """The smallest i < dim with nonzero homology, or None."""
-        for i in sorted(self.betti):
-            if i < dim and self.betti[i]:
-                return i
-        return None
-
-
-def _check_cap(C: FacetComplex, max_vertices: int) -> None:
+def _check_cap(C: IndependenceComplex, max_vertices: int) -> None:
     if not C.masks:
         raise EmptyComplexError("complex has no facets")
     n = len(C.vertices)
@@ -64,29 +39,6 @@ def _check_cap(C: FacetComplex, max_vertices: int) -> None:
         raise SizeLimitExceededError(
             f"{n} vertices exceed the homology cap {max_vertices}"
         )
-
-
-def _require_graph(C: FacetComplex, max_vertices: int) -> None:
-    if not isinstance(C, IndependenceComplex):
-        raise TypeError(
-            f"Reisner's criterion needs an IndependenceComplex, not {type(C).__name__}"
-        )
-    _check_cap(C, max_vertices)
-
-
-def faces_by_dimension(
-    C: FacetComplex, max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES
-) -> list[list[tuple[Vertex, ...]]]:
-    """Downward closure of the facets, grouped by size.
-
-    Entry s holds the faces with s vertices (dimension s-1), sorted
-    lexicographically; entry 0 is the empty face.
-    """
-    _check_cap(C, max_vertices)
-    return [
-        [C.vertices_of(f) for f in lex_sorted(bucket)]
-        for bucket in _face_masks(C.masks)
-    ]
 
 
 class _IntRowBasis:
@@ -138,22 +90,6 @@ class _IntRowBasis:
         return len(self.rows)
 
 
-def _face_masks(facets: Sequence[int]) -> list[list[int]]:
-    """Downward closure of facet bitmasks, grouped by size, each size sorted."""
-    faces = {0}
-    for f in facets:
-        sub = f
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & f
-    by_size: list[list[int]] = [
-        [] for _ in range(max(map(int.bit_count, faces)) + 1)
-    ]
-    for f in sorted(faces):
-        by_size[f.bit_count()].append(f)
-    return by_size
-
-
 def _boundary_rank(sources: Sequence[int], target_index: Mapping[int, int]) -> int:
     """Rank of the boundary map from the ``sources`` faces to the targets."""
     basis = _IntRowBasis()
@@ -190,23 +126,6 @@ def _betti(by_size: list[list[int]]) -> dict[int, int]:
             )
         betti[s - 1] = b
     return betti
-
-
-def reduced_betti(
-    C: FacetComplex, max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES
-) -> HomologyProfile:
-    """Reduced rational Betti numbers of the complex, dimensions -1..dim."""
-    _check_cap(C, max_vertices)
-    return HomologyProfile(_betti(_face_masks(C.masks)))
-
-
-def link_of(C: FacetComplex, face: Iterable[Vertex]) -> FacetComplex:
-    """The link: faces disjoint from ``face`` whose union with it is a face."""
-    fs = set(face)
-    if not C.has_face(fs):
-        raise NotAFaceError(f"{sorted(fs)} is not a face of the complex")
-    fm = sum(1 << C.index[v] for v in fs)
-    return FacetComplex(C.vertices_of(m ^ fm) for m in C.masks if m & fm == fm)
 
 
 def _fold(nbr: Sequence[int], rest: int) -> int | None:
@@ -251,6 +170,19 @@ def _levels(nbr: Sequence[int], rest: int) -> Iterator[list[tuple[int, int]]]:
             for face, r in level
             for v in bits(r >> face.bit_length() << face.bit_length())
         ]
+
+
+def faces_by_dimension(
+    C: IndependenceComplex, max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES
+) -> list[list[tuple[Vertex, ...]]]:
+    """The faces (independent sets), grouped by size.
+
+    Entry s holds the faces with s vertices (dimension s-1), sorted
+    lexicographically; entry 0 is the empty face.
+    """
+    _check_cap(C, max_vertices)
+    levels = _levels(C.graph.nbr, (1 << len(C.vertices)) - 1)
+    return [[C.vertices_of(f) for f, _ in level] for level in levels]
 
 
 def _face_walk(C: IndependenceComplex) -> Iterator[LinkRow]:
@@ -301,12 +233,12 @@ def link_rows(
     """Every face's (face mask, link dimension, reduced rational Betti
     vector over -1..dim) in (size, lex) order: one whole face walk.
     Rows may share one Betti dict; they are read-only."""
-    _require_graph(C, max_vertices)
+    _check_cap(C, max_vertices)
     return list(_face_walk(C))
 
 
 def reisner_verdict(
-    C: FacetComplex, rows: Iterable[LinkRow]
+    C: IndependenceComplex, rows: Iterable[LinkRow]
 ) -> tuple[bool, tuple[tuple[Vertex, ...], int] | None]:
     """``reisner_cm``'s answer from face-walk rows, read up to the first
     face whose link has homology below its dimension."""
@@ -329,7 +261,7 @@ def link_table(C: IndependenceComplex, rows: Sequence[LinkRow]) -> str:
         names = ",".join(map(C.graph.label, C.vertices_of(face)))
         lines.append(f"{{{names}}}\t{dim}\t{cells}")
     ok, _ = reisner_verdict(C, rows)
-    lines.append(f"CM: {'yes' if ok else 'no'}")
+    lines.append(f"CM: {yes_no(ok)}")
     return "\n".join(lines) + "\n"
 
 
@@ -344,7 +276,6 @@ def reisner_cm(
     witness is the first such (face, dimension) in (size, lex) face order.
     The link vectors come from the face walk the ``check -v`` table
     prints: exact rational Betti numbers of each fold-reduced link graph.
-    Any other complex raises TypeError.
     """
-    _require_graph(C, max_vertices)
+    _check_cap(C, max_vertices)
     return reisner_verdict(C, _face_walk(C))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .cmcert import CmVerdict, MyCertificate, Pair, _pair_table, verify_my_conditions
-from .graphs import Graph, Vertex
+from .graphs import Graph
 from .order import bits
 from .zdg import complement_mask
 
@@ -54,12 +54,11 @@ def find_ordering(G: Graph, matching: Sequence[Pair]) -> OrderingOutcome:
     return OrderingOutcome(None, tuple(cyc[i0:] + cyc[:i0]))
 
 
-def _search_certificate(
-    G: Graph, facets: Sequence[tuple[Vertex, ...]], budget: int
-) -> CmVerdict:
+def _search_certificate(G: Graph, facets: Sequence[int], budget: int) -> CmVerdict:
     """Backtracking search for a passing labeling of a very well-covered graph.
 
-    Exhausts every facet as the independent side and every edge-matching
+    Exhausts every facet (a mask over ``G``'s vertex positions, tried in
+    the given order) as the independent side and every edge-matching
     against its complement; prunes partial matchings that already violate
     condition (d) or contain an unorderable two-cycle of cross edges.
     Works on vertex positions: x_t is the t-th position outside the facet,
@@ -69,8 +68,7 @@ def _search_certificate(
     nodes = 0
     exhausted = False
 
-    for Y in facets:
-        ymask = sum(1 << G.index[y] for y in Y)
+    for ymask in facets:
         X = [x for x in range(len(V)) if not ymask >> x & 1]
         tox = _pair_table(nbr, X)
         candidates = []

@@ -4,6 +4,11 @@ Everything here works straight from the mathematical definitions with
 plain set arithmetic, independent of the bitmask implementations under
 test.  Keep these slow and obvious.
 
+The complex-side references work on facet masks alone, with no graph:
+``reisner_cm_reference`` and ``reisner_table_reference`` build each
+link from the facets through its face, and ``betti`` ranks any facet
+list (flag or not) with ``homology._betti``.
+
 The last section holds the lemma checks and helpers that the package no
 longer exports, because no subcommand calls them: the unique
 complementation and atom/end lemma checks, ends, graph complements, the
@@ -15,18 +20,20 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from functools import reduce
+from operator import and_
 from typing import Iterable, NamedTuple
 
+from zdposet import homology
 from zdposet.cmcert import CmVerdict, ConditionStatus, MyCertificate
 from zdposet.errors import (
     NotBooleanError,
-    NotIndependentError,
     PairsDontPartitionError,
     TheoremContractError,
     UnknownVertexError,
+    ZdPosetError,
 )
 from zdposet.graphs import Graph
-from zdposet.homology import faces_by_dimension, link_of, reduced_betti
 from zdposet.order import bits
 from zdposet.poset import Poset
 from zdposet.search import OrderingOutcome
@@ -317,28 +324,74 @@ def fold_reference(nbr, rest):
             return sum(1 << v for v in left)
 
 
+# --- complex-side oracles: facet masks, no graph ----------------------------
+
+
+class Facets(NamedTuple):
+    """A complex given by its facets alone: sorted ``vertices`` and one
+    bitmask over their positions per facet (``masks``)."""
+
+    vertices: tuple
+    masks: tuple[int, ...]
+
+    def vertices_of(self, mask: int) -> tuple:
+        return tuple(self.vertices[i] for i in bits(mask))
+
+
+def facets_of(facets) -> Facets:
+    """The ``Facets`` of a list of vertex tuples."""
+    vertices = tuple(sorted(set().union(*map(set, facets))))
+    index = {v: i for i, v in enumerate(vertices)}
+    return Facets(vertices, tuple(sum(1 << index[v] for v in f) for f in facets))
+
+
+def face_masks(facets: Iterable[int]) -> list[list[int]]:
+    """Downward closure of facet bitmasks, grouped by size, each size in
+    the lexicographic order of the position tuples."""
+    faces = {0}
+    for f in facets:
+        sub = f
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & f
+    by_size: list[list[int]] = [[] for _ in range(max(map(int.bit_count, faces)) + 1)]
+    for f in sorted(faces, key=lambda m: tuple(bits(m))):
+        by_size[f.bit_count()].append(f)
+    return by_size
+
+
+def betti(facets) -> dict[int, int]:
+    """Reduced rational Betti numbers, dimensions -1..dim, of the complex
+    with these facets (vertex tuples): ``homology._betti`` on the face
+    masks of ``face_masks``, with no graph, walk or fold."""
+    return homology._betti(face_masks(facets_of(facets).masks))
+
+
+def links(C):
+    """(face mask, link facet masks) for every face of C in (size, lex)
+    order.  The link of F has the facets m - F, one per facet m ⊇ F; no
+    two are nested, since the facets m are not."""
+    for bucket in face_masks(C.masks):
+        for face in bucket:
+            yield face, [m ^ face for m in C.masks if m & face == face]
+
+
 def reisner_cm_reference(C) -> tuple[bool, tuple[tuple, int] | None]:
     """Reisner's criterion with exact rational homology on every link.
 
-    The face-by-face loop on any ``FacetComplex``, with no graph, fold or
-    rest-mask memo: it builds each link with ``link_of``, skips only
-    facets and cone links, and eliminates every other link over the
+    The face-by-face loop on facet masks (an ``IndependenceComplex`` or
+    ``Facets``), with no graph, fold or rest-mask memo: it skips only
+    facets and cone links, and ranks every other link's closure over the
     integers.  Same witness order, (size, lex), as ``reisner_cm``.
     """
-    for bucket in faces_by_dimension(C, max_vertices=len(C.vertices)):
-        for face in bucket:
-            link = link_of(C, face)
-            dim = link.dimension
-            if dim <= -1:
-                continue
-            common = set(link.facets[0])
-            for f in link.facets[1:]:
-                common &= set(f)
-            if common:
-                continue
-            bad = reduced_betti(link, len(link.vertices)).vanishes_below(dim)
-            if bad is not None:
-                return False, (face, bad)
+    for face, link in links(C):
+        dim = max(map(int.bit_count, link)) - 1
+        if dim <= -1 or reduce(and_, link):
+            continue
+        b = homology._betti(face_masks(link))
+        bad = next((d for d in range(-1, dim) if b[d]), None)
+        if bad is not None:
+            return False, (C.vertices_of(face), bad)
     return True, None
 
 
@@ -346,17 +399,14 @@ def reisner_table_reference(C) -> list[tuple[tuple, int, tuple[int, ...]]]:
     """(face, link dimension, reduced rational Betti vector over -1..dim)
     for every face in (size, lex) order.
 
-    The ``check -v`` table by definition: every link built with
-    ``link_of`` and eliminated exactly over the integers, with no cone
-    skip and no fold.
+    The ``check -v`` table by definition: every link's closure ranked
+    exactly over the integers, with no cone skip and no fold.
     """
     rows = []
-    for bucket in faces_by_dimension(C, max_vertices=len(C.vertices)):
-        for face in bucket:
-            link = link_of(C, face)
-            betti = reduced_betti(link, len(link.vertices)).betti
-            dim = link.dimension
-            rows.append((face, dim, tuple(betti[d] for d in range(-1, dim + 1))))
+    for face, link in links(C):
+        dim = max(map(int.bit_count, link)) - 1
+        b = homology._betti(face_masks(link))
+        rows.append((C.vertices_of(face), dim, tuple(b[d] for d in range(-1, dim + 1))))
     return rows
 
 
@@ -643,6 +693,10 @@ def check_atom_end_lemma(P: Poset, G: ZdGraph) -> LemmaReport:
                 f"{P.elements[c]} is an adjacent end"
             )
     return LemmaReport(not violations, tuple(violations))
+
+
+class NotIndependentError(ZdPosetError):
+    """A seed of ``extend_independent`` holds an adjacent pair."""
 
 
 def extend_independent(P: Poset, G: Graph, seed: Iterable[int]) -> tuple[int, ...]:

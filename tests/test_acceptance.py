@@ -18,14 +18,9 @@ from zdposet.cmcert import (
     is_cohen_macaulay,
     verify_my_conditions,
 )
-from zdposet.complexes import (
-    FacetComplex,
-    independence_complex,
-    is_very_well_covered,
-    is_well_covered,
-)
+from zdposet.complexes import independence_complex, is_very_well_covered, is_well_covered
 from zdposet.graphs import Graph
-from zdposet.homology import reduced_betti, reisner_cm
+from zdposet.homology import reisner_cm
 from zdposet.poset import direct_product, generate, parse_poset
 from zdposet.product import (
     j_single,
@@ -309,8 +304,8 @@ def _suite_betti_relabeling(rng):
         C = independence_complex(Graph(verts, edges))
         perm = verts[:]
         rng.shuffle(perm)
-        relabeled = FacetComplex([tuple(perm[v] for v in f) for f in C.facets])
-        assert reduced_betti(C).betti == reduced_betti(relabeled).betti
+        relabeled = [tuple(perm[v] for v in f) for f in C.facets]
+        assert brute.betti(C.facets) == brute.betti(relabeled)
 
 
 def test_criterion_7_randomized_property_suites():

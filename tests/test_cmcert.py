@@ -323,7 +323,7 @@ def test_search_verdict_matches_reisner_on_random_vwc_graphs():
             continue
         if not is_very_well_covered(C):
             continue
-        verdict = _search_certificate(G, C.facets, 10**6)
+        verdict = _search_certificate(G, C.masks, 10**6)
         assert verdict.status in ("CM", "NotCM")
         ok, witness = reisner_cm(C)
         assert (ok, witness) == brute.reisner_cm_reference(C), edges
@@ -447,7 +447,7 @@ def test_search_matches_reference_with_small_budgets():
     statuses = set()
     for G, C in cases:
         for budget in (3, 10, 50, 10**6):
-            got = _search_certificate(G, C.facets, budget)
+            got = _search_certificate(G, C.masks, budget)
             assert got == brute.search_certificate_reference(G, C.facets, budget)
             statuses.add(got.status)
     assert statuses == {"CM", "NotCM", "Inconclusive"}

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import brute
-from brute import extend_independent
+from brute import NotIndependentError, extend_independent
 from zdposet.complexes import (
     export_edge_ideal,
     independence_complex,
@@ -13,12 +13,11 @@ from zdposet.complexes import (
 from zdposet.errors import (
     EmptyComplexError,
     NotBooleanError,
-    NotIndependentError,
     NoVariablesError,
     SizeLimitExceededError,
     UnknownVertexError,
 )
-from zdposet.complexes import FacetComplex
+from zdposet.complexes import IndependenceComplex
 from zdposet.graphs import Graph
 from zdposet.poset import direct_product, generate
 from zdposet.zdg import zero_divisor_graph
@@ -37,7 +36,6 @@ def test_figure1_facets_exact(figure1):
         ("q4", "q1'", "q2'", "q3'"),
         ("q1'", "q2'", "q3'", "q4'"),
     ]
-    assert C.dimension == 3
 
 
 def test_graph_rejects_unknown_vertices_and_loops():
@@ -95,7 +93,7 @@ def test_well_covered(figure1):
 
 def test_well_covered_requires_facets():
     with pytest.raises(EmptyComplexError):
-        is_well_covered(FacetComplex([]))
+        is_well_covered(IndependenceComplex(Graph("ab", []), []))
 
 
 def test_very_well_covered(figure1):

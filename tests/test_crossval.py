@@ -13,14 +13,9 @@ from fractions import Fraction
 
 import brute
 from zdposet.search import _search_certificate
-from zdposet.complexes import (
-    FacetComplex,
-    independence_complex,
-    is_very_well_covered,
-    is_well_covered,
-)
+from zdposet.complexes import independence_complex, is_very_well_covered, is_well_covered
 from zdposet.graphs import Graph
-from zdposet.homology import reduced_betti, reisner_cm
+from zdposet.homology import reisner_cm
 from zdposet.poset import generate, parse_poset
 from zdposet.product import product_theorem, validate_factors
 from zdposet.zdg import zero_divisor_graph
@@ -74,18 +69,32 @@ def betti_by_dense_fractions(facets) -> dict[int, int]:
 
 
 def test_betti_matches_independent_dense_implementation():
+    # the rank engine on face masks built in brute, flag complexes or
+    # not: the hollow triangle, the tetrahedron boundary, two disjoint
+    # edges, {∅}, RP2 and its suspension, random facet lists, and random
+    # independence complexes
     rng = random.Random(97)
-    fixtures = [
-        FacetComplex([(1, 2), (2, 3), (1, 3)]),
-        FacetComplex([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]),
-        FacetComplex([(1, 3), (2, 4)]),
-        FacetComplex([()]),
-        independence_complex(zero_divisor_graph(generate("atom_coatom", 4))),
+    rp2 = [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
     ]
-    for C in fixtures:
-        expected = {d: b for d, b in betti_by_dense_fractions(C.facets).items() if b}
-        got = {d: b for d, b in reduced_betti(C).betti.items() if b}
-        assert got == expected
+    fixtures = [
+        [(1, 2), (2, 3), (1, 3)],
+        [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)],
+        [(1, 3), (2, 4)],
+        [()],
+        rp2,
+        [f + (apex,) for f in rp2 for apex in (7, 8)],
+        independence_complex(zero_divisor_graph(generate("atom_coatom", 4))).facets,
+    ]
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        fixtures.append(
+            [
+                tuple(v for v in range(n) if rng.random() < 0.5)
+                for _ in range(rng.randint(1, 6))
+            ]
+        )
     for _ in range(40):
         n = rng.randint(1, 9)
         edges = [
@@ -94,10 +103,11 @@ def test_betti_matches_independent_dense_implementation():
             for b in range(n)
             if a < b and rng.random() < rng.choice([0.3, 0.6])
         ]
-        C = independence_complex(Graph(range(n), edges))
-        expected = {d: b for d, b in betti_by_dense_fractions(C.facets).items() if b}
-        got = {d: b for d, b in reduced_betti(C).betti.items() if b}
-        assert got == expected, (n, edges)
+        fixtures.append(independence_complex(Graph(range(n), edges)).facets)
+    for facets in fixtures:
+        expected = {d: b for d, b in betti_by_dense_fractions(facets).items() if b}
+        got = {d: b for d, b in brute.betti(facets).items() if b}
+        assert got == expected, facets
 
 
 def test_search_matches_reisner_on_eight_vertex_vwc_graphs():
@@ -118,7 +128,7 @@ def test_search_matches_reisner_on_eight_vertex_vwc_graphs():
         C = independence_complex(G)
         if not is_well_covered(C) or not is_very_well_covered(C):
             continue
-        verdict = _search_certificate(G, C.facets, 10**6)
+        verdict = _search_certificate(G, C.masks, 10**6)
         assert verdict.status in ("CM", "NotCM")
         ok, witness = reisner_cm(C)
         assert (ok, witness) == brute.reisner_cm_reference(C), edges

@@ -11,23 +11,17 @@ from hypothesis import strategies as st
 import brute
 from test_crossval import betti_by_dense_fractions
 from zdposet import homology
-from zdposet.complexes import FacetComplex, independence_complex, is_well_covered
-from zdposet.errors import NotAFaceError, SizeLimitExceededError
+from zdposet.complexes import independence_complex, is_well_covered
+from zdposet.errors import SizeLimitExceededError
 from zdposet.graphs import Graph
-from zdposet.homology import (
-    faces_by_dimension,
-    link_of,
-    link_rows,
-    link_table,
-    reduced_betti,
-    reisner_cm,
-)
+from zdposet.homology import faces_by_dimension, link_rows, link_table, reisner_cm
 from zdposet.poset import direct_product, generate
 from zdposet.zdg import zero_divisor_graph
 
 
-def betti_map(C, **kw):
-    return {d: b for d, b in reduced_betti(C, **kw).betti.items() if b}
+def betti_map(facets):
+    """The nonzero reduced Betti numbers of the complex with these facets."""
+    return {d: b for d, b in brute.betti(facets).items() if b}
 
 
 # flag complexes as independence complexes: Ind(C4) has the facets
@@ -37,18 +31,26 @@ FOUR_CYCLE = independence_complex(Graph(range(1, 5), [(1, 2), (2, 3), (3, 4), (1
 SIMPLEX = independence_complex(Graph([1, 2], []))
 PATH_FACETS = independence_complex(Graph([1, 2, 3], [(1, 3)]))
 POINT_AND_EDGE = independence_complex(Graph([1, 2, 3], [(1, 2), (1, 3)]))
+# complexes given by facets alone (vertex tuples), with no graph: the
+# 6-vertex real projective plane has H_1 = Z/2, so over F2 it has
+# b_1 = b_2 = 1 while its rational homology vanishes; its suspension
+# joins two apexes to every facet; neither is a flag complex
+RP2 = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
+]
+SIGMA_RP2 = [f + (apex,) for f in RP2 for apex in (7, 8)]
 
 
 def test_faces_of_two_points():
-    C = FacetComplex([("a",), ("b",)])
+    C = independence_complex(Graph("ab", [("a", "b")]))
     by_size = faces_by_dimension(C)
     assert by_size == [[()], [("a",), ("b",)]]
 
 
 def test_faces_of_two_disjoint_edges():
-    C = FacetComplex([(1, 3), (2, 4)])
-    by_size = faces_by_dimension(C)
-    assert [len(b) for b in by_size] == [1, 4, 2]
+    by_size = faces_by_dimension(FOUR_CYCLE)
+    assert by_size == [[()], [(1,), (2,), (3,), (4,)], [(1, 3), (2, 4)]]
 
 
 def test_figure1_f_vector_from_closure(figure1):
@@ -64,60 +66,54 @@ def test_figure1_f_vector_from_closure(figure1):
 
 
 def test_betti_two_disjoint_points():
-    assert betti_map(FacetComplex([("a",), ("b",)])) == {0: 1}
+    assert betti_map([("a",), ("b",)]) == {0: 1}
 
 
 def test_betti_hollow_triangle():
-    assert betti_map(FacetComplex([(1, 2), (2, 3), (1, 3)])) == {1: 1}
+    assert betti_map([(1, 2), (2, 3), (1, 3)]) == {1: 1}
 
 
 def test_betti_two_disjoint_edges():
-    assert betti_map(FacetComplex([(1, 3), (2, 4)])) == {0: 1}
+    assert betti_map(FOUR_CYCLE.facets) == {0: 1}
 
 
 def test_betti_sphere_and_point():
-    octa = FacetComplex(
-        [
-            (1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5),
-            (1, 2, 6), (2, 3, 6), (3, 4, 6), (1, 4, 6),
-        ]
-    )
+    octa = [
+        (1, 2, 5), (2, 3, 5), (3, 4, 5), (1, 4, 5),
+        (1, 2, 6), (2, 3, 6), (3, 4, 6), (1, 4, 6),
+    ]
     assert betti_map(octa) == {2: 1}
-    assert betti_map(FacetComplex([(1,)])) == {}
-    assert betti_map(FacetComplex([()])) == {-1: 1}
+    assert betti_map([(1,)]) == {}
+    assert betti_map([()]) == {-1: 1}
 
 
 def test_figure1_complex_is_acyclic(figure1):
     # the complex passes the link criterion, so homology vanishes below the
     # top dimension, and the zero Euler characteristic kills the top too
     C = independence_complex(zero_divisor_graph(figure1))
-    assert betti_map(C) == {}
+    assert betti_map(C.facets) == {}
+
+
+def row_of(C, face):
+    """The face walk's (link dimension, Betti vector) for ``face``."""
+    return next((dim, b) for f, dim, b in link_rows(C) if C.vertices_of(f) == face)
 
 
 def test_link_identity_and_facet(figure1):
+    # the empty face's link is the whole acyclic complex, and a facet's is {∅}
     C = independence_complex(zero_divisor_graph(figure1))
-    assert link_of(C, ()).facets == C.facets
-    assert link_of(C, C.facets[0]).facets == ((),)
+    assert row_of(C, ()) == (3, {-1: 0, 0: 0, 1: 0, 2: 0, 3: 0})
+    assert row_of(C, C.facets[0]) == (-1, {-1: 1})
 
 
 def test_link_of_vertex(figure1):
     P = figure1
     C = independence_complex(zero_divisor_graph(P))
-    L = link_of(C, (P.id_of("q1'"),))
-    expected_facets = {
-        frozenset(g)
-        for g in brute.link_faces(C.facets, (P.id_of("q1'"),))
-        if len(g) == 3
-    }
-    assert {frozenset(f) for f in L.facets} == expected_facets
-    assert L.dimension == 2
-
-
-def test_link_rejects_non_face(figure1):
-    P = figure1
-    C = independence_complex(zero_divisor_graph(P))
-    with pytest.raises(NotAFaceError):
-        link_of(C, (P.id_of("q1"), P.id_of("q1'")))
+    face = (P.id_of("q1'"),)
+    top = max(map(len, brute.link_faces(C.facets, face)))
+    dim, betti = row_of(C, face)
+    assert dim == top - 1 == 2
+    assert betti == dict.fromkeys(range(-1, 3), 0)
 
 
 def test_reisner_verdicts(figure1):
@@ -135,7 +131,7 @@ def test_reisner_on_nonpure_product_complex():
     ok, witness = reisner_cm(C)
     assert not ok
     face, dim = witness
-    assert dim < link_of(C, face).dimension
+    assert dim < row_of(C, face)[0]
 
 
 def test_betti_invariant_under_relabeling():
@@ -149,24 +145,22 @@ def test_betti_invariant_under_relabeling():
         C = independence_complex(Graph(verts, edges))
         perm = verts[:]
         rng.shuffle(perm)
-        relabeled = FacetComplex(
-            [tuple(perm[v] for v in f) for f in C.facets]
-        )
-        assert reduced_betti(C).betti == reduced_betti(relabeled).betti
+        relabeled = [tuple(perm[v] for v in f) for f in C.facets]
+        assert brute.betti(C.facets) == brute.betti(relabeled)
 
 
 def test_rank_matches_dense_fractions(figure1):
     # an independent rank: plain Fraction elimination, nothing shared
     complexes = [
-        independence_complex(zero_divisor_graph(figure1)),
-        FacetComplex([(1, 2), (2, 3), (1, 3)]),
-        FacetComplex([(1, 3), (2, 4)]),
-        independence_complex(
-            zero_divisor_graph(generate("boolean_lattice", 3))
-        ),
+        independence_complex(zero_divisor_graph(figure1)).facets,
+        [(1, 2), (2, 3), (1, 3)],
+        FOUR_CYCLE.facets,
+        RP2,
+        SIGMA_RP2,
+        independence_complex(zero_divisor_graph(generate("boolean_lattice", 3))).facets,
     ]
-    for C in complexes:
-        assert reduced_betti(C).betti == betti_by_dense_fractions(C.facets)
+    for facets in complexes:
+        assert brute.betti(facets) == betti_by_dense_fractions(facets)
 
 
 def test_reisner_pass_implies_pure():
@@ -210,43 +204,19 @@ def test_homology_size_cap():
     verts = list(range(21))
     complete = [(a, b) for a in verts for b in verts if a < b]
     C = independence_complex(Graph(verts, complete))
-    with pytest.raises(SizeLimitExceededError):
-        reduced_betti(C)
-    with pytest.raises(SizeLimitExceededError):
-        reisner_cm(C)
-    assert reduced_betti(C, max_vertices=21).betti[0] == 20
-
-
-# The 6-vertex real projective plane: H_1 = Z/2, so over F2 it has
-# b_1 = b_2 = 1 while its rational homology vanishes.
-RP2 = FacetComplex(
-    [
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-        (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
-    ]
-)
-# its suspension: two apexes, each joined to every facet
-SIGMA_RP2 = FacetComplex([f + (apex,) for f in RP2.facets for apex in (7, 8)])
+    for run in (faces_by_dimension, link_rows, reisner_cm):
+        with pytest.raises(SizeLimitExceededError):
+            run(C)
+    # 21 points: the empty face's link has b_0 = 20
+    assert link_rows(C, max_vertices=21)[0] == (0, 0, {-1: 0, 0: 20})
 
 
 def test_two_torsion_seen_over_f2_only():
     # H_1(RP2) = Z/2 leaves no rational homology, in RP2 or its suspension
     assert betti_map(RP2) == {}
     assert betti_map(SIGMA_RP2) == {}
-    assert brute.reisner_cm_reference(RP2) == (True, None)
-    assert brute.reisner_cm_reference(SIGMA_RP2) == (True, None)
-
-
-def test_reisner_refuses_complexes_that_are_not_graphs():
-    # RP2 is not a flag complex, and the 4-cycle given by its facets is
-    # one without its graph: Reisner's walk reads a graph, so both fail
-    # at once, and the same complex as Ind(C4) is accepted
-    plain_four_cycle = FacetComplex(FOUR_CYCLE.facets)
-    for C in (RP2, plain_four_cycle):
-        for run in (reisner_cm, link_rows):
-            with pytest.raises(TypeError, match="needs an IndependenceComplex"):
-                run(C)
-    assert reisner_cm(FOUR_CYCLE) == (False, ((), 0))
+    assert brute.reisner_cm_reference(brute.facets_of(RP2)) == (True, None)
+    assert brute.reisner_cm_reference(brute.facets_of(SIGMA_RP2)) == (True, None)
 
 
 SURVIVOR_POSETS = {
@@ -269,11 +239,9 @@ FOLD_SURVIVORS = {
 
 def record_link_work(monkeypatch):
     """Record the rest mask of every ``_fold`` call and the vertex count
-    of every link graph that reaches ``_betti``.  Also record
-    ``_face_masks`` calls, so link faces built without a fold first, or
-    a complex's faces built up front, show up."""
-    folds, ranked, face_masks = [], [], []
-    fold, betti, masks = homology._fold, homology._betti, homology._face_masks
+    of every link graph that reaches ``_betti``."""
+    folds, ranked = [], []
+    fold, betti = homology._fold, homology._betti
 
     def recording_fold(nbr, rest):
         folds.append(rest)
@@ -283,25 +251,21 @@ def record_link_work(monkeypatch):
         ranked.append(len(by_size[1]))
         return betti(by_size)
 
-    def recording_face_masks(facets):
-        face_masks.append(len(facets))
-        return masks(facets)
-
     monkeypatch.setattr(homology, "_fold", recording_fold)
     monkeypatch.setattr(homology, "_betti", recording_betti)
-    monkeypatch.setattr(homology, "_face_masks", recording_face_masks)
-    return folds, ranked, face_masks
+    return folds, ranked
 
 
 def rest_masks(C, witness=None):
-    """V - N[F] as a mask for each face F in (size, lex) order, up to and
-    including the face ``witness`` if one is given."""
+    """V - N[F] as a mask for each face F of the facet closure, in (size,
+    lex) order, up to and including the face ``witness`` if one is given."""
     G = C.graph
     rests = []
-    for bucket in faces_by_dimension(C, len(C.vertices)):
-        for face in bucket:
+    for bucket in brute.face_masks(C.masks):
+        for mask in bucket:
+            face = C.vertices_of(mask)
             closed = set(face).union(*(G.neighbors(v) for v in face))
-            rests.append(sum(1 << C.index[v] for v in C.vertices if v not in closed))
+            rests.append(sum(1 << G.index[v] for v in C.vertices if v not in closed))
             if face == witness:
                 return rests
     return rests
@@ -309,8 +273,7 @@ def rest_masks(C, witness=None):
 
 @pytest.mark.parametrize("name", sorted(FOLD_SURVIVORS))
 def test_only_fold_survivors_are_ranked(name, request, monkeypatch):
-    # on an independence complex no face is built up front and every link
-    # graph is folded, once per distinct rest mask, before any of its
+    # every link graph is folded, once per distinct rest mask, before any of its
     # faces is built; the CM complexes rank only the links left (each K2,
     # i.e. S^0, on atom_coatom 6), and the non-CM products stop at their
     # witness, the first survivor
@@ -323,9 +286,8 @@ def test_only_fold_survivors_are_ranked(name, request, monkeypatch):
     expected = brute.reisner_cm_reference(C)
     assert expected[0] == cm
     rests = rest_masks(C, expected[1][0] if expected[1] else None)
-    folds, ranked, face_masks = record_link_work(monkeypatch)
+    folds, ranked = record_link_work(monkeypatch)
     assert reisner_cm(C) == expected
-    assert face_masks == []
     assert sorted(folds) == sorted(set(rests))
     assert len(ranked) == graphs
     assert set(ranked) == vertices
@@ -338,10 +300,9 @@ def test_table_ranks_only_fold_survivors(monkeypatch):
     P = SURVIVOR_POSETS["chain 4 x m_atoms 3"]
     C = independence_complex(zero_divisor_graph(P))
     rests = rest_masks(C)
-    folds, ranked, face_masks = record_link_work(monkeypatch)
+    folds, ranked = record_link_work(monkeypatch)
     lines = link_table(C, link_rows(C)).splitlines()
     assert len(lines) == 4656 + 2
-    assert face_masks == []
     assert sorted(folds) == sorted(set(rests))
     assert len(folds) < len(rests)
     assert ranked == [2, 2, 2, 2]
@@ -369,7 +330,7 @@ def test_failing_walk_stops_at_its_witness_level(monkeypatch):
     assert reisner_cm(C) == expected
     built = walks[0]  # the complex's faces; later calls build link faces
     assert len(built) <= len(witness) + 2
-    assert sum(built) < sum(map(len, faces_by_dimension(C)))
+    assert sum(built) < sum(brute.f_vector(C.facets)) == 6400
 
 
 def table_rows(C):
@@ -388,13 +349,34 @@ def assert_table_matches_reference(C):
     assert lines[-1] == f"CM: {'yes' if ok else 'no'}"
 
 
-def test_table_matches_reference_on_random_independence_complexes():
-    rng = random.Random(37)
-    for _ in range(300):
+def random_graphs(seed, count=300):
+    """``count`` random graphs on one to eight vertices, each with its own
+    edge density."""
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randint(1, 8)
         p = rng.random()
         edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
-        assert_table_matches_reference(independence_complex(Graph(range(n), edges)))
+        yield Graph(range(n), edges)
+
+
+def test_table_matches_reference_on_random_independence_complexes():
+    for G in random_graphs(37):
+        assert_table_matches_reference(independence_complex(G))
+
+
+def test_faces_by_dimension_is_the_facet_closure(figure1):
+    # the faces read off the graph are the downward closure of the
+    # facets, size by size in lex order: the benchmark's homology.faces
+    # count is their total
+    graphs = [Graph([], []), zero_divisor_graph(figure1), *random_graphs(37)]
+    for G in graphs:
+        C = independence_complex(G)
+        by_size = faces_by_dimension(C, len(G.vertices))
+        closure = sorted(brute.face_closure(C.facets), key=lambda f: (len(f), f))
+        assert tuple(map(len, by_size)) == brute.f_vector(C.facets), C.facets
+        assert [f for bucket in by_size for f in bucket] == closure, C.facets
+    assert faces_by_dimension(independence_complex(graphs[0])) == [[()]]
 
 
 def neighbours(edges, u):
@@ -540,8 +522,8 @@ def test_fold_lemma_keeps_reduced_betti(case):
     G, v = case
     rest = [w for w in G.vertices if w != v]
     smaller = Graph(rest, [e for e in G.edges() if v not in e])
-    assert betti_map(independence_complex(G)) == betti_map(
-        independence_complex(smaller)
+    assert betti_map(independence_complex(G).facets) == betti_map(
+        independence_complex(smaller).facets
     )
 
 
@@ -562,23 +544,23 @@ def test_reisner_matches_exact_reference(G):
 
 
 def test_homology_guards_fire_under_O():
-    # an inflated boundary rank drives a Betti number negative; the exact
-    # path and the ranking of a link graph left by folding (each K2 on
-    # atom_coatom 6), for the verdict and for the check -v rows, must
-    # refuse it with asserts stripped
+    # an inflated boundary rank drives a Betti number negative; the
+    # ranking of the hollow triangle's faces and of a link graph left by
+    # folding (each K2 on atom_coatom 6), for the verdict and for the
+    # check -v rows, must refuse it with asserts stripped
     script = (
         "import zdposet.homology as h\n"
-        "from zdposet.complexes import FacetComplex, independence_complex\n"
+        "from zdposet.complexes import independence_complex\n"
         "from zdposet.errors import TheoremContractError\n"
         "from zdposet.poset import generate\n"
         "from zdposet.zdg import zero_divisor_graph\n"
         "print('debug', __debug__)\n"
         "orig = h._boundary_rank\n"
         "h._boundary_rank = lambda *args: orig(*args) + 1\n"
-        "C = FacetComplex([(1, 2), (2, 3), (1, 3)])\n"
+        "C = [[0], [1, 2, 4], [3, 5, 6]]\n"
         "I = independence_complex(zero_divisor_graph(generate('atom_coatom', 6)))\n"
         "for name, run, K in (\n"
-        "    ('reduced_betti', h.reduced_betti, C),\n"
+        "    ('_betti on the hollow triangle', h._betti, C),\n"
         "    ('reisner_cm on a graph', h.reisner_cm, I),\n"
         "    ('link_rows', h.link_rows, I),\n"
         "):\n"
@@ -599,6 +581,6 @@ def test_homology_guards_fire_under_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert "debug False" in proc.stdout
-    assert "reduced_betti raised: negative Betti number" in proc.stdout
+    assert "_betti on the hollow triangle raised: negative Betti number" in proc.stdout
     assert "reisner_cm on a graph raised: negative Betti number" in proc.stdout
     assert "link_rows raised: negative Betti number" in proc.stdout
