@@ -16,12 +16,7 @@ from typing import Sequence
 
 from . import complexes, zdg
 from .complexes import STATUS_TEXT, yes_no
-from .errors import (
-    EmptyGraphError,
-    SizeLimitExceededError,
-    TheoremContractError,
-    ZdPosetError,
-)
+from .errors import SizeLimitExceededError, TheoremContractError, ZdPosetError
 from .order import Poset, parse_poset
 
 
@@ -173,7 +168,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     P = _load_poset(args.input)
     G = zdg.zero_divisor_graph(P)
     if not G.vertices:
-        raise EmptyGraphError("the zero-divisor graph is empty; nothing to export")
+        raise ZdPosetError("the zero-divisor graph is empty; nothing to export")
     _write_output(complexes.export_edge_ideal(G, args.dialect), args.output)
     return 0
 

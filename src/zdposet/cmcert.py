@@ -25,13 +25,7 @@ from .complexes import (
     is_very_well_covered,
     is_well_covered,
 )
-from .errors import (
-    EmptyGraphError,
-    FewerThanTwoAtomsError,
-    PairsDontPartitionError,
-    SizeLimitExceededError,
-    TheoremContractError,
-)
+from .errors import SizeLimitExceededError, TheoremContractError, ZdPosetError
 from .graphs import Graph, Vertex
 from .order import Poset, bits
 from .zdg import ZdGraph, require_boolean, zero_divisor_graph
@@ -108,9 +102,7 @@ def boolean_facet(P: Poset, G: ZdGraph | None = None) -> Stratification:
     require_boolean(P)
     k = P.poset_weight()
     if k < 2:
-        raise FewerThanTwoAtomsError(
-            f"poset has {k} atom(s); the zero-divisor graph is empty"
-        )
+        raise ZdPosetError(f"poset has {k} atom(s); the zero-divisor graph is empty")
     if G is None:
         G = zero_divisor_graph(P)
     weight = {v: P.weight(v) for v in G.vertices}
@@ -170,9 +162,7 @@ def verify_my_conditions(G: Graph, pairs: Sequence[Pair]) -> MyCertificate:
     h = len(pairs)
     flat = [v for pair in pairs for v in pair]
     if len(set(flat)) != 2 * h or set(flat) != set(G.vertices):
-        raise PairsDontPartitionError(
-            "the pairs do not partition the vertex set of the graph"
-        )
+        raise ZdPosetError("the pairs do not partition the vertex set of the graph")
     nbr = G.nbr
     xs = [G.index[x] for x, _ in pairs]
     ys = [G.index[y] for _, y in pairs]
@@ -300,7 +290,7 @@ class Analysis:
         """
         G, P = self.graph, self.graph.owner
         if not G.vertices:
-            raise EmptyGraphError("the zero-divisor graph has no vertices")
+            raise ZdPosetError("the zero-divisor graph has no vertices")
 
         if P.is_boolean():
             # equal-weight strata admit no cross edges, so the stratum

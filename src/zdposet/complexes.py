@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .errors import EmptyComplexError, NoVariablesError, SizeLimitExceededError
+from .errors import SizeLimitExceededError, ZdPosetError
 from .graphs import Graph, Vertex
 from .order import bits
 
@@ -93,7 +93,7 @@ def independence_complex(
 def is_well_covered(C: IndependenceComplex) -> bool:
     """True when every facet has the same cardinality."""
     if not C.masks:
-        raise EmptyComplexError("complex has no facets")
+        raise ZdPosetError("complex has no facets")
     return len({m.bit_count() for m in C.masks}) == 1
 
 
@@ -117,7 +117,7 @@ def export_edge_ideal(G: Graph, dialect: str) -> str:
     verts = G.vertices
     m = len(verts)
     if m == 0:
-        raise NoVariablesError("graph has no vertices: nothing to export")
+        raise ZdPosetError("graph has no vertices: nothing to export")
     gens = [f"v{G.index[a]}*v{G.index[b]}" for a, b in G.edges()]
     comment = "--" if dialect == "m2" else "//"
     lines = [f"{comment} v{i} = {G.label(v)}" for i, v in enumerate(verts)]

@@ -1,15 +1,20 @@
-"""Exception hierarchy shared by all modules.
+"""The four exception types, one for each way a caller reacts.
 
-Every error raised by the library derives from ZdPosetError, so callers
-(and the CLI) can distinguish bad input from genuine bugs.
+- ``ZdPosetError``: bad input or a broken hypothesis of the paper (an
+  unbounded factor, Z(P_i) != {0}, n < 3 for the counting formulas, a
+  non-Boolean poset for the certificate, ...); the CLI exits 2.
+- ``PosetSyntaxError``: a malformed poset file, a duplicate element or an
+  unknown element name or id, with its line when known; the CLI exits 2.
+- ``SizeLimitExceededError``: a cap was hit; callers skip the step or
+  answer ``Inconclusive``.
+- ``TheoremContractError``: two verdicts that must agree by theorem
+  disagreed, a library bug; the CLI exits 1.
 """
 
 
 class ZdPosetError(Exception):
     """Base class for all library errors."""
 
-
-# --- poset parsing / construction -----------------------------------------
 
 class PosetSyntaxError(ZdPosetError):
     """Malformed poset file; carries the 1-based line number when known."""
@@ -19,103 +24,9 @@ class PosetSyntaxError(ZdPosetError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-class DuplicateElementError(PosetSyntaxError):
-    pass
-
-
-class UnknownNameError(PosetSyntaxError):
-    pass
-
-
-class AntisymmetryViolationError(ZdPosetError):
-    """The declared relation has a cycle among distinct elements."""
-
-
-class NoBottomError(ZdPosetError):
-    pass
-
-
-class NoTopError(ZdPosetError):
-    pass
-
-
-class UnknownCatalogNameError(ZdPosetError):
-    pass
-
-
-class BadParamError(ZdPosetError):
-    pass
-
-
-class TooFewFactorsError(ZdPosetError):
-    pass
-
-
-class UnboundedFactorError(ZdPosetError):
-    pass
-
-
-# --- graphs ----------------------------------------------------------------
-
-class UnknownVertexError(ZdPosetError):
-    pass
-
-
-class NotBooleanError(ZdPosetError):
-    pass
-
-
-class EmptyGraphError(ZdPosetError):
-    pass
-
-
-# --- complexes / homology ---------------------------------------------------
-
 class SizeLimitExceededError(ZdPosetError):
     pass
 
 
-class EmptyComplexError(ZdPosetError):
-    pass
-
-
-class NoVariablesError(ZdPosetError):
-    """Edge-ideal export of a graph with no vertices."""
-
-
-# --- certificate machinery ---------------------------------------------------
-
-class PairsDontPartitionError(ZdPosetError):
-    pass
-
-
-class FewerThanTwoAtomsError(ZdPosetError):
-    pass
-
-
-# --- products ----------------------------------------------------------------
-
-class FactorHasZeroDivisorsError(ZdPosetError):
-    pass
-
-
-class NotAscendingError(ZdPosetError):
-    pass
-
-
-class IndexOutOfRangeError(ZdPosetError):
-    pass
-
-
-class IndicesNotOrderedError(ZdPosetError):
-    """Triple indices must be distinct and strictly increasing."""
-
-
-class NeedEqualSizesForTripleError(ZdPosetError):
-    pass
-
-
-# --- cross-module consistency trap -------------------------------------------
-
 class TheoremContractError(ZdPosetError):
-    """Two verdicts that must agree by theorem disagreed: a library bug."""
+    pass

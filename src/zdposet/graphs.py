@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable
 
-from .errors import UnknownVertexError
+from .errors import ZdPosetError
 from .order import bits
 
 Vertex = Hashable
@@ -24,7 +24,7 @@ class Graph:
         self.nbr: list[int] = [0] * len(self.vertices)
         for a, b in edges:
             if a not in self.index or b not in self.index:
-                raise UnknownVertexError(f"edge ({a!r}, {b!r}) uses an unknown vertex")
+                raise ZdPosetError(f"edge ({a!r}, {b!r}) uses an unknown vertex")
             if a == b:
                 raise ValueError(f"loop at {a!r}: graphs here are simple")
             i, j = self.index[a], self.index[b]
@@ -38,7 +38,7 @@ class Graph:
         try:
             return self.nbr[self.index[v]]
         except KeyError:
-            raise UnknownVertexError(f"unknown vertex {v!r}") from None
+            raise ZdPosetError(f"unknown vertex {v!r}") from None
 
     def neighbors(self, v: Vertex) -> frozenset[Vertex]:
         return frozenset(self.vertices[j] for j in bits(self._row(v)))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import EmptyComplexError, SizeLimitExceededError, TheoremContractError
+from .errors import SizeLimitExceededError, TheoremContractError, ZdPosetError
 from .complexes import DEFAULT_MAX_HOMOLOGY_VERTICES, IndependenceComplex, yes_no
 from .graphs import Vertex
 from .order import bits
@@ -33,7 +33,7 @@ LinkRow = tuple[int, int, dict[int, int]]
 
 def _check_cap(C: IndependenceComplex, max_vertices: int) -> None:
     if not C.masks:
-        raise EmptyComplexError("complex has no facets")
+        raise ZdPosetError("complex has no facets")
     n = len(C.vertices)
     if n > max_vertices:
         raise SizeLimitExceededError(

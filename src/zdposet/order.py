@@ -22,14 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    AntisymmetryViolationError,
-    DuplicateElementError,
-    NoBottomError,
-    NoTopError,
-    PosetSyntaxError,
-    UnknownNameError,
-)
+from .errors import PosetSyntaxError, ZdPosetError
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -71,7 +64,7 @@ class Poset:
             both = self.up[i] & self.down[i]
             if both != 1 << i:
                 j = next(j for j in bits(both) if j != i)
-                raise AntisymmetryViolationError(
+                raise ZdPosetError(
                     f"elements {self.elements[i]!r} and {self.elements[j]!r} "
                     "lie below each other"
                 )
@@ -103,7 +96,7 @@ class Poset:
         self._index: dict[str, int] = {}
         for i, name in enumerate(self.elements):
             if name in self._index:
-                raise DuplicateElementError(f"duplicate element name {name!r}")
+                raise PosetSyntaxError(f"duplicate element name {name!r}")
             self._index[name] = i
 
     def _find_bounds(self) -> None:
@@ -138,7 +131,7 @@ class Poset:
         try:
             return self._index[name]
         except KeyError:
-            raise UnknownNameError(f"unknown element {name!r}") from None
+            raise PosetSyntaxError(f"unknown element {name!r}") from None
 
     def names(self, ids: Iterable[int]) -> tuple[str, ...]:
         """Element names in ascending id order (the canonical rendering)."""
@@ -155,12 +148,12 @@ class Poset:
 
     def _require_bottom(self) -> int:
         if self.bottom is None:
-            raise NoBottomError("poset has no least element")
+            raise ZdPosetError("poset has no least element")
         return self.bottom
 
     def _require_top(self) -> int:
         if self.top is None:
-            raise NoTopError("poset has no greatest element")
+            raise ZdPosetError("poset has no greatest element")
         return self.top
 
     # -- cones ---------------------------------------------------------------
@@ -182,7 +175,7 @@ class Poset:
         m = 0
         for i in members:
             if not 0 <= i < len(self.elements):
-                raise UnknownNameError(f"element id {i} out of range")
+                raise PosetSyntaxError(f"element id {i} out of range")
             m |= 1 << i
         return m
 
@@ -300,20 +293,20 @@ class Poset:
             return None
         n = len(self.elements)
         up, down = self.up, self.down
-        # lower cone of {b,c}^u, precomputed per unordered pair
+        # the law is symmetric in b and c, and holds at b = c since
+        # ({a,b}^l)^{ul} = {a,b}^l; so the first witness has b < c, and
+        # only those pairs are tried.  pre[b][c]: lower cone of {b,c}^u
         pre: list[list[int]] = [[0] * n for _ in range(n)]
         for b in range(n):
-            for c in range(b, n):
-                v = self.lcone_mask(up[b] & up[c])
-                pre[b][c] = v
-                pre[c][b] = v
+            for c in range(b + 1, n):
+                pre[b][c] = self.lcone_mask(up[b] & up[c])
         ul_memo: dict[int, int] = {}
         for a in range(n):
             da = down[a]
             for b in range(n):
                 dab = da & down[b]
                 row = pre[b]
-                for c in range(n):
+                for c in range(b + 1, n):
                     lhs = da & row[c]
                     union = dab | (da & down[c])
                     rhs = ul_memo.get(union)
@@ -450,7 +443,7 @@ def parse_poset(text: str) -> Poset:
                 raise PosetSyntaxError("elem takes exactly one name", lineno)
             name = tokens[1]
             if name in index:
-                raise DuplicateElementError(f"duplicate element {name!r}", lineno)
+                raise PosetSyntaxError(f"duplicate element {name!r}", lineno)
             index[name] = len(names)
             names.append(name)
         elif tokens[0] == "le":
@@ -459,7 +452,7 @@ def parse_poset(text: str) -> Poset:
             try:
                 a, b = index[tokens[1]], index[tokens[2]]
             except KeyError as exc:
-                raise UnknownNameError(
+                raise PosetSyntaxError(
                     f"unknown element {exc.args[0]!r}", lineno
                 ) from None
             pairs.append((a, b))

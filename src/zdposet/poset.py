@@ -10,12 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .errors import (
-    BadParamError,
-    TooFewFactorsError,
-    UnboundedFactorError,
-    UnknownCatalogNameError,
-)
+from .errors import ZdPosetError
 from .order import Poset, bits, parse_poset  # the core, re-exported
 
 
@@ -31,10 +26,10 @@ class ProductPoset:
 
     def __init__(self, factors: Sequence[Poset]):
         if len(factors) < 2:
-            raise TooFewFactorsError("a direct product needs at least two factors")
+            raise ZdPosetError("a direct product needs at least two factors")
         for pos, f in enumerate(factors, 1):
             if not f.is_bounded():
-                raise UnboundedFactorError(f"factor {pos} is not bounded")
+                raise ZdPosetError(f"factor {pos} is not bounded")
         self.factors: tuple[Poset, ...] = tuple(factors)
         coords = list(itertools.product(*(range(len(f)) for f in factors)))
         names = [
@@ -116,7 +111,7 @@ def _inclusion_rows(masks: Sequence[int]) -> list[int]:
 
 def _boolean_lattice(n: int) -> Poset:
     if n < 1:
-        raise BadParamError("boolean_lattice needs n >= 1")
+        raise ZdPosetError("boolean_lattice needs n >= 1")
     full = (1 << n) - 1
     masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
     names = [_subset_name(m, n, full) for m in masks]
@@ -125,7 +120,7 @@ def _boolean_lattice(n: int) -> Poset:
 
 def _chain(k: int) -> Poset:
     if k < 1:
-        raise BadParamError("chain needs k >= 1")
+        raise ZdPosetError("chain needs k >= 1")
     if k == 1:
         names = ["0"]
     elif k == 2:
@@ -139,7 +134,7 @@ def _chain(k: int) -> Poset:
 def _atom_coatom(k: int) -> Poset:
     # the induced subposet of 2^k on ranks {0, 1, k-1, k}
     if k < 2:
-        raise BadParamError("atom_coatom needs k >= 2")
+        raise ZdPosetError("atom_coatom needs k >= 2")
     full = (1 << k) - 1
     masks: list[int] = [0]
     names: list[str] = ["0"]
@@ -157,7 +152,7 @@ def _atom_coatom(k: int) -> Poset:
 
 def _m_atoms(k: int) -> Poset:
     if k < 1:
-        raise BadParamError("m_atoms needs k >= 1")
+        raise ZdPosetError("m_atoms needs k >= 1")
     names = ["0"] + [f"a{i}" for i in range(1, k + 1)] + ["1"]
     n = k + 2
     top = n - 1
@@ -180,9 +175,7 @@ def generate(name: str, *params: int) -> Poset:
         builder = _CATALOG[name]
     except KeyError:
         known = ", ".join(sorted(_CATALOG))
-        raise UnknownCatalogNameError(
-            f"unknown catalog poset {name!r} (known: {known})"
-        ) from None
+        raise ZdPosetError(f"unknown catalog poset {name!r} (known: {known})") from None
     if len(params) != 1:
-        raise BadParamError(f"{name} takes exactly one integer parameter")
+        raise ZdPosetError(f"{name} takes exactly one integer parameter")
     return builder(params[0])

@@ -15,17 +15,7 @@ from typing import NamedTuple, Sequence
 
 from .cmcert import Analysis
 from .complexes import DEFAULT_MAX_VERTICES, STATUS_TEXT, is_well_covered, yes_no
-from .errors import (
-    BadParamError,
-    FactorHasZeroDivisorsError,
-    IndexOutOfRangeError,
-    IndicesNotOrderedError,
-    NeedEqualSizesForTripleError,
-    NotAscendingError,
-    SizeLimitExceededError,
-    TheoremContractError,
-    TooFewFactorsError,
-)
+from .errors import SizeLimitExceededError, TheoremContractError, ZdPosetError
 from .order import Poset, bits
 from .poset import ProductPoset, generate
 from .zdg import ZdGraph, zero_divisor_graph, zero_divisors
@@ -43,7 +33,7 @@ class ProductAnalysis(ProductPoset):
         super().__init__(factors)
         for pos, f in enumerate(self.factors, 1):
             if zero_divisors(f) != {f.bottom}:
-                raise FactorHasZeroDivisorsError(
+                raise ZdPosetError(
                     f"factor {pos} must satisfy Z(P) = {{0}} "
                     "(equivalently: at least two elements and a unique atom)"
                 )
@@ -89,7 +79,7 @@ def validate_factors(factors: Sequence[Poset]) -> ProductAnalysis:
     """Check that the factor sizes ascend, then build the validated product."""
     sizes = [len(f) for f in factors]
     if sizes != sorted(sizes):
-        raise NotAscendingError(f"factor sizes {sizes} are not ascending")
+        raise ZdPosetError(f"factor sizes {sizes} are not ascending")
     return ProductAnalysis(factors)
 
 
@@ -121,14 +111,14 @@ def _j_set(A: ProductAnalysis, key: tuple[int, ...], mask: int) -> frozenset[int
 def j_single(A: ProductAnalysis, i: int) -> frozenset[int]:
     """The maximal independent set above the i-th atom (1-based), minus D."""
     if not 1 <= i <= A.n:
-        raise IndexOutOfRangeError(f"factor index {i} not in 1..{A.n}")
+        raise ZdPosetError(f"factor index {i} not in 1..{A.n}")
     return _j_set(A, (i,), A.carrier.up[A.atom_ids[i - 1]])
 
 
 def j_triple(A: ProductAnalysis, i: int, j: int, k: int) -> frozenset[int]:
     """Union of the three pairwise atom upper cones, minus D (1-based)."""
     if not (1 <= i < j < k <= A.n):
-        raise IndicesNotOrderedError(
+        raise ZdPosetError(
             f"indices ({i},{j},{k}) must satisfy 1 <= i < j < k <= {A.n}"
         )
     ui, uj, uk = (A.carrier.up[A.atom_ids[m - 1]] for m in (i, j, k))
@@ -144,9 +134,9 @@ def predicted_triple_size(sizes: Sequence[int]) -> int:
     """Closed inclusion-exclusion count of |J_{i,j,k}| for equal sizes."""
     n = len(sizes)
     if n < 3:
-        raise TooFewFactorsError("the triple formula needs n >= 3")
+        raise ZdPosetError("the triple formula needs n >= 3")
     if len(set(sizes)) != 1:
-        raise NeedEqualSizesForTripleError(
+        raise ZdPosetError(
             f"the closed triple formula needs equal sizes, got {tuple(sizes)}"
         )
     a = sizes[0]
@@ -159,7 +149,7 @@ def predicted_counts(sizes: Sequence[int]) -> PredictedCounts:
     """Formula sizes of the J-sets; the triple form needs equal sizes."""
     n = len(sizes)
     if n < 3:
-        raise TooFewFactorsError("counting formulas apply for n >= 3")
+        raise ZdPosetError("counting formulas apply for n >= 3")
     dense = math.prod(s - 1 for s in sizes)
     singles = tuple(
         (math.prod(sizes) // sizes[i]) * (sizes[i] - 1) - dense
@@ -175,7 +165,7 @@ def well_covered_verdict(A: ProductAnalysis) -> tuple[bool, str]:
     The explanation cites actually enumerated J-set sizes, not formulas.
     """
     if A.n < 3:
-        raise TooFewFactorsError("the product verdict applies for n >= 3")
+        raise ZdPosetError("the product verdict applies for n >= 3")
     singles = [len(j_single(A, i)) for i in range(1, A.n + 1)]
     for i in range(A.n):
         for j in range(i + 1, A.n):
@@ -310,18 +300,16 @@ def parse_size_vectors(text: str) -> list[tuple[int, ...]]:
         tokens = [tok.strip(" \t") for tok in line.split(",")]
         # int() also takes signs, underscores and non-ASCII digits
         if not all(tok.isascii() and tok.isdigit() for tok in tokens):
-            raise BadParamError(
+            raise ZdPosetError(
                 f"line {lineno}: expected comma-separated integers, got {line!r}"
             )
         sizes = tuple(map(int, tokens))
         if len(sizes) < 2:
-            raise BadParamError(
+            raise ZdPosetError(
                 f"line {lineno}: a factor vector needs at least 2 entries"
             )
         if any(s < 2 for s in sizes):
-            raise BadParamError(
-                f"line {lineno}: factor sizes must be at least 2"
-            )
+            raise ZdPosetError(f"line {lineno}: factor sizes must be at least 2")
         out.append(sizes)
     return out
 

@@ -6,7 +6,7 @@ as vertices, two being adjacent exactly when their lower cone is {0}.
 
 from __future__ import annotations
 
-from .errors import NotBooleanError
+from .errors import ZdPosetError
 from .graphs import Graph
 from .order import Poset, bits
 
@@ -62,7 +62,7 @@ def complement_mask(nbr: list[int], row: int) -> int:
 def require_boolean(P: Poset) -> None:
     reason = P.boolean_failure
     if reason is not None:
-        raise NotBooleanError(f"poset is not Boolean: {reason}")
+        raise ZdPosetError(f"poset is not Boolean: {reason}")
 
 
 def to_dot(G: ZdGraph) -> str:

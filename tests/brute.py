@@ -26,13 +26,7 @@ from typing import Iterable, NamedTuple
 
 from zdposet import homology
 from zdposet.cmcert import CmVerdict, ConditionStatus, MyCertificate
-from zdposet.errors import (
-    NotBooleanError,
-    PairsDontPartitionError,
-    TheoremContractError,
-    UnknownVertexError,
-    ZdPosetError,
-)
+from zdposet.errors import TheoremContractError, ZdPosetError
 from zdposet.graphs import Graph
 from zdposet.order import bits
 from zdposet.poset import Poset
@@ -442,9 +436,7 @@ def verify_my_conditions_reference(G, pairs) -> MyCertificate:
     h = len(pairs)
     flat = [v for pair in pairs for v in pair]
     if len(set(flat)) != 2 * h or set(flat) != set(G.vertices):
-        raise PairsDontPartitionError(
-            "the pairs do not partition the vertex set of the graph"
-        )
+        raise ZdPosetError("the pairs do not partition the vertex set of the graph")
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
     adj = G.adjacent
@@ -708,12 +700,12 @@ def extend_independent(P: Poset, G: Graph, seed: Iterable[int]) -> tuple[int, ..
     The result is always a facet of size |V|/2.
     """
     if not P.is_boolean():
-        raise NotBooleanError(f"poset is not Boolean: {P.boolean_failure}")
+        raise ZdPosetError(f"poset is not Boolean: {P.boolean_failure}")
     vertex_set = set(G.vertices)
     current = set()
     for v in seed:
         if v not in vertex_set:
-            raise UnknownVertexError(f"seed element {v!r} is not a vertex")
+            raise ZdPosetError(f"seed element {v!r} is not a vertex")
         current.add(v)
     for v in current:
         hit = G.neighbors(v) & current

@@ -17,12 +17,7 @@ from zdposet.complexes import (
     is_very_well_covered,
     is_well_covered,
 )
-from zdposet.errors import (
-    EmptyGraphError,
-    FewerThanTwoAtomsError,
-    NotBooleanError,
-    PairsDontPartitionError,
-)
+from zdposet.errors import ZdPosetError
 from zdposet.graphs import Graph
 from zdposet.homology import reisner_cm
 from zdposet.poset import direct_product, generate
@@ -67,9 +62,11 @@ def test_boolean_facet_2_4():
 
 
 def test_boolean_facet_guards():
-    with pytest.raises(NotBooleanError):
+    with pytest.raises(ZdPosetError, match="^poset is not Boolean: not distributive"):
         boolean_facet(generate("m_atoms", 3))
-    with pytest.raises(FewerThanTwoAtomsError):
+    with pytest.raises(
+        ZdPosetError, match=r"^poset has 1 atom\(s\); the zero-divisor graph is empty$"
+    ):
         boolean_facet(generate("boolean_lattice", 1))
 
 
@@ -136,7 +133,7 @@ def test_verify_k2_passes():
 def test_verify_requires_partition(figure1):
     G = zero_divisor_graph(figure1)
     q = figure1.id_of
-    with pytest.raises(PairsDontPartitionError):
+    with pytest.raises(ZdPosetError, match="^the pairs do not partition the vertex set"):
         verify_my_conditions(G, ((q("q1"), q("q1'")),))
 
 
@@ -164,7 +161,7 @@ def test_permuting_pairs_only_moves_condition_e(figure1):
 def test_condition_witnesses_carry_names():
     # path a-b-c labeled badly: pairs use a maximal independent set {a, c}
     G = Graph("abc", [("a", "b"), ("b", "c")])
-    with pytest.raises(PairsDontPartitionError):
+    with pytest.raises(ZdPosetError, match="^the pairs do not partition the vertex set"):
         verify_my_conditions(G, (("b", "a"),))
 
 
@@ -254,7 +251,7 @@ def test_cm_search_budget_inconclusive():
 
 
 def test_cm_empty_graph_raises():
-    with pytest.raises(EmptyGraphError):
+    with pytest.raises(ZdPosetError, match="^the zero-divisor graph has no vertices$"):
         is_cohen_macaulay(generate("chain", 3))
 
 

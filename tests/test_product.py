@@ -11,16 +11,7 @@ import pytest
 import brute
 import zdposet
 from test_zdg import random_bounded_poset
-from zdposet.errors import (
-    BadParamError,
-    FactorHasZeroDivisorsError,
-    IndexOutOfRangeError,
-    IndicesNotOrderedError,
-    NeedEqualSizesForTripleError,
-    NotAscendingError,
-    TooFewFactorsError,
-    UnboundedFactorError,
-)
+from zdposet.errors import ZdPosetError
 from zdposet.cmcert import Analysis
 from zdposet.complexes import DEFAULT_MAX_VERTICES
 from zdposet.poset import ProductPoset, direct_product, generate, parse_poset
@@ -65,17 +56,17 @@ def test_validate_three_three_chains():
 
 
 def test_validate_rejects_multi_atom_factor():
-    with pytest.raises(FactorHasZeroDivisorsError):
+    with pytest.raises(ZdPosetError, match=r"^factor 1 must satisfy Z\(P\) = \{0\} "):
         validate_factors([generate("m_atoms", 2), generate("chain", 4)])
 
 
 def test_validate_rejects_unordered_sizes():
-    with pytest.raises(NotAscendingError):
+    with pytest.raises(ZdPosetError, match=r"factor sizes \[3, 2, 2\] are not ascending"):
         validate_factors(chains(3, 2, 2))
 
 
 def test_validate_rejects_single_factor():
-    with pytest.raises(TooFewFactorsError):
+    with pytest.raises(ZdPosetError, match="a direct product needs at least two factors"):
         validate_factors(chains(3))
 
 
@@ -97,20 +88,20 @@ NO_BOTTOM = "poset v1\nelem a\nelem b\nelem c\nle a b\nle c b\n"
 
 def test_validate_rejects_factor_without_least_element():
     P = parse_poset(NO_BOTTOM)
-    with pytest.raises(UnboundedFactorError, match="factor 2 is not bounded"):
+    with pytest.raises(ZdPosetError, match="^factor 2 is not bounded$"):
         validate_factors([generate("chain", 2), P])
 
 
 def test_validate_checks_ascending_then_arity_then_bounded_then_z():
     unbounded = parse_poset(NO_BOTTOM)
     multi_atom = generate("m_atoms", 2)  # 4 elements, Z != {0}
-    with pytest.raises(NotAscendingError):
+    with pytest.raises(ZdPosetError, match=r"^factor sizes \[4, 3\] are not ascending$"):
         validate_factors([multi_atom, unbounded])
-    with pytest.raises(TooFewFactorsError):
+    with pytest.raises(ZdPosetError, match="a direct product needs at least two factors"):
         validate_factors([unbounded])
-    with pytest.raises(UnboundedFactorError, match="factor 1"):
+    with pytest.raises(ZdPosetError, match="^factor 1 is not bounded$"):
         validate_factors([unbounded, multi_atom])
-    with pytest.raises(FactorHasZeroDivisorsError, match="factor 2"):
+    with pytest.raises(ZdPosetError, match=r"^factor 2 must satisfy Z\(P\) = \{0\} "):
         validate_factors([generate("chain", 2), multi_atom])
 
 
@@ -134,9 +125,9 @@ def test_j_single_three_chains():
 
 def test_j_single_index_guard():
     A = validate_factors(chains(2, 2, 2))
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(ZdPosetError, match=r"^factor index 4 not in 1\.\.3$"):
         j_single(A, 4)
-    with pytest.raises(IndexOutOfRangeError):
+    with pytest.raises(ZdPosetError, match=r"^factor index 0 not in 1\.\.3$"):
         j_single(A, 0)
 
 
@@ -153,9 +144,9 @@ def test_j_triple_three_chains():
 
 def test_j_triple_index_guard():
     A = validate_factors(chains(2, 2, 2))
-    with pytest.raises(IndicesNotOrderedError):
+    with pytest.raises(ZdPosetError, match=r"indices \(1,1,2\) must satisfy 1 <= i < j < k"):
         j_triple(A, 1, 1, 2)
-    with pytest.raises(IndicesNotOrderedError):
+    with pytest.raises(ZdPosetError, match=r"indices \(2,1,3\) must satisfy 1 <= i < j < k"):
         j_triple(A, 2, 1, 3)
 
 
@@ -168,9 +159,9 @@ def test_predicted_counts_match_spoken_values():
     assert predicted_counts([2, 2, 2, 2]).j_triple_size == 7
     assert predicted_counts([2, 2, 3]).j_single_sizes == (4, 4, 6)
     assert predicted_counts([2, 2, 3]).j_triple_size is None
-    with pytest.raises(NeedEqualSizesForTripleError):
+    with pytest.raises(ZdPosetError, match=r"needs equal sizes, got \(2, 2, 3\)"):
         predicted_triple_size([2, 2, 3])
-    with pytest.raises(TooFewFactorsError):
+    with pytest.raises(ZdPosetError, match="^counting formulas apply for n >= 3$"):
         predicted_counts([2, 3])
 
 
@@ -209,7 +200,7 @@ def test_well_covered_verdicts():
     assert not ok and why == "|J_1| = 10 != 12 = |J_1,2,3|"
     ok, why = well_covered_verdict(validate_factors(chains(2, 2, 3)))
     assert not ok and why == "|J_1| = 4 != 6 = |J_3|"
-    with pytest.raises(TooFewFactorsError):
+    with pytest.raises(ZdPosetError, match="^the product verdict applies for n >= 3$"):
         well_covered_verdict(validate_factors(chains(2, 2)))
 
 
@@ -355,12 +346,12 @@ def test_bipartite_mixed():
 def test_parse_size_vectors():
     assert parse_size_vectors("2,2,2\n\n# c\n3,3\n") == [(2, 2, 2), (3, 3)]
     assert parse_size_vectors(" 3 , 4\t,2 \n") == [(3, 4, 2)]
-    with pytest.raises(BadParamError) as err:
+    with pytest.raises(ZdPosetError, match="expected comma-separated integers") as err:
         parse_size_vectors("2,2\nnope\n")
     assert "line 2" in str(err.value)
-    with pytest.raises(BadParamError):
+    with pytest.raises(ZdPosetError, match="line 1: a factor vector needs at least 2 entries"):
         parse_size_vectors("2\n")
-    with pytest.raises(BadParamError):
+    with pytest.raises(ZdPosetError, match="^line 1: factor sizes must be at least 2$"):
         parse_size_vectors("2,1\n")
 
 

@@ -4,7 +4,8 @@ Theorem guards must still fire under ``python -O``, which strips
 ``assert`` statements, so the package raises ``TheoremContractError``
 instead; the package imports nothing beyond the standard library; and
 every function or class it defines is named somewhere else in the
-package, its tests or its benchmark.
+package, its tests or its benchmark.  Each exception class is the base
+class, carries data, or is caught by name somewhere in the package.
 """
 
 import ast
@@ -105,3 +106,59 @@ def test_unreferenced_catches_a_dead_definition():
     )
     corpus = source + "Kept().used()\nused_elsewhere = twice_over = 1\n"
     assert unreferenced([source], corpus) == ["dead", "twice"]
+
+
+def caught_names(tree: ast.AST) -> set[str]:
+    """The exception names that an ``except`` clause or a ``suppress(...)``
+    call in ``tree`` catches."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "suppress":
+            types = node.args
+        else:
+            continue
+        found.update(t.id for t in types if isinstance(t, ast.Name))
+    return found
+
+
+def idle_error_classes(errors: str, sources: list[str]) -> list[str]:
+    """The classes in ``errors`` that are not the base class, define no
+    ``__init__`` of their own (carry no data) and are caught by name
+    nowhere in ``sources``: no caller reacts to them apart from their
+    base, so they only add names."""
+    classes = [node for node in ast.parse(errors).body if isinstance(node, ast.ClassDef)]
+    local = {node.name for node in classes}
+    caught = set().union(*(caught_names(ast.parse(text)) for text in sources))
+    return sorted(
+        node.name
+        for node in classes
+        if any(isinstance(b, ast.Name) and b.id in local for b in node.bases)
+        and not any(
+            isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body
+        )
+        and node.name not in caught
+    )
+
+
+def test_every_error_class_is_caught_or_carries_data():
+    errors = (ROOT / "src" / "zdposet" / "errors.py").read_text()
+    assert idle_error_classes(errors, [p.read_text() for p in SOURCES]) == []
+
+
+def test_idle_error_classes_catches_an_uncaught_subclass():
+    errors = (
+        "class Base(Exception): pass\n"
+        "class WithData(Base):\n"
+        "    def __init__(self, line): self.line = line\n"
+        "class Caught(Base): pass\n"
+        "class Suppressed(Base): pass\n"
+        "class Idle(Base): pass\n"
+        "class AlsoIdle(WithData): pass\n"
+    )
+    source = (
+        "try:\n    pass\nexcept (Caught, KeyError):\n    pass\n"
+        "with suppress(Suppressed):\n    pass\n"
+    )
+    assert idle_error_classes(errors, [source]) == ["AlsoIdle", "Idle"]

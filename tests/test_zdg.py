@@ -3,7 +3,7 @@ import random
 import pytest
 
 import brute
-from zdposet.errors import NotBooleanError, UnknownVertexError
+from zdposet.errors import ZdPosetError
 from zdposet.poset import direct_product, generate, parse_poset
 from brute import (
     check_atom_end_lemma,
@@ -103,7 +103,7 @@ def test_graph_complements(figure1):
     cube = generate("boolean_lattice", 3)
     Gc = zero_divisor_graph(cube)
     assert names(cube, graph_complements(Gc, cube.id_of("a23"))) == {"a1"}
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(ZdPosetError, match=f"^unknown vertex {figure1.bottom}$"):
         graph_complements(G, figure1.bottom)
 
 
@@ -121,7 +121,7 @@ def test_unique_complementation_check(figure1):
     P4 = generate("boolean_lattice", 4)
     assert check_unique_complementation(P4, zero_divisor_graph(P4)).ok
     M = generate("m_atoms", 3)
-    with pytest.raises(NotBooleanError):
+    with pytest.raises(ZdPosetError, match="^poset is not Boolean: not distributive"):
         check_unique_complementation(M, zero_divisor_graph(M))
 
 
