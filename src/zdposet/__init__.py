@@ -14,9 +14,9 @@ bytecode a run compiles every module it loads, so this keeps short runs
 short.  The order core (``bits``, ``Poset``, ``parse_poset``) lives in
 ``order``; ``poset`` adds the catalog and the products, and re-exports
 the core.  The result records (``CmVerdict``, ``MyCertificate``,
-``ConditionStatus``, ``Stratification``, ``OrderingOutcome``,
-``PredictedCounts``, ``TheoremCheck``) are named tuples: immutable, and
-usable as plain tuples (``len``, indexing, iteration, comparison).
+``ConditionStatus``, ``Stratification``, ``PredictedCounts``,
+``TheoremCheck``) are named tuples: immutable, and usable as plain
+tuples (``len``, indexing, iteration, comparison).
 """
 
 import importlib
@@ -37,7 +37,7 @@ _EXPORTS = {
     "product": "ProductAnalysis TheoremCheck j_single j_triple predicted_counts "
     "predicted_triple_size product_theorem sweep_report validate_factors "
     "well_covered_verdict",
-    "search": "OrderingOutcome find_ordering",
+    "search": "find_ordering",
     "zdg": "ZdGraph to_dot zero_divisor_graph zero_divisors",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

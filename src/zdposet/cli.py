@@ -177,12 +177,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from . import product  # the other subcommands never load the product layer
 
     vectors = product.parse_size_vectors(_read(args.input))
-    text = product.sweep_report(
-        vectors,
-        max_vertices=args.max_vertices,
-        workers=args.workers,
-    )
-    _write_output(text, args.output)
+    _write_output(product.sweep_report(vectors, args.max_vertices), args.output)
     return 0
 
 
@@ -259,12 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     add_output(p)
     add_facet_cap(p)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes (default 1)",
-    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gen", help="emit a catalog poset file")
@@ -282,8 +271,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     for cap in ("max_vertices", "max_homology_vertices", "max_search_nodes"):
         if getattr(args, cap, 1) < 1:
             parser.error(f"--{cap.replace('_', '-')} must be positive")
-    if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be at least 1")
     try:
         return args.func(args)
     except TheoremContractError as exc:

@@ -53,12 +53,6 @@ class MyCertificate(NamedTuple):
     def ok(self) -> bool:
         return all(status.ok for _, status in self.conditions)
 
-    def condition(self, name: str) -> ConditionStatus:
-        for key, status in self.conditions:
-            if key == name:
-                return status
-        raise KeyError(name)
-
     def to_json(self) -> str:
         import json  # only a failing certificate is rendered
 

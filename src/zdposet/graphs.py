@@ -34,20 +34,12 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges())} edges)"
 
-    def _row(self, v: Vertex) -> int:
+    def neighbors(self, v: Vertex) -> frozenset[Vertex]:
         try:
-            return self.nbr[self.index[v]]
+            row = self.nbr[self.index[v]]
         except KeyError:
             raise ZdPosetError(f"unknown vertex {v!r}") from None
-
-    def neighbors(self, v: Vertex) -> frozenset[Vertex]:
-        return frozenset(self.vertices[j] for j in bits(self._row(v)))
-
-    def adjacent(self, v: Vertex, w: Vertex) -> bool:
-        return w in self.index and bool(self._row(v) >> self.index[w] & 1)
-
-    def degree(self, v: Vertex) -> int:
-        return self._row(v).bit_count()
+        return frozenset(self.vertices[j] for j in bits(row))
 
     def edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
         """All edges as (smaller, larger) pairs, sorted."""

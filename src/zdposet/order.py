@@ -47,7 +47,7 @@ class Poset:
         n = len(self.elements)
         if len(self.up) != n:
             raise ValueError("relation size does not match element count")
-        self._index_names()
+        self._check_names()
 
         full = self.full_mask
         down = [0] * n
@@ -87,17 +87,17 @@ class Poset:
         checked again."""
         P = cls.__new__(cls)
         P.elements, P.up, P.down = tuple(elements), tuple(up), tuple(down)
-        P._index_names()
+        P._check_names()
         P._find_bounds()
         return P
 
-    def _index_names(self) -> None:
+    def _check_names(self) -> None:
         self.full_mask: int = (1 << len(self.elements)) - 1
-        self._index: dict[str, int] = {}
-        for i, name in enumerate(self.elements):
-            if name in self._index:
+        seen: set[str] = set()
+        for name in self.elements:
+            if name in seen:
                 raise PosetSyntaxError(f"duplicate element name {name!r}")
-            self._index[name] = i
+            seen.add(name)
 
     def _find_bounds(self) -> None:
         full = self.full_mask
@@ -126,12 +126,6 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset({len(self)} elements, bottom={self.bottom}, top={self.top})"
-
-    def id_of(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise PosetSyntaxError(f"unknown element {name!r}") from None
 
     def names(self, ids: Iterable[int]) -> tuple[str, ...]:
         """Element names in ascending id order (the canonical rendering)."""
@@ -170,20 +164,6 @@ class Poset:
         for i in bits(mask):
             out &= self.down[i]
         return out
-
-    def _mask_of(self, members: Iterable[int]) -> int:
-        m = 0
-        for i in members:
-            if not 0 <= i < len(self.elements):
-                raise PosetSyntaxError(f"element id {i} out of range")
-            m |= 1 << i
-        return m
-
-    def upper_cone(self, members: Iterable[int]) -> frozenset[int]:
-        return frozenset(bits(self.ucone_mask(self._mask_of(members))))
-
-    def lower_cone(self, members: Iterable[int]) -> frozenset[int]:
-        return frozenset(bits(self.lcone_mask(self._mask_of(members))))
 
     # -- atoms and weights -----------------------------------------------------
 

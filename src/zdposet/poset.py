@@ -86,6 +86,17 @@ def direct_product(factors: Sequence[Poset]) -> ProductPoset:
 
 # -- catalog ------------------------------------------------------------------------
 
+# the largest catalog poset, in elements: each builder refuses a larger
+# one before building anything
+MAX_CATALOG_ELEMENTS = 2**10
+
+
+def _above_cap(poset: str, elements: object) -> ZdPosetError:
+    return ZdPosetError(
+        f"{poset} would have {elements} elements, above the catalog cap of "
+        f"{MAX_CATALOG_ELEMENTS}"
+    )
+
 
 def _subset_name(mask: int, n: int, full: int) -> str:
     if mask == 0:
@@ -112,6 +123,8 @@ def _inclusion_rows(masks: Sequence[int]) -> list[int]:
 def _boolean_lattice(n: int) -> Poset:
     if n < 1:
         raise ZdPosetError("boolean_lattice needs n >= 1")
+    if n >= MAX_CATALOG_ELEMENTS.bit_length():  # 2^n above the cap
+        raise _above_cap(f"boolean_lattice {n}", f"2^{n}")
     full = (1 << n) - 1
     masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
     names = [_subset_name(m, n, full) for m in masks]
@@ -121,6 +134,8 @@ def _boolean_lattice(n: int) -> Poset:
 def _chain(k: int) -> Poset:
     if k < 1:
         raise ZdPosetError("chain needs k >= 1")
+    if k > MAX_CATALOG_ELEMENTS:
+        raise _above_cap(f"chain {k}", k)
     if k == 1:
         names = ["0"]
     elif k == 2:
@@ -135,6 +150,8 @@ def _atom_coatom(k: int) -> Poset:
     # the induced subposet of 2^k on ranks {0, 1, k-1, k}
     if k < 2:
         raise ZdPosetError("atom_coatom needs k >= 2")
+    if 2 * k + 2 > MAX_CATALOG_ELEMENTS:  # k atoms, k coatoms, 0 and 1
+        raise _above_cap(f"atom_coatom {k}", 2 * k + 2)
     full = (1 << k) - 1
     masks: list[int] = [0]
     names: list[str] = ["0"]
@@ -153,6 +170,8 @@ def _atom_coatom(k: int) -> Poset:
 def _m_atoms(k: int) -> Poset:
     if k < 1:
         raise ZdPosetError("m_atoms needs k >= 1")
+    if k + 2 > MAX_CATALOG_ELEMENTS:
+        raise _above_cap(f"m_atoms {k}", k + 2)
     names = ["0"] + [f"a{i}" for i in range(1, k + 1)] + ["1"]
     n = k + 2
     top = n - 1

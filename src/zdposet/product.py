@@ -341,14 +341,7 @@ def sweep_row(sizes: Sequence[int], max_vertices: int = DEFAULT_MAX_VERTICES) ->
 def sweep_report(
     vectors: Sequence[Sequence[int]],
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    workers: int = 1,
 ) -> str:
     """TSV report over factor-size vectors, in input order."""
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(sweep_row, vectors, [max_vertices] * len(vectors)))
-    else:
-        rows = [sweep_row(v, max_vertices) for v in vectors]
+    rows = [sweep_row(v, max_vertices) for v in vectors]
     return "\n".join([SWEEP_HEADER, *rows]) + "\n"

@@ -9,7 +9,7 @@ edges run forward (``find_ordering``) and verifies the five conditions.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .cmcert import CmVerdict, MyCertificate, Pair, _pair_table, verify_my_conditions
 from .graphs import Graph
@@ -17,21 +17,12 @@ from .order import bits
 from .zdg import complement_mask
 
 
-class OrderingOutcome(NamedTuple):
-    pairs: tuple[Pair, ...] | None
-    cycle: tuple[int, ...] | None
-
-    @property
-    def feasible(self) -> bool:
-        return self.pairs is not None
-
-
-def find_ordering(G: Graph, matching: Sequence[Pair]) -> OrderingOutcome:
+def find_ordering(G: Graph, matching: Sequence[Pair]) -> tuple[Pair, ...] | None:
     """Order a matching so cross edges run forward, if possible.
 
     Builds the digraph p -> q whenever x_p is adjacent to y_q and returns
-    a topological order of the pairs, always taking the lowest ready pair;
-    on a cycle, reports the pair indices (0-based, in input order) along it.
+    the pairs in a topological order, always taking the lowest ready pair;
+    None when the digraph has a cycle.
     """
     tox = _pair_table(G.nbr, [G.index[x] for x, _ in matching])
     pred = [tox[G.index[y]] & ~(1 << q) for q, (_, y) in enumerate(matching)]
@@ -40,18 +31,7 @@ def find_ordering(G: Graph, matching: Sequence[Pair]) -> OrderingOutcome:
     while ready := [q for q in bits(left) if not pred[q] & left]:
         order.append(ready[0])
         left ^= 1 << ready[0]
-    if not left:
-        return OrderingOutcome(tuple(matching[p] for p in order), None)
-    # every leftover node keeps a predecessor among the leftovers, so a
-    # backwards walk must revisit a node; that closes a cycle
-    seen: list[int] = []
-    current = next(bits(left))
-    while current not in seen:
-        seen.append(current)
-        current = next(bits(pred[current] & left))
-    cyc = list(reversed(seen[seen.index(current) :]))
-    i0 = cyc.index(min(cyc))
-    return OrderingOutcome(None, tuple(cyc[i0:] + cyc[:i0]))
+    return None if left else tuple(matching[p] for p in order)
 
 
 def _search_certificate(G: Graph, facets: Sequence[int], budget: int) -> CmVerdict:
@@ -84,10 +64,10 @@ def _search_certificate(G: Graph, facets: Sequence[int], budget: int) -> CmVerdi
             if exhausted:
                 return None
             if idx == len(X):
-                outcome = find_ordering(G, [(V[x], V[y]) for x, y in zip(X, ys)])
-                if not outcome.feasible:
+                pairs = find_ordering(G, [(V[x], V[y]) for x, y in zip(X, ys)])
+                if pairs is None:
                     return None
-                cert = verify_my_conditions(G, outcome.pairs)
+                cert = verify_my_conditions(G, pairs)
                 return cert if cert.ok else None
             x = X[idx]
             # earlier pairs t with x ~ x_t, and with x ~ y_t

@@ -30,7 +30,6 @@ from zdposet.errors import TheoremContractError, ZdPosetError
 from zdposet.graphs import Graph
 from zdposet.order import bits
 from zdposet.poset import Poset
-from zdposet.search import OrderingOutcome
 from zdposet.zdg import ZdGraph, complement_mask, require_boolean
 
 
@@ -44,6 +43,17 @@ def upper_cone(P: Poset, A) -> set[int]:
 
 def lower_cone(P: Poset, A) -> set[int]:
     return {b for b in elements(P) if all(P.leq(b, a) for a in A)}
+
+
+def mask(ids: Iterable[int]) -> int:
+    """The bitmask of a set of ids, as ``Poset.ucone_mask`` takes it."""
+    return sum(1 << i for i in set(ids))
+
+
+def adjacency(G: Graph):
+    """G's adjacency test on vertices, read off its neighbour sets."""
+    nbrs = {v: G.neighbors(v) for v in G.vertices}
+    return lambda v, w: w in nbrs[v]
 
 
 def atoms(P: Poset) -> set[int]:
@@ -439,7 +449,7 @@ def verify_my_conditions_reference(G, pairs) -> MyCertificate:
         raise ZdPosetError("the pairs do not partition the vertex set of the graph")
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
-    adj = G.adjacent
+    adj = adjacency(G)
     name = G.label
     conditions = []
 
@@ -510,16 +520,17 @@ def verify_my_conditions_reference(G, pairs) -> MyCertificate:
     return MyCertificate(tuple(pairs), pair_names, h, tuple(conditions))
 
 
-def find_ordering_reference(G, matching) -> OrderingOutcome:
+def find_ordering_reference(G, matching):
     """Kahn's algorithm with a heap of ready pairs (lowest index first) on
-    the digraph p -> q for x_p ~ y_q; on failure, the cycle met by walking
-    back through the lowest leftover predecessor, rotated to its minimum."""
+    the digraph p -> q for x_p ~ y_q: the ordered pairs, or None on a
+    cycle."""
+    adj = adjacency(G)
     m = len(matching)
     succ = [set() for _ in range(m)]
     indeg = [0] * m
     for p, (xp, _) in enumerate(matching):
         for q, (_, yq) in enumerate(matching):
-            if p != q and G.adjacent(xp, yq):
+            if p != q and adj(xp, yq):
                 succ[p].add(q)
                 indeg[q] += 1
     ready = [p for p in range(m) if indeg[p] == 0]
@@ -532,17 +543,7 @@ def find_ordering_reference(G, matching) -> OrderingOutcome:
             indeg[q] -= 1
             if indeg[q] == 0:
                 heapq.heappush(ready, q)
-    if len(order) == m:
-        return OrderingOutcome(tuple(matching[p] for p in order), None)
-    leftset = set(range(m)) - set(order)
-    seen = []
-    current = min(leftset)
-    while current not in seen:
-        seen.append(current)
-        current = min(p for p in leftset if current in succ[p])
-    cyc = list(reversed(seen[seen.index(current) :]))
-    i0 = cyc.index(min(cyc))
-    return OrderingOutcome(None, tuple(cyc[i0:] + cyc[:i0]))
+    return tuple(matching[p] for p in order) if len(order) == m else None
 
 
 def search_certificate_reference(G, facets, budget: int) -> CmVerdict:
@@ -551,7 +552,7 @@ def search_certificate_reference(G, facets, budget: int) -> CmVerdict:
     common neighbour) then its other neighbours on that side, each in
     vertex order; one node per tried candidate, same prune and budget as
     ``search._search_certificate``."""
-    adj = G.adjacent
+    adj = adjacency(G)
     nodes = 0
     exhausted = False
     for Y in facets:
@@ -570,10 +571,10 @@ def search_certificate_reference(G, facets, budget: int) -> CmVerdict:
             if exhausted:
                 return None
             if idx == len(X):
-                outcome = find_ordering_reference(G, assignment)
-                if not outcome.feasible:
+                pairs = find_ordering_reference(G, assignment)
+                if pairs is None:
                     return None
-                cert = verify_my_conditions_reference(G, outcome.pairs)
+                cert = verify_my_conditions_reference(G, pairs)
                 return cert if cert.ok else None
             x = X[idx]
             for y in candidates[x]:
@@ -630,12 +631,13 @@ def pseudocomplement_of(P: Poset, x: int) -> int | None:
 
 def graph_complements(G: Graph, v) -> frozenset:
     """Neighbors w of v such that the edge v-w lies in no triangle."""
-    return frozenset(G.vertices[j] for j in bits(complement_mask(G.nbr, G._row(v))))
+    row = sum(1 << G.index[w] for w in G.neighbors(v))  # raises on an unknown v
+    return frozenset(G.vertices[j] for j in bits(complement_mask(G.nbr, row)))
 
 
 def ends(G: Graph) -> frozenset:
     """Vertices of degree exactly one."""
-    return frozenset(v for v in G.vertices if G.degree(v) == 1)
+    return frozenset(v for v in G.vertices if len(G.neighbors(v)) == 1)
 
 
 class LemmaReport(NamedTuple):
@@ -679,7 +681,7 @@ def check_atom_end_lemma(P: Poset, G: ZdGraph) -> LemmaReport:
                     f"atom {P.elements[b]}: adjacent ends {{{got}}} != "
                     f"complement {P.elements[c]}"
                 )
-        elif c in end_set and G.adjacent(b, c):
+        elif c in end_set and c in G.neighbors(b):
             violations.append(
                 f"{P.elements[b]} is not an atom but its complement "
                 f"{P.elements[c]} is an adjacent end"

@@ -237,6 +237,15 @@ def test_gen_unknown_catalog(capsys):
     assert main(["gen", "zorp", "3"]) == 2
 
 
+def test_gen_refuses_a_poset_above_the_catalog_cap(capsys):
+    assert main(["gen", "m_atoms", "5000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: m_atoms 5000 would have 5002 elements, above the catalog cap of 1024\n"
+    )
+
+
 def test_output_flag(tmp_path, fig1_path):
     out_file = tmp_path / "graph.dot"
     assert main(["zdg", fig1_path, "-o", str(out_file)]) == 0

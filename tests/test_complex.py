@@ -53,7 +53,7 @@ def test_cube_facets_against_brute_force():
     C = independence_complex(G)
     assert len(C.facets) == 4
     assert all(len(f) == 3 for f in C.facets)
-    expected = brute.maximal_independent_sets(G.vertices, G.adjacent)
+    expected = brute.maximal_independent_sets(G.vertices, brute.adjacency(G))
     assert {frozenset(f) for f in C.facets} == expected
 
 
@@ -71,7 +71,7 @@ def test_facets_match_brute_force_on_random_graphs(seed):
     G = Graph(verts, edges)
     C = independence_complex(G)
     assert {frozenset(f) for f in C.facets} == brute.maximal_independent_sets(
-        verts, G.adjacent
+        verts, brute.adjacency(G)
     )
 
 
@@ -103,26 +103,26 @@ def test_very_well_covered(figure1):
 def test_extend_independent_from_empty(figure1):
     G = zero_divisor_graph(figure1)
     got = extend_independent(figure1, G, ())
-    assert got == tuple(sorted(figure1.id_of(q) for q in ("q1'", "q2'", "q3'", "q4'")))
+    assert got == tuple(sorted(map(figure1.elements.index, ("q1'", "q2'", "q3'", "q4'"))))
 
 
 def test_extend_independent_cube_seed():
     P = generate("boolean_lattice", 3)
     G = zero_divisor_graph(P)
-    got = extend_independent(P, G, {P.id_of("a1")})
+    got = extend_independent(P, G, {P.elements.index("a1")})
     assert set(P.names(got)) == {"a1", "a13", "a12"}
 
 
 def test_extend_independent_fixpoint(figure1):
     G = zero_divisor_graph(figure1)
-    facet = tuple(sorted(figure1.id_of(q) for q in ("q1'", "q2'", "q3'", "q4'")))
+    facet = tuple(sorted(map(figure1.elements.index, ("q1'", "q2'", "q3'", "q4'"))))
     assert extend_independent(figure1, G, facet) == facet
 
 
 def test_extend_independent_guards(figure1):
     G = zero_divisor_graph(figure1)
     with pytest.raises(NotIndependentError):
-        extend_independent(figure1, G, ids := {figure1.id_of("q1"), figure1.id_of("q2")})
+        extend_independent(figure1, G, ids := set(map(figure1.elements.index, ("q1", "q2"))))
     M = generate("m_atoms", 3)
     with pytest.raises(ZdPosetError, match="^poset is not Boolean: not distributive"):
         extend_independent(M, zero_divisor_graph(M), ())

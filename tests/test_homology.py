@@ -109,7 +109,7 @@ def test_link_identity_and_facet(figure1):
 def test_link_of_vertex(figure1):
     P = figure1
     C = independence_complex(zero_divisor_graph(P))
-    face = (P.id_of("q1'"),)
+    face = (P.elements.index("q1'"),)
     top = max(map(len, brute.link_faces(C.facets, face)))
     dim, betti = row_of(C, face)
     assert dim == top - 1 == 2

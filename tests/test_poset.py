@@ -7,11 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 import brute
 from zdposet.errors import PosetSyntaxError, ZdPosetError
-from zdposet.poset import Poset, direct_product, generate, parse_poset
+from zdposet.poset import Poset, bits, direct_product, generate, parse_poset
 
 
 def ids(P, *names):
-    return {P.id_of(n) for n in names}
+    return {P.elements.index(n) for n in names}
+
+
+def upper_cone(P, A):
+    """``P.ucone_mask`` on a set of ids."""
+    return set(bits(P.ucone_mask(brute.mask(A))))
+
+
+def lower_cone(P, A):
+    """``P.lcone_mask`` on a set of ids."""
+    return set(bits(P.lcone_mask(brute.mask(A))))
 
 
 # --- parsing -----------------------------------------------------------------
@@ -20,9 +30,9 @@ def ids(P, *names):
 def test_parse_three_chain():
     P = parse_poset("poset v1\nelem 0\nelem a\nelem 1\nle 0 a\nle a 1\n")
     assert len(P) == 3
-    assert P.bottom == P.id_of("0")
-    assert P.top == P.id_of("1")
-    assert P.leq(P.id_of("0"), P.id_of("1"))  # closure supplies 0 <= 1
+    assert P.elements == ("0", "a", "1")
+    assert (P.bottom, P.top) == (0, 2)
+    assert P.leq(0, 2)  # closure supplies 0 <= 1
 
 
 def test_parse_figure1(figure1):
@@ -74,15 +84,10 @@ def test_constructor_rejects_bad_relations(up, message):
     assert str(err.value) == message
 
 
-def test_lookups_reject_unknown_names_and_ids():
-    P = generate("chain", 3)
-    with pytest.raises(PosetSyntaxError, match="unknown element") as err:
-        P.id_of("zz")
-    assert str(err.value) == "unknown element 'zz'"
-    for bad in (3, -1):
-        with pytest.raises(PosetSyntaxError, match="out of range") as err:
-            P.upper_cone([0, bad])
-        assert str(err.value) == f"element id {bad} out of range"
+def test_constructor_rejects_duplicate_names():
+    with pytest.raises(PosetSyntaxError, match="^duplicate element name 'a'$") as err:
+        Poset(["a", "b", "a"], [0b001, 0b010, 0b100])
+    assert err.value.line is None
 
 
 def test_parse_comments_and_blanks():
@@ -126,22 +131,22 @@ def test_roundtrip_through_text_on_shuffled_posets(P):
 
 def test_lower_cone_b3_two_coatoms():
     P = generate("boolean_lattice", 3)
-    got = P.lower_cone(ids(P, "a23", "a13"))
+    got = lower_cone(P, ids(P, "a23", "a13"))
     assert got == ids(P, "0", "a3")
     assert got == brute.lower_cone(P, ids(P, "a23", "a13"))
 
 
 def test_upper_cone_of_bottom_is_everything(figure1):
-    assert figure1.upper_cone({figure1.bottom}) == set(range(10))
+    assert upper_cone(figure1, {figure1.bottom}) == set(range(10))
 
 
 def test_two_atoms_meet_in_zero(figure1):
-    assert figure1.lower_cone(ids(figure1, "q1", "q2")) == {figure1.bottom}
+    assert lower_cone(figure1, ids(figure1, "q1", "q2")) == {figure1.bottom}
 
 
 def test_empty_cone_input_returns_everything(figure1):
-    assert figure1.upper_cone(()) == set(range(10))
-    assert figure1.lower_cone(()) == set(range(10))
+    assert upper_cone(figure1, ()) == set(range(10))
+    assert lower_cone(figure1, ()) == set(range(10))
 
 
 @settings(max_examples=200, deadline=None)
@@ -161,10 +166,10 @@ def test_cone_galois_laws(data):
     universe = list(range(len(P)))
     A = set(data.draw(st.sets(st.sampled_from(universe), max_size=len(P))))
     B = A | set(data.draw(st.sets(st.sampled_from(universe), max_size=len(P))))
-    ul = P.lower_cone(P.upper_cone(A))
+    ul = lower_cone(P, upper_cone(P, A))
     assert A <= ul
-    assert P.upper_cone(ul) == P.upper_cone(A)
-    assert P.upper_cone(B) <= P.upper_cone(A)
+    assert upper_cone(P, ul) == upper_cone(P, A)
+    assert upper_cone(P, B) <= upper_cone(P, A)
 
 
 # --- atoms / weight --------------------------------------------------------------
@@ -186,7 +191,7 @@ def test_weights(figure1):
     assert figure1.poset_weight() == 4
     assert figure1.weight(figure1.bottom) == 0
     P = generate("boolean_lattice", 4)
-    x = P.id_of("a12")
+    x = P.elements.index("a12")
     assert P.weight(x) == 2 == brute.weight(P, x)
 
 
@@ -201,23 +206,23 @@ def test_atoms_need_bottom():
 
 def test_complements_in_power_set():
     P = generate("boolean_lattice", 3)
-    assert P.complements_of(P.id_of("a1")) == ids(P, "a23")
+    assert P.complements_of(P.elements.index("a1")) == ids(P, "a23")
     assert P.complements_of(P.bottom) == {P.top}
 
 
 def test_three_atom_counterexample_has_non_unique_complements():
     P = generate("m_atoms", 3)
-    a = P.id_of("a1")
+    a = P.elements.index("a1")
     assert P.complements_of(a) == ids(P, "a2", "a3")
     assert P.complements_of(a) == brute.complements(P, a)
 
 
 def test_pseudocomplements():
     P = generate("boolean_lattice", 3)
-    assert brute.pseudocomplement_of(P, P.id_of("a1")) == P.id_of("a23")
+    assert brute.pseudocomplement_of(P, P.elements.index("a1")) == P.elements.index("a23")
     assert brute.pseudocomplement_of(P, P.bottom) == P.top
     M = generate("m_atoms", 3)
-    a = M.id_of("a1")
+    a = M.elements.index("a1")
     assert brute.pseudocomplement_of(M, a) is None
     assert brute.pseudocomplement(M, a) is None
 
@@ -470,7 +475,7 @@ def test_strict_weight_monotonicity(boolean_catalog):
 def test_weight_converse_fails_without_adjacency():
     # complementary weights alone do not make complements
     P = generate("boolean_lattice", 4)
-    x, y = P.id_of("a12"), P.id_of("a23")
+    x, y = P.elements.index("a12"), P.elements.index("a23")
     assert P.weight(x) + P.weight(y) == P.poset_weight()
     assert y not in P.complements_of(x)
 
@@ -587,3 +592,35 @@ def test_generate_guards():
         generate("chain", 0)
     with pytest.raises(ZdPosetError, match="^m_atoms needs k >= 1$"):
         generate("m_atoms", 0)
+
+
+def test_generate_refuses_a_poset_above_the_catalog_cap():
+    # cheap parameters first: a builder without the cap returns at once
+    # on these, where 2^30 elements would exhaust memory
+    cases = [
+        ("m_atoms", 1023, "1025"),
+        ("chain", 1025, "1025"),
+        ("atom_coatom", 512, "1026"),
+        ("boolean_lattice", 11, "2^11"),
+        ("boolean_lattice", 30, "2^30"),
+        ("boolean_lattice", 10**18, f"2^{10**18}"),
+    ]
+    for name, k, count in cases:
+        with pytest.raises(ZdPosetError) as err:
+            generate(name, k)
+        assert str(err.value) == (
+            f"{name} {k} would have {count} elements, above the catalog cap of 1024"
+        )
+
+
+def test_generate_builds_every_poset_up_to_the_catalog_cap():
+    from zdposet.poset import MAX_CATALOG_ELEMENTS
+
+    assert MAX_CATALOG_ELEMENTS == 2**10
+    for name, k in (
+        ("boolean_lattice", 10),
+        ("chain", 1024),
+        ("atom_coatom", 511),
+        ("m_atoms", 1022),
+    ):
+        assert len(generate(name, k)) == MAX_CATALOG_ELEMENTS

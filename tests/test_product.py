@@ -365,27 +365,6 @@ def test_sweep_report_golden():
     )
 
 
-def test_sweep_report_parallel_matches_serial():
-    vectors = [(2, 2, 2), (2, 2), (3, 3), (2, 2, 3)]
-    assert sweep_report(vectors, workers=2) == sweep_report(vectors)
-
-
-def test_sweep_report_parallel_matches_serial_on_random_vectors():
-    rng = random.Random(59)
-    flagged = 0
-    for _ in range(6):
-        vectors = [
-            tuple(sorted(rng.randint(2, 4) for _ in range(rng.randint(2, 4))))
-            for _ in range(rng.randint(2, 4))
-        ]
-        vectors.append((rng.randint(2, 4),) * 2)
-        max_vertices = rng.choice((3, 6, 10))
-        serial = sweep_report(vectors, max_vertices)
-        assert sweep_report(vectors, max_vertices, workers=2) == serial
-        flagged += serial.count("[unverified-by-enumeration]")
-    assert flagged
-
-
 def test_no_sweep_row_reaches_the_homology_oracle():
     # CM chain products are Boolean; the rest are not well-covered, or
     # for n = 2 the very well-covered K_{a,a} that the matching search

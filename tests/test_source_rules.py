@@ -3,22 +3,26 @@
 Theorem guards must still fire under ``python -O``, which strips
 ``assert`` statements, so the package raises ``TheoremContractError``
 instead; the package imports nothing beyond the standard library; and
-every function or class it defines is named somewhere else in the
-package, its tests or its benchmark.  Each exception class is the base
-class, carries data, or is caught by name somewhere in the package.
+every function or class it defines is referred to by code in the
+package or its benchmark, so code that only the tests call leaves the
+package.  Each exception class is the base class, carries data, or is
+caught by name somewhere in the package.
 """
 
 import ast
-import re
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "zdposet").glob("*.py"))
-CORPUS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+
+
+def corpus_files(root: Path) -> list[Path]:
+    """The Python files whose code may keep a package definition alive:
+    the package and its benchmark, not the tests."""
+    return sorted(p for d in ("src", "bench") for p in (root / d).rglob("*.py"))
 
 
 def is_stdlib(module: str) -> bool:
@@ -74,24 +78,40 @@ def test_rules_catch_each_violation():
     ]
 
 
-def unreferenced(sources: list[str], corpus: str) -> list[str]:
+def references(tree: ast.AST) -> set[str]:
+    """The names that code in ``tree`` refers to: ``Name`` ids,
+    ``Attribute`` names, and imported names with their aliases.  Words in
+    strings, comments and docstrings do not count, nor does a
+    definition's own name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+            found.add(node.asname or node.name)
+    return found
+
+
+def unreferenced(sources: list[str], corpus: list[str]) -> list[str]:
     """The non-dunder function and class names defined in ``sources``
-    that occur in ``corpus`` as a whole word no more often than they are
-    defined there, i.e. only in their own definitions."""
-    defined = Counter(
+    that no code in ``corpus`` refers to."""
+    defined = {
         node.name
         for text in sources
         for node in ast.walk(ast.parse(text))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
-    )
-    words = Counter(re.findall(r"\w+", corpus))
-    return sorted(name for name, k in defined.items() if words[name] <= k)
+    }
+    used = set().union(*(references(ast.parse(text)) for text in corpus))
+    return sorted(defined - used)
 
 
 def test_every_definition_is_referenced():
     sources = [p.read_text() for p in SOURCES]
-    corpus = "\n".join(p.read_text() for p in CORPUS)
+    corpus = [p.read_text() for p in corpus_files(ROOT)]
     assert unreferenced(sources, corpus) == []
 
 
@@ -100,12 +120,42 @@ def test_unreferenced_catches_a_dead_definition():
         "class Kept:\n"
         "    def __init__(self): pass\n"
         "    def used(self): pass\n"
-        "    def dead(self): pass\n"
+        '    def dead(self):\n'
+        '        """dead is named in its docstring"""\n'
+        '        return "dead"  # and in a string\n'
         "def twice(): pass\n"
         "def twice(): pass\n"
+        "def imported(): pass\n"
+        "def aliased(): pass\n"
     )
-    corpus = source + "Kept().used()\nused_elsewhere = twice_over = 1\n"
-    assert unreferenced([source], corpus) == ["dead", "twice"]
+    other = (
+        "from m import imported\n"
+        "from m import aliased as a2\n"
+        "Kept().used()\n"
+        "used_elsewhere = twice_over = 1\n"
+    )
+    assert unreferenced([source], [source, other]) == ["dead", "twice"]
+
+
+def test_unreferenced_reports_a_method_only_a_test_calls(tmp_path):
+    module = (
+        "class Thing:\n"
+        "    def run(self): return self.helper()\n"
+        "    def helper(self): return 1\n"
+        "    def probe(self): return 2\n"
+        "def main(): return Thing().run()\n"
+    )
+    files = {
+        "src/pkg/thing.py": module,
+        "bench/run.py": "from pkg.thing import main\nmain()\n",
+        "tests/test_thing.py": "from pkg.thing import Thing\n"
+        "def test_probe():\n    assert Thing().probe() == 2\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    corpus = [p.read_text() for p in corpus_files(tmp_path)]
+    assert unreferenced([module], corpus) == ["probe"]
 
 
 def caught_names(tree: ast.AST) -> set[str]:

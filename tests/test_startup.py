@@ -29,7 +29,6 @@ from zdposet.cmcert import (
 )
 from zdposet.poset import direct_product, generate
 from zdposet.product import PredictedCounts, TheoremCheck
-from zdposet.search import OrderingOutcome
 
 HEAVY = {"dataclasses", "json", "zdposet.product"}
 
@@ -236,7 +235,6 @@ RECORDS = {
     ConditionStatus: ("ok", "witness"),
     MyCertificate: ("pairs", "pair_names", "h", "conditions"),
     Stratification: ("k", "strata", "b_hat", "facet"),
-    OrderingOutcome: ("pairs", "cycle"),
     CmVerdict: ("status", "method", "certificate", "detail"),
     PredictedCounts: ("j_single_sizes", "j_triple_size"),
     TheoremCheck: ("boolean_lattice", "cm_status", "well_covered", "enumerated"),
@@ -257,7 +255,6 @@ def test_record_shape():
     with pytest.raises(AttributeError):
         v.status = "NotCM"
     assert ConditionStatus(True).witness is None
-    assert OrderingOutcome(None, (0, 1)).feasible is False
 
 
 def test_analysis_keeps_its_signature():

@@ -62,7 +62,7 @@ def test_adjacency_matches_cone_definition(figure1):
     for v in G.vertices:
         for w in G.vertices:
             if v != w:
-                assert G.adjacent(v, w) == brute.adjacent(figure1, v, w)
+                assert (w in G.neighbors(v)) == brute.adjacent(figure1, v, w)
 
 
 def random_bounded_poset(rng: random.Random, n: int):
@@ -96,13 +96,13 @@ def test_rows_match_brute_adjacency(figure1):
 
 def test_graph_complements(figure1):
     G = zero_divisor_graph(figure1)
-    q1 = figure1.id_of("q1")
+    q1 = figure1.elements.index("q1")
     assert names(figure1, graph_complements(G, q1)) == {"q1'"}
     K3 = zero_divisor_graph(generate("m_atoms", 3))
     assert graph_complements(K3, K3.vertices[0]) == frozenset()
     cube = generate("boolean_lattice", 3)
     Gc = zero_divisor_graph(cube)
-    assert names(cube, graph_complements(Gc, cube.id_of("a23"))) == {"a1"}
+    assert names(cube, graph_complements(Gc, cube.elements.index("a23"))) == {"a1"}
     with pytest.raises(ZdPosetError, match=f"^unknown vertex {figure1.bottom}$"):
         graph_complements(G, figure1.bottom)
 
@@ -177,6 +177,6 @@ def test_product_of_two_three_chains_is_k22():
     pp = direct_product([generate("chain", 3)] * 2)
     G = zero_divisor_graph(pp.carrier)
     assert len(G.vertices) == 4
-    degrees = sorted(G.degree(v) for v in G.vertices)
+    degrees = sorted(len(G.neighbors(v)) for v in G.vertices)
     assert degrees == [2, 2, 2, 2]
     assert len(G.edges()) == 4
