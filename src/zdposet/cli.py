@@ -61,7 +61,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         lines.append(f"weight: {P.poset_weight()}")
     else:
         lines.append("weight: n/a (not bounded)")
-    w = P.distributivity_witness
+    w = None if P.is_boolean() else P.distributivity_witness
     if w is None:
         lines.append("distributive: yes")
     else:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import PosetSyntaxError, ZdPosetError
+from .errors import PosetSyntaxError, TheoremContractError, ZdPosetError
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -297,9 +297,6 @@ class Poset:
                         return (a, b, c)
         return None
 
-    def is_distributive(self) -> bool:
-        return self.distributivity_witness is None
-
     @cached_property
     def _first_uncomplemented(self) -> int | None:
         """The first element of a bounded poset with no complement, or None."""
@@ -313,8 +310,10 @@ class Poset:
         """None if Boolean, else a reason naming the first failed clause.
 
         Clauses are reported in the order bounded, distributive,
-        complemented.
+        complemented; only a non-Boolean poset reads them.
         """
+        if self.is_boolean():
+            return None
         if self.bottom is None:
             return "not bounded (no least element)"
         if self.top is None:
@@ -324,24 +323,30 @@ class Poset:
             a, b, c = (self.elements[i] for i in w)
             return f"not distributive (witness: {a},{b},{c})"
         x = self._first_uncomplemented
-        if x is not None:
-            return f"element {self.elements[x]!r} has no complement"
-        return None
+        if x is None:
+            raise TheoremContractError(
+                "a complemented distributive poset failed the support test"
+            )
+        return f"element {self.elements[x]!r} has no complement"
 
     @cached_property
     def _boolean(self) -> bool:
-        return (
-            self.is_bounded()
-            and self._first_uncomplemented is None
-            and self.is_distributive()
-        )
+        if not self.is_bounded():
+            return False
+        atoms = self.atoms_mask
+        supports = [atoms & row for row in self.down]
+        if any(row != self.ucone_mask(s) for row, s in zip(self.up, supports)):
+            return False
+        return {atoms ^ s for s in supports} == set(supports)
 
     def is_boolean(self) -> bool:
-        """Bounded, complemented and distributive.
+        """Bounded, complemented and distributive; cached.
 
-        The clauses are tested in that order, so the complement test (one
-        mask per element, from its atoms and coatoms) rejects most
-        non-Boolean posets before distributivity runs.
+        Decided from the supports, supp(x) = the atoms below x: P is
+        Boolean iff it is bounded, ``up[x] == ucone_mask(supp(x))`` for
+        every x (so x <= y iff supp(x) ⊆ supp(y)), and the supports are
+        closed under complement in the atom set.  README's "Boolean
+        posets" has the proof.  O(n·k) masks for k atoms; no clause runs.
         """
         return self._boolean
 

@@ -91,7 +91,7 @@ def direct_product(factors: Sequence[Poset]) -> ProductPoset:
 MAX_CATALOG_ELEMENTS = 2**10
 
 
-def _above_cap(poset: str, elements: object) -> ZdPosetError:
+def above_cap(poset: str, elements: object) -> ZdPosetError:
     return ZdPosetError(
         f"{poset} would have {elements} elements, above the catalog cap of "
         f"{MAX_CATALOG_ELEMENTS}"
@@ -124,7 +124,7 @@ def _boolean_lattice(n: int) -> Poset:
     if n < 1:
         raise ZdPosetError("boolean_lattice needs n >= 1")
     if n >= MAX_CATALOG_ELEMENTS.bit_length():  # 2^n above the cap
-        raise _above_cap(f"boolean_lattice {n}", f"2^{n}")
+        raise above_cap(f"boolean_lattice {n}", f"2^{n}")
     full = (1 << n) - 1
     masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
     names = [_subset_name(m, n, full) for m in masks]
@@ -135,7 +135,7 @@ def _chain(k: int) -> Poset:
     if k < 1:
         raise ZdPosetError("chain needs k >= 1")
     if k > MAX_CATALOG_ELEMENTS:
-        raise _above_cap(f"chain {k}", k)
+        raise above_cap(f"chain {k}", k)
     if k == 1:
         names = ["0"]
     elif k == 2:
@@ -151,7 +151,7 @@ def _atom_coatom(k: int) -> Poset:
     if k < 2:
         raise ZdPosetError("atom_coatom needs k >= 2")
     if 2 * k + 2 > MAX_CATALOG_ELEMENTS:  # k atoms, k coatoms, 0 and 1
-        raise _above_cap(f"atom_coatom {k}", 2 * k + 2)
+        raise above_cap(f"atom_coatom {k}", 2 * k + 2)
     full = (1 << k) - 1
     masks: list[int] = [0]
     names: list[str] = ["0"]
@@ -171,7 +171,7 @@ def _m_atoms(k: int) -> Poset:
     if k < 1:
         raise ZdPosetError("m_atoms needs k >= 1")
     if k + 2 > MAX_CATALOG_ELEMENTS:
-        raise _above_cap(f"m_atoms {k}", k + 2)
+        raise above_cap(f"m_atoms {k}", k + 2)
     names = ["0"] + [f"a{i}" for i in range(1, k + 1)] + ["1"]
     n = k + 2
     top = n - 1

@@ -17,7 +17,7 @@ from .cmcert import Analysis
 from .complexes import DEFAULT_MAX_VERTICES, STATUS_TEXT, is_well_covered, yes_no
 from .errors import SizeLimitExceededError, TheoremContractError, ZdPosetError
 from .order import Poset, bits
-from .poset import ProductPoset, generate
+from .poset import MAX_CATALOG_ELEMENTS, ProductPoset, above_cap, generate
 from .zdg import ZdGraph, zero_divisor_graph, zero_divisors
 
 
@@ -180,23 +180,11 @@ def well_covered_verdict(A: ProductAnalysis) -> tuple[bool, str]:
 
 
 def is_boolean_lattice(P: Poset) -> bool:
-    """Order-isomorphic to the power set of its atoms.
-
-    A bounded poset with 2^k elements and k atoms, whose atom supports
-    are distinct and order it by inclusion, is isomorphic to 2^k: so it is
-    a distributive, complemented lattice, and those need no separate test.
-    Ordered by inclusion means that the up row of each x is the meet of
-    the up rows of the atoms below x.
-    """
-    if not P.is_bounded():
-        return False
-    k = len(P.atoms())
-    if len(P) != 2**k:
-        return False
-    supports = [P.atoms_mask & P.down[x] for x in range(len(P))]
-    if len(set(supports)) != len(P):
-        return False
-    return all(row == P.ucone_mask(s) for row, s in zip(P.up, supports))
+    """Order-isomorphic to the power set of its atoms: a Boolean poset
+    with 2^k elements for k atoms.  x ↦ supp(x) embeds a Boolean poset
+    into the 2^k subsets of its atoms (``Poset.is_boolean``), so it is
+    onto exactly when the sizes match."""
+    return P.is_boolean() and len(P) == 2 ** P.atoms_mask.bit_count()
 
 
 class TheoremCheck(NamedTuple):
@@ -291,7 +279,8 @@ def product_theorem(
 
 
 def parse_size_vectors(text: str) -> list[tuple[int, ...]]:
-    """One comma-separated factor-size vector per line; # comments allowed."""
+    """One comma-separated factor-size vector per line; # comments allowed.
+    A vector whose carrier would exceed the catalog cap is refused."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -310,6 +299,10 @@ def parse_size_vectors(text: str) -> list[tuple[int, ...]]:
             )
         if any(s < 2 for s in sizes):
             raise ZdPosetError(f"line {lineno}: factor sizes must be at least 2")
+        elements = math.prod(sizes)
+        if elements > MAX_CATALOG_ELEMENTS:
+            vector = ",".join(map(str, sizes))
+            raise above_cap(f"line {lineno}: {vector}", elements)
         out.append(sizes)
     return out
 

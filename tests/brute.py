@@ -105,9 +105,9 @@ def first_uncomplemented_reference(P: Poset) -> int | None:
 
 
 def is_boolean_lattice_by_pairs(P: Poset) -> bool:
-    """``product.is_boolean_lattice`` with its n² ``leq`` calls: the
-    power-set test that compares every pair's order with support
-    inclusion."""
+    """The power-set test with its n² ``leq`` calls: 2^k elements for k
+    atoms, distinct atom supports, and every pair's order the inclusion
+    of their supports."""
     if not P.is_bounded():
         return False
     n = len(P)
@@ -152,13 +152,16 @@ def distributivity_witness_reference(P: Poset) -> tuple[int, int, int] | None:
     (a, b, c) order; ``Poset.distributivity_witness`` must agree."""
     n = len(P)
     pre = [[P.lcone_mask(P.up[b] & P.up[c]) for c in range(n)] for b in range(n)]
+    ul: dict[int, int] = {}  # the right-hand side depends on the union alone
     for a in range(n):
         da = P.down[a]
         for b in range(n):
             dab = da & P.down[b]
             for c in range(n):
                 union = dab | (da & P.down[c])
-                if da & pre[b][c] != P.lcone_mask(P.ucone_mask(union)):
+                if union not in ul:
+                    ul[union] = P.lcone_mask(P.ucone_mask(union))
+                if da & pre[b][c] != ul[union]:
                     return (a, b, c)
     return None
 
@@ -173,9 +176,9 @@ def boolean_failure_reference(P: Poset) -> str | None:
     w = distributivity_witness_reference(P)
     if w is not None:
         return "not distributive (witness: {},{},{})".format(*(P.elements[i] for i in w))
-    for x in elements(P):
-        if not complements(P, x):
-            return f"element {P.elements[x]!r} has no complement"
+    x = first_uncomplemented_reference(P)
+    if x is not None:
+        return f"element {P.elements[x]!r} has no complement"
     return None
 
 
@@ -415,25 +418,31 @@ def reisner_table_reference(C) -> list[tuple[tuple, int, tuple[int, ...]]]:
 
 
 def is_boolean_lattice_reference(P: Poset) -> bool:
-    """The three-clause definition: a Boolean poset, with a join for every
-    pair, that is order-isomorphic to the power set of its atoms."""
-    if not P.is_boolean():
+    """The three-clause definition: order-isomorphic to the power set of
+    its atoms, a Boolean poset by the clauses, with a join for every pair.
+    The power-set clause goes first, so the cubic clause runs only on
+    posets that pass it."""
+    if not P.is_bounded():
         return False
     n = len(P)
-    for a in range(n):
-        for b in range(n):
-            ub = upper_cone(P, {a, b})
-            if not any(all(P.leq(m, u) for u in ub) for m in ub):
-                return False
     k = len(atoms(P))
     if n != 2**k:
         return False
     supports = [frozenset(x for x in atoms(P) if P.leq(x, y)) for y in range(n)]
     if len(set(supports)) != n:
         return False
-    return all(
+    if not all(
         P.leq(a, b) == (supports[a] <= supports[b]) for a in range(n) for b in range(n)
-    )
+    ):
+        return False
+    if boolean_failure_reference(P) is not None:
+        return False
+    for a in range(n):
+        for b in range(n):
+            ub = upper_cone(P, {a, b})
+            if not any(all(P.leq(m, u) for u in ub) for m in ub):
+                return False
+    return True
 
 
 # --- certificate-layer oracles -------------------------------------------------

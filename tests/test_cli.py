@@ -11,6 +11,7 @@ import zdposet
 import zdposet.zdg as zdg_mod
 from zdposet.cli import build_parser, main
 from zdposet.cmcert import is_cohen_macaulay
+from zdposet.order import Poset
 from zdposet.poset import direct_product, generate, parse_poset
 
 
@@ -224,6 +225,68 @@ def test_sweep_two_factor_row_above_the_cap_keeps_every_row(tmp_path, capsys):
         f"21,21\t400\t20\t-\tyes{flag}\tno{flag}\tno",
         "2,3\t2\t1\t-\tno\tno\tno",
     ]
+
+
+def test_sweep_refuses_a_carrier_above_the_catalog_cap(tmp_path, capsys):
+    # refused while the file is read: no row prints, nothing is built
+    path = write_sizes(tmp_path, "2,2\n1025,1025")
+    assert main(["sweep", path]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: line 2: 1025,1025 would have 1050625 elements, above the "
+        "catalog cap of 1024\n",
+    )
+
+
+def test_boolean_posets_run_no_distributivity_test(tmp_path, monkeypatch, capsys):
+    # the support test decides them, so check, info and sweep print the
+    # same bytes with both distributivity tests broken
+    def broken(*_):
+        raise AssertionError("a distributivity test ran")
+
+    monkeypatch.setattr(Poset, "_is_distributive_lattice", broken)
+    monkeypatch.setattr(Poset, "distributivity_witness", property(broken))
+
+    def info(n, atoms):
+        return [
+            f"elements: {n}",
+            "bounded: yes",
+            f"atoms: {len(atoms)} ({' '.join(atoms)})",
+            f"weight: {len(atoms)}",
+            "distributive: yes",
+            "boolean: yes",
+            "ssc: yes",
+            "wssc: yes",
+            f"zero-divisors: {n - 1}",
+        ]
+
+    def check(n, vertices, edges):
+        skip = f"skipped ({vertices} vertices exceed the facet-enumeration cap 40)"
+        return [
+            f"poset: {n} elements, boolean: yes",
+            f"graph: {vertices} vertices, {edges} edges",
+            f"well-covered: {skip}",
+            f"very-well-covered: {skip}",
+            "CM(MY): yes [boolean-certificate]",
+            "CM(Reisner): skipped (facet enumeration was capped)",
+            "consistent: yes",
+        ]
+
+    ac60 = write_poset(tmp_path, generate("atom_coatom", 60), "ac60.poset")
+    b6 = write_poset(tmp_path, generate("boolean_lattice", 6), "b6.poset")
+    expected = {
+        ("info", ac60): info(122, [f"q{i}" for i in range(1, 61)]),
+        ("check", ac60): check(122, 120, 1830),
+        ("info", b6): info(64, [f"a{i}" for i in range(1, 7)]),
+        ("check", b6): check(64, 62, 301),
+        ("sweep", write_sizes(tmp_path, "2,2,2,2,2,2")): [
+            "sizes\t|D|\t|J_1|\t|J_1,2,3|\twell-covered\tCM\tboolean-lattice",
+            "2,2,2,2,2,2\t1\t31\t31\tyes [unverified-by-enumeration]\tyes\tyes",
+        ],
+    }
+    for argv, lines in expected.items():
+        assert main(list(argv)) == 0, argv
+        assert capsys.readouterr() == ("\n".join(lines) + "\n", ""), argv
 
 
 def test_gen_roundtrip(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import brute
-from zdposet.errors import PosetSyntaxError, ZdPosetError
+from zdposet.errors import PosetSyntaxError, TheoremContractError, ZdPosetError
 from zdposet.poset import Poset, bits, direct_product, generate, parse_poset
 
 
@@ -231,11 +232,11 @@ def test_pseudocomplements():
 
 
 def test_distributive_posets():
-    assert generate("boolean_lattice", 4).is_distributive()
+    assert generate("boolean_lattice", 4).distributivity_witness is None
 
 
 def test_figure1_distributive(figure1):
-    assert figure1.is_distributive()
+    assert figure1.distributivity_witness is None
 
 
 def test_m3_not_distributive_with_valid_witness():
@@ -243,7 +244,7 @@ def test_m3_not_distributive_with_valid_witness():
     w = P.distributivity_witness
     assert w is not None
     assert not brute.distributive_at(P, *w)
-    assert not P.is_distributive()
+    assert P.distributivity_witness is not None
 
 
 def test_is_boolean(figure1):
@@ -256,7 +257,7 @@ def test_is_boolean(figure1):
 
 def test_boolean_failure_reports_missing_complement():
     P = generate("chain", 3)
-    assert P.is_distributive()
+    assert P.distributivity_witness is None
     assert "complement" in P.boolean_failure
 
 
@@ -269,12 +270,12 @@ N5 = parse_poset(
 def assert_boolean_gate_matches_reference(P, definitional=True):
     w = brute.distributivity_witness_reference(P)
     fresh = Poset(P.elements, P.up)  # is_boolean() first, nothing cached
-    boolean = P.is_bounded() and w is None and all(
-        brute.complements(P, x) for x in range(len(P))
+    boolean = (
+        P.is_bounded() and w is None and brute.first_uncomplemented_reference(P) is None
     )
     assert fresh.is_boolean() == boolean, P.to_text()
     assert P.distributivity_witness == w, P.to_text()
-    assert P.is_distributive() == (w is None)
+    assert (P.distributivity_witness is None) == (w is None)
     if definitional:
         assert brute.is_distributive(P) == (w is None)
     assert P.boolean_failure == brute.boolean_failure_reference(P)
@@ -296,7 +297,7 @@ def test_boolean_gate_on_named_posets(figure1, b4_without_a12_a34):
     ]
     for P in named:
         assert_boolean_gate_matches_reference(P, definitional=len(P) <= 14)
-    assert not any(P.is_distributive() for P in named[:4])
+    assert all(P.distributivity_witness is not None for P in named[:4])
     assert all(P.is_boolean() for P in named[4:])
     # no Boolean poset here is a lattice, so the cone law decides them,
     # running through every triple
@@ -380,6 +381,71 @@ def test_boolean_gate_matches_reference_on_distributive_lattices(P):
     assert_boolean_gate_matches_reference(P, definitional=len(P) <= 8)
 
 
+def support_families():
+    """Yield (k, family): families of subsets of k = 2..5 atoms holding the
+    empty set, the full set, the singletons and the co-singletons, plus
+    any set of complementary pairs (1,034 families, all Boolean); and each
+    family with a pair once more, without the complement of its first
+    pair (1,030, none Boolean)."""
+    for k in range(2, 6):
+        full = (1 << k) - 1
+        base = {0, full} | {1 << i for i in range(k)} | {full ^ 1 << i for i in range(k)}
+        pairs = [m for m in range(1 << k) if m < full ^ m and m not in base]
+        for r in range(len(pairs) + 1):
+            for picked in itertools.combinations(pairs, r):
+                family = base | set(picked) | {full ^ m for m in picked}
+                yield k, family
+                if picked:
+                    yield k, family - {full ^ picked[0]}
+
+
+def test_boolean_gate_matches_reference_on_support_families():
+    # Booleanness and being a Boolean lattice do not change when the
+    # atoms are permuted, so the cubic references run once per orbit of
+    # families, and every family is compared with its orbit's answers.
+    # The singletons and co-singletons make every family distributive,
+    # so a non-Boolean one fails on its first uncomplemented element.
+    from zdposet.product import is_boolean_lattice
+
+    # images[k]: for each permutation of the k atoms, the bit of each
+    # set's image; a family's orbit is keyed by its least image
+    images = {
+        k: [
+            [1 << brute.mask(p[i] for i in bits(m)) for m in range(1 << k)]
+            for p in itertools.permutations(range(k))
+        ]
+        for k in range(2, 6)
+    }
+    rng = random.Random(53)
+    orbits: dict[tuple[int, int], tuple[bool, bool]] = {}
+    tally = {True: 0, False: 0}
+    for k, family in support_families():
+        sets = sorted(family)
+        rng.shuffle(sets)
+        up = [sum(1 << j for j, t in enumerate(sets) if s & ~t == 0) for s in sets]
+        P = Poset([f"s{s}" for s in sets], up)
+        orbit = (k, min(sum(map(bit.__getitem__, family)) for bit in images[k]))
+        if orbit not in orbits:
+            assert_boolean_gate_matches_reference(P, definitional=False)
+            assert P.distributivity_witness is None
+            orbits[orbit] = (P.is_boolean(), brute.is_boolean_lattice_reference(P))
+        boolean = P.is_boolean()
+        assert (boolean, is_boolean_lattice(P)) == orbits[orbit], P.to_text()
+        assert boolean == (brute.first_uncomplemented_reference(P) is None)
+        tally[boolean] += 1
+    assert len(orbits) == 130
+    assert tally == {True: 1034, False: 1030}
+
+
+def test_boolean_failure_traps_a_support_test_disagreement(figure1):
+    # a complemented distributive poset that the support test rejects
+    # would contradict the theorem behind it
+    P = Poset(figure1.elements, figure1.up)
+    P.__dict__["_boolean"] = False
+    with pytest.raises(TheoremContractError, match="failed the support test"):
+        P.boolean_failure
+
+
 def test_is_boolean_tests_complements_first():
     carrier = direct_product([generate("chain", 4)] * 3).carrier
     assert not carrier.is_boolean()
@@ -396,6 +462,7 @@ def test_is_boolean_tests_complements_first():
 )
 def test_distributive_lattice_skips_the_triple_loop(build, monkeypatch):
     P = build()
+    assert P.is_boolean()  # the support test reads ucone_mask itself
     # the cone calls below are made only by the triple loop
     calls = []
     for name in ("ucone_mask", "lcone_mask"):
@@ -403,7 +470,6 @@ def test_distributive_lattice_skips_the_triple_loop(build, monkeypatch):
         monkeypatch.setattr(
             Poset, name, lambda self, m, real=real: calls.append(m) or real(self, m)
         )
-    assert P.is_boolean()
     assert P.distributivity_witness is None
     assert calls == []
 

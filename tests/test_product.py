@@ -353,6 +353,19 @@ def test_parse_size_vectors():
         parse_size_vectors("2\n")
     with pytest.raises(ZdPosetError, match="^line 1: factor sizes must be at least 2$"):
         parse_size_vectors("2,1\n")
+    # the catalog cap is read off the sizes, before any factor is built
+    for text, line in [
+        ("2,2\n300,300\n", "line 2: 300,300 would have 90000 elements"),
+        ("2,513\n", "line 1: 2,513 would have 1026 elements"),
+        (",".join(["2"] * 11), "line 1: 2,2,2,2,2,2,2,2,2,2,2 would have 2048 elements"),
+        ("1000, 1000", "line 1: 1000,1000 would have 1000000 elements"),
+    ]:
+        with pytest.raises(ZdPosetError) as exc:
+            parse_size_vectors(text)
+        assert str(exc.value) == line + ", above the catalog cap of 1024"
+    ten = (2,) * 10
+    text = ",".join(map(str, ten)) + "\n32,32\n2,512\n"
+    assert parse_size_vectors(text) == [ten, (32, 32), (2, 512)]
 
 
 def test_sweep_report_golden():
