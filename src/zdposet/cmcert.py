@@ -91,14 +91,12 @@ class CmVerdict(NamedTuple):
     detail: str = ""
 
 
-def boolean_facet(P: Poset, G: ZdGraph | None = None) -> Stratification:
-    """Build the canonical facet of a Boolean poset's graph by weight strata."""
+def boolean_facet(P: Poset, G: ZdGraph) -> Stratification:
+    """Build the canonical facet of a Boolean poset's graph G by weight strata."""
     require_boolean(P)
     k = P.poset_weight()
     if k < 2:
         raise ZdPosetError(f"poset has {k} atom(s); the zero-divisor graph is empty")
-    if G is None:
-        G = zero_divisor_graph(P)
     weight = {v: P.weight(v) for v in G.vertices}
 
     levels = (k - 1) // 2 if k % 2 else (k - 2) // 2

@@ -4,12 +4,13 @@ Vertex ids only need to be hashable and mutually comparable (ints for
 zero-divisor graphs, anything sortable for ad-hoc test graphs).  The
 adjacency is one bitmask row per vertex position: bit j of ``nbr[i]``
 is set when ``vertices[i]`` and ``vertices[j]`` are adjacent, and
-``index`` maps a vertex to its position.
+``index`` maps a vertex to its position.  A graph is built from those
+rows alone; the tests build theirs from edge lists with ``brute.graph``.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable
 
 from .errors import ZdPosetError
 from .order import bits
@@ -18,18 +19,11 @@ Vertex = Hashable
 
 
 class Graph:
-    def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]]):
-        self.vertices: tuple[Vertex, ...] = tuple(sorted(set(vertices)))
-        self.index: dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
-        self.nbr: list[int] = [0] * len(self.vertices)
-        for a, b in edges:
-            if a not in self.index or b not in self.index:
-                raise ZdPosetError(f"edge ({a!r}, {b!r}) uses an unknown vertex")
-            if a == b:
-                raise ValueError(f"loop at {a!r}: graphs here are simple")
-            i, j = self.index[a], self.index[b]
-            self.nbr[i] |= 1 << j
-            self.nbr[j] |= 1 << i
+    def __init__(self, vertices: tuple[Vertex, ...], nbr: list[int]):
+        """``vertices`` sorted; one symmetric, loop-free row per position."""
+        self.vertices = vertices
+        self.index: dict[Vertex, int] = {v: i for i, v in enumerate(vertices)}
+        self.nbr = nbr
 
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges())} edges)"

@@ -198,12 +198,10 @@ class TheoremCheck(NamedTuple):
     enumerated: bool
 
 
-def product_theorem(
-    A: ProductAnalysis, analysis: Analysis | None = None
-) -> TheoremCheck:
+def product_theorem(A: ProductAnalysis, analysis: Analysis) -> TheoremCheck:
     """Check the product theorem on A under the caps of ``analysis``, an
-    ``Analysis`` of ``A.graph`` (default caps when None); any disagreement
-    raises ``TheoremContractError``.
+    ``Analysis`` of ``A.graph``; any disagreement raises
+    ``TheoremContractError``.
 
     For n >= 3 the five statements (CM, well-covered, every factor a
     2-chain, Boolean lattice, Boolean poset) agree, and the J-set sizes
@@ -214,8 +212,6 @@ def product_theorem(
     lattice, whose certificate needs no facets, gets a CM verdict.  An
     ``Inconclusive`` verdict decides no statement.
     """
-    if analysis is None:
-        analysis = Analysis(A.graph)
     sizes = A.factor_sizes
     singles = tuple(j_single(A, i) for i in range(1, A.n + 1))
     if A.n == 2:
@@ -291,6 +287,13 @@ def parse_size_vectors(text: str) -> list[tuple[int, ...]]:
         if not all(tok.isascii() and tok.isdigit() for tok in tokens):
             raise ZdPosetError(
                 f"line {lineno}: expected comma-separated integers, got {line!r}"
+            )
+        # int() refuses over 4,300 digits: count them, leading zeros aside
+        tokens = [tok.lstrip("0") or "0" for tok in tokens]
+        if (digits := max(map(len, tokens))) > len(str(MAX_CATALOG_ELEMENTS)):
+            raise above_cap(
+                f"line {lineno}: a vector with a {digits}-digit factor size",
+                f"at least 10^{digits - 1}",
             )
         sizes = tuple(map(int, tokens))
         if len(sizes) < 2:

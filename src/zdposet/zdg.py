@@ -12,16 +12,10 @@ from .order import Poset, bits
 
 
 class ZdGraph(Graph):
-    """A materialized zero-divisor graph; keeps the source poset around.
-
-    Built from adjacency rows already indexed by vertex position, so it
-    skips the edge list that ``Graph`` takes.
-    """
+    """A materialized zero-divisor graph; keeps the source poset around."""
 
     def __init__(self, owner: Poset, vertices: tuple[int, ...], nbr: list[int]):
-        self.vertices = vertices
-        self.index = {v: i for i, v in enumerate(vertices)}
-        self.nbr = nbr
+        super().__init__(vertices, nbr)
         self.owner = owner
 
     def label(self, v: int) -> str:

@@ -10,7 +10,8 @@ link from the facets through its face, and ``betti`` ranks any facet
 list (flag or not) with ``homology._betti``.
 
 The last section holds the lemma checks and helpers that the package no
-longer exports, because no subcommand calls them: the unique
+longer exports, because no subcommand calls them: ``graph``, which makes
+the hand-written test graphs from edge lists, the unique
 complementation and atom/end lemma checks, ends, graph complements, the
 complementary-pair greedy extension and the mask-level pseudocomplement.
 Their tests run them here.
@@ -627,6 +628,21 @@ def search_certificate_reference(G, facets, budget: int) -> CmVerdict:
 
 
 # --- helpers that left the package: no subcommand calls them ------------------
+
+
+def graph(vertices: Iterable, edges: Iterable[tuple]) -> Graph:
+    """The simple graph on a set of sortable vertex ids with the given edges."""
+    verts = tuple(sorted(set(vertices)))
+    index = {v: i for i, v in enumerate(verts)}
+    nbr = [0] * len(verts)
+    for a, b in edges:
+        if a not in index or b not in index:
+            raise ZdPosetError(f"edge ({a!r}, {b!r}) uses an unknown vertex")
+        if a == b:
+            raise ValueError(f"loop at {a!r}: graphs here are simple")
+        nbr[index[a]] |= 1 << index[b]
+        nbr[index[b]] |= 1 << index[a]
+    return Graph(verts, nbr)
 
 
 def pseudocomplement_of(P: Poset, x: int) -> int | None:

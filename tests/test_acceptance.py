@@ -13,13 +13,13 @@ import time
 import brute
 from brute import extend_independent, pseudocomplement_of
 from zdposet.cmcert import (
+    Analysis,
     boolean_facet,
     boolean_labeling,
     is_cohen_macaulay,
     verify_my_conditions,
 )
 from zdposet.complexes import independence_complex, is_very_well_covered, is_well_covered
-from zdposet.graphs import Graph
 from zdposet.homology import reisner_cm
 from zdposet.poset import direct_product, generate, parse_poset
 from zdposet.product import (
@@ -166,7 +166,7 @@ def test_criterion_6_equivalence_sweep():
     for sizes in vectors:
         A = validate_factors([generate("chain", s) for s in sizes])
         # product_theorem raises unless the five statements agree
-        report = product_theorem(A)
+        report = product_theorem(A, Analysis(A.graph))
         assert report.cm_status in ("CM", "NotCM") and report.enumerated
         assert report.boolean_lattice == all(s == 2 for s in sizes)
     budget.finish()
@@ -286,7 +286,7 @@ def _suite_facets_vs_brute(rng):
         edges = [
             (a, b) for a in verts for b in verts if a < b and rng.random() < p
         ]
-        G = Graph(verts, edges)
+        G = brute.graph(verts, edges)
         C = independence_complex(G)
         assert {frozenset(f) for f in C.facets} == brute.maximal_independent_sets(
             verts, brute.adjacency(G)
@@ -301,7 +301,7 @@ def _suite_betti_relabeling(rng):
         edges = [
             (a, b) for a in verts for b in verts if a < b and rng.random() < p
         ]
-        C = independence_complex(Graph(verts, edges))
+        C = independence_complex(brute.graph(verts, edges))
         perm = verts[:]
         rng.shuffle(perm)
         relabeled = [tuple(perm[v] for v in f) for f in C.facets]

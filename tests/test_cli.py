@@ -238,6 +238,18 @@ def test_sweep_refuses_a_carrier_above_the_catalog_cap(tmp_path, capsys):
     )
 
 
+def test_sweep_refuses_a_size_too_long_for_int(tmp_path, capsys):
+    # int() raises ValueError past 4,300 digits; the size is refused by
+    # its digit count first, with the usual exit code and no traceback
+    path = write_sizes(tmp_path, "9" * 5000 + ",2")
+    assert main(["sweep", path]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: line 1: a vector with a 5000-digit factor size would have at "
+        "least 10^4999 elements, above the catalog cap of 1024\n",
+    )
+
+
 def test_boolean_posets_run_no_distributivity_test(tmp_path, monkeypatch, capsys):
     # the support test decides them, so check, info and sweep print the
     # same bytes with both distributivity tests broken

@@ -26,7 +26,7 @@ from zdposet.zdg import zero_divisor_graph
 
 
 def k22():
-    return Graph(["a1", "a2", "b1", "b2"], [
+    return brute.graph(["a1", "a2", "b1", "b2"], [
         ("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2"),
     ])
 
@@ -35,7 +35,7 @@ def k22():
 
 
 def test_boolean_facet_figure1(figure1):
-    S = boolean_facet(figure1)
+    S = boolean_facet(figure1, zero_divisor_graph(figure1))
     assert S.k == 4
     q = figure1.elements.index
     assert dict(S.strata) == {1: tuple(q(name) for name in ("q1'", "q2'", "q3'", "q4'"))}
@@ -45,7 +45,7 @@ def test_boolean_facet_figure1(figure1):
 
 def test_boolean_facet_cube():
     P = generate("boolean_lattice", 3)
-    S = boolean_facet(P)
+    S = boolean_facet(P, zero_divisor_graph(P))
     assert S.k == 3
     assert set(P.names(S.facet)) == {"a12", "a13", "a23"}
 
@@ -63,19 +63,21 @@ def test_boolean_facet_2_4():
 
 
 def test_boolean_facet_guards():
+    P = generate("m_atoms", 3)
     with pytest.raises(ZdPosetError, match="^poset is not Boolean: not distributive"):
-        boolean_facet(generate("m_atoms", 3))
+        boolean_facet(P, zero_divisor_graph(P))
+    P = generate("boolean_lattice", 1)
     with pytest.raises(
         ZdPosetError, match=r"^poset has 1 atom\(s\); the zero-divisor graph is empty$"
     ):
-        boolean_facet(generate("boolean_lattice", 1))
+        boolean_facet(P, zero_divisor_graph(P))
 
 
 # --- boolean_labeling -----------------------------------------------------------
 
 
 def test_labeling_figure1(figure1):
-    pairs = boolean_labeling(figure1, boolean_facet(figure1))
+    pairs = boolean_labeling(figure1, boolean_facet(figure1, zero_divisor_graph(figure1)))
     expected = tuple(
         (figure1.elements.index(f"q{i}"), figure1.elements.index(f"q{i}'"))
         for i in (1, 2, 3, 4)
@@ -85,7 +87,7 @@ def test_labeling_figure1(figure1):
 
 def test_labeling_cube():
     P = generate("boolean_lattice", 3)
-    pairs = boolean_labeling(P, boolean_facet(P))
+    pairs = boolean_labeling(P, boolean_facet(P, zero_divisor_graph(P)))
     for x, y in pairs:
         assert P.complements_of(y) == {x}
         assert P.weight(y) == 2
@@ -93,7 +95,7 @@ def test_labeling_cube():
 
 def test_labeling_single_pair():
     P = generate("boolean_lattice", 2)
-    pairs = boolean_labeling(P, boolean_facet(P))
+    pairs = boolean_labeling(P, boolean_facet(P, zero_divisor_graph(P)))
     assert len(pairs) == 1
     x, y = pairs[0]
     assert {P.elements[x], P.elements[y]} == {"a1", "a2"}
@@ -104,7 +106,7 @@ def test_labeling_single_pair():
 
 def test_verify_passes_on_figure1(figure1):
     G = zero_divisor_graph(figure1)
-    cert = verify_my_conditions(G, boolean_labeling(figure1, boolean_facet(figure1)))
+    cert = verify_my_conditions(G, boolean_labeling(figure1, boolean_facet(figure1, G)))
     assert cert.ok
     assert [name for name, _ in cert.conditions] == ["a", "b", "c", "d", "e"]
 
@@ -129,7 +131,7 @@ def test_verify_k22_fails_only_condition_e():
 def test_verify_k2_passes():
     P = generate("boolean_lattice", 2)
     G = zero_divisor_graph(P)
-    cert = verify_my_conditions(G, boolean_labeling(P, boolean_facet(P)))
+    cert = verify_my_conditions(G, boolean_labeling(P, boolean_facet(P, G)))
     assert cert.ok
 
 
@@ -151,7 +153,7 @@ def test_stratum_order_itself_satisfies_all_conditions(boolean_catalog):
 
 def test_permuting_pairs_only_moves_condition_e(figure1):
     G = zero_divisor_graph(figure1)
-    pairs = list(boolean_labeling(figure1, boolean_facet(figure1)))
+    pairs = list(boolean_labeling(figure1, boolean_facet(figure1, G)))
     rng = random.Random(5)
     base = dict(verify_my_conditions(G, pairs).conditions)
     for _ in range(20):
@@ -163,7 +165,7 @@ def test_permuting_pairs_only_moves_condition_e(figure1):
 
 def test_condition_witnesses_carry_names():
     # path a-b-c labeled badly: pairs use a maximal independent set {a, c}
-    G = Graph("abc", [("a", "b"), ("b", "c")])
+    G = brute.graph("abc", [("a", "b"), ("b", "c")])
     with pytest.raises(ZdPosetError, match="^the pairs do not partition the vertex set"):
         verify_my_conditions(G, (("b", "a"),))
 
@@ -171,7 +173,7 @@ def test_condition_witnesses_carry_names():
 def test_certificate_json_golden():
     P = generate("boolean_lattice", 2)
     G = zero_divisor_graph(P)
-    cert = verify_my_conditions(G, boolean_labeling(P, boolean_facet(P)))
+    cert = verify_my_conditions(G, boolean_labeling(P, boolean_facet(P, G)))
     obj = json.loads(cert.to_json())
     assert obj == {
         "h": 1,
@@ -193,7 +195,7 @@ def test_certificate_json_golden():
 def test_ordering_cube_matching_is_free():
     P = generate("boolean_lattice", 3)
     G = zero_divisor_graph(P)
-    pairs = boolean_labeling(P, boolean_facet(P))
+    pairs = boolean_labeling(P, boolean_facet(P, G))
     out = find_ordering(G, pairs)
     assert out is not None
     assert set(out) == set(pairs)
@@ -205,7 +207,7 @@ def test_ordering_k22_cycle():
 
 
 def test_ordering_single_edge():
-    G = Graph("ab", [("a", "b")])
+    G = brute.graph("ab", [("a", "b")])
     assert find_ordering(G, (("a", "b"),)) == (("a", "b"),)
 
 
@@ -269,7 +271,7 @@ def test_certificate_implies_well_covered(boolean_catalog):
 
 def test_condition_b_failure_witness():
     # pairs matched along a non-edge
-    G = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    G = brute.graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
     cert = verify_my_conditions(G, (("b", "a"), ("c", "d")))
     # (b) holds here; now force a non-edge pairing
     cert = verify_my_conditions(G, (("b", "d"), ("c", "a")))
@@ -282,7 +284,7 @@ def test_condition_c_failure_witness():
         ("x1", "y1"), ("x2", "y2"), ("x3", "y3"),
         ("x1", "x2"), ("y2", "x3"),
     ]
-    G = Graph(["x1", "x2", "x3", "y1", "y2", "y3"], edges)
+    G = brute.graph(["x1", "x2", "x3", "y1", "y2", "y3"], edges)
     pairs = (("x1", "y1"), ("x2", "y2"), ("x3", "y3"))
     cert = verify_my_conditions(G, pairs)
     st = dict(cert.conditions)["c"]
@@ -291,7 +293,7 @@ def test_condition_c_failure_witness():
 
 def test_condition_d_failure_witness():
     edges = [("x1", "y1"), ("x2", "y2"), ("x1", "y2"), ("x1", "x2")]
-    G = Graph(["x1", "x2", "y1", "y2"], edges)
+    G = brute.graph(["x1", "x2", "y1", "y2"], edges)
     cert = verify_my_conditions(G, (("x1", "y1"), ("x2", "y2")))
     st = dict(cert.conditions)["d"]
     assert not st.ok and st.witness == ("x1", "y2", "x2")
@@ -313,7 +315,7 @@ def test_search_verdict_matches_reisner_on_random_vwc_graphs():
             for b in verts
             if a < b and rng.random() < rng.choice([0.3, 0.5, 0.7])
         ]
-        G = Graph(verts, edges)
+        G = brute.graph(verts, edges)
         C = independence_complex(G)
         if not C.facets or not is_well_covered(C):
             continue
@@ -366,7 +368,7 @@ def random_pairing_graph(rng, h):
     edges |= {
         (a, b) for a in range(2 * h) for b in range(a + 1, 2 * h) if rng.random() < p
     }
-    return Graph(range(2 * h), edges), pairs
+    return brute.graph(range(2 * h), edges), pairs
 
 
 def test_verify_matches_reference_on_random_pairings():
@@ -420,7 +422,7 @@ def random_vwc_graph(rng, h):
                 edges.add((xs[i], ys[j]))
             if i < j and rng.random() < p:
                 edges.add((xs[i], xs[j]))
-    G = Graph(verts, edges)
+    G = brute.graph(verts, edges)
     C = independence_complex(G)
     return (G, C) if is_well_covered(C) and is_very_well_covered(C) else None
 

@@ -12,7 +12,6 @@ from zdposet.complexes import (
 )
 from zdposet.errors import SizeLimitExceededError, ZdPosetError
 from zdposet.complexes import IndependenceComplex
-from zdposet.graphs import Graph
 from zdposet.poset import direct_product, generate
 from zdposet.zdg import zero_divisor_graph
 
@@ -34,15 +33,15 @@ def test_figure1_facets_exact(figure1):
 
 def test_graph_rejects_unknown_vertices_and_loops():
     with pytest.raises(ZdPosetError, match="uses an unknown vertex") as err:
-        Graph("ab", [("a", "z")])
+        brute.graph("ab", [("a", "z")])
     assert str(err.value) == "edge ('a', 'z') uses an unknown vertex"
     with pytest.raises(ValueError) as err:
-        Graph("ab", [("a", "a")])
+        brute.graph("ab", [("a", "a")])
     assert str(err.value) == "loop at 'a': graphs here are simple"
 
 
 def test_k2_facets():
-    G = Graph(["a", "b"], [("a", "b")])
+    G = brute.graph(["a", "b"], [("a", "b")])
     C = independence_complex(G)
     assert C.facets == (("a",), ("b",))
 
@@ -68,7 +67,7 @@ def test_facets_match_brute_force_on_random_graphs(seed):
         for b in verts
         if a < b and rng.random() < 0.4
     ]
-    G = Graph(verts, edges)
+    G = brute.graph(verts, edges)
     C = independence_complex(G)
     assert {frozenset(f) for f in C.facets} == brute.maximal_independent_sets(
         verts, brute.adjacency(G)
@@ -77,7 +76,7 @@ def test_facets_match_brute_force_on_random_graphs(seed):
 
 def test_well_covered(figure1):
     assert is_well_covered(independence_complex(zero_divisor_graph(figure1)))
-    path3 = Graph("abc", [("a", "b"), ("b", "c")])
+    path3 = brute.graph("abc", [("a", "b"), ("b", "c")])
     assert not is_well_covered(independence_complex(path3))
     ppp = direct_product([generate("chain", 3)] * 3)
     assert not is_well_covered(
@@ -87,7 +86,7 @@ def test_well_covered(figure1):
 
 def test_well_covered_requires_facets():
     with pytest.raises(ZdPosetError, match="^complex has no facets$"):
-        is_well_covered(IndependenceComplex(Graph("ab", []), []))
+        is_well_covered(IndependenceComplex(brute.graph("ab", []), []))
 
 
 def test_very_well_covered(figure1):
@@ -163,7 +162,7 @@ def test_facet_complements_are_exactly_the_minimal_covers(figure1):
 
 
 def test_size_cap():
-    G = Graph(range(41), [])
+    G = brute.graph(range(41), [])
     with pytest.raises(SizeLimitExceededError):
         independence_complex(G)
     assert len(independence_complex(G, max_vertices=41).facets) == 1
@@ -173,7 +172,7 @@ def test_size_cap():
 
 
 def test_export_k2_m2_golden():
-    G = Graph(["a", "b"], [("a", "b")])
+    G = brute.graph(["a", "b"], [("a", "b")])
     assert export_edge_ideal(G, "m2") == (
         "-- v0 = a\n"
         "-- v1 = b\n"
@@ -212,6 +211,6 @@ def test_export_two_squares_singular_golden():
 
 def test_export_guards():
     with pytest.raises(ZdPosetError, match="^graph has no vertices: nothing to export$"):
-        export_edge_ideal(Graph([], []), "m2")
+        export_edge_ideal(brute.graph([], []), "m2")
     with pytest.raises(ValueError):
-        export_edge_ideal(Graph(["a"], []), "maple")
+        export_edge_ideal(brute.graph(["a"], []), "maple")

@@ -12,9 +12,9 @@ import time
 from fractions import Fraction
 
 import brute
+from zdposet.cmcert import Analysis
 from zdposet.search import _search_certificate
 from zdposet.complexes import independence_complex, is_very_well_covered, is_well_covered
-from zdposet.graphs import Graph
 from zdposet.homology import reisner_cm
 from zdposet.poset import generate, parse_poset
 from zdposet.product import product_theorem, validate_factors
@@ -103,7 +103,7 @@ def test_betti_matches_independent_dense_implementation():
             for b in range(n)
             if a < b and rng.random() < rng.choice([0.3, 0.6])
         ]
-        fixtures.append(independence_complex(Graph(range(n), edges)).facets)
+        fixtures.append(independence_complex(brute.graph(range(n), edges)).facets)
     for facets in fixtures:
         expected = {d: b for d, b in betti_by_dense_fractions(facets).items() if b}
         got = {d: b for d, b in brute.betti(facets).items() if b}
@@ -124,7 +124,7 @@ def test_search_matches_reisner_on_eight_vertex_vwc_graphs():
             for b in verts
             if a < b and rng.random() < rng.choice([0.25, 0.4, 0.55])
         ]
-        G = Graph(verts, edges)
+        G = brute.graph(verts, edges)
         C = independence_complex(G)
         if not is_well_covered(C) or not is_very_well_covered(C):
             continue
@@ -141,7 +141,8 @@ def test_kmm_search_terminates_fast():
     # the two-cycle prune keeps complete bipartite searches polynomial
     t0 = time.monotonic()
     for size in (4, 5, 6):
-        r = product_theorem(validate_factors([generate("chain", size)] * 2))
+        A = validate_factors([generate("chain", size)] * 2)
+        r = product_theorem(A, Analysis(A.graph))
         assert r.cm_status == "NotCM"
     assert time.monotonic() - t0 < 5.0
 

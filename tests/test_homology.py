@@ -13,7 +13,6 @@ from test_crossval import betti_by_dense_fractions
 from zdposet import homology
 from zdposet.complexes import independence_complex, is_well_covered
 from zdposet.errors import SizeLimitExceededError
-from zdposet.graphs import Graph
 from zdposet.homology import faces_by_dimension, link_rows, link_table, reisner_cm
 from zdposet.poset import direct_product, generate
 from zdposet.zdg import zero_divisor_graph
@@ -27,10 +26,10 @@ def betti_map(facets):
 # flag complexes as independence complexes: Ind(C4) has the facets
 # {1,3} and {2,4}; the edgeless graph on 1, 2 gives the edge {1,2}; the
 # edge 1-3 gives {1,2}, {2,3}; the edges 1-2, 1-3 give {1}, {2,3}
-FOUR_CYCLE = independence_complex(Graph(range(1, 5), [(1, 2), (2, 3), (3, 4), (1, 4)]))
-SIMPLEX = independence_complex(Graph([1, 2], []))
-PATH_FACETS = independence_complex(Graph([1, 2, 3], [(1, 3)]))
-POINT_AND_EDGE = independence_complex(Graph([1, 2, 3], [(1, 2), (1, 3)]))
+FOUR_CYCLE = independence_complex(brute.graph(range(1, 5), [(1, 2), (2, 3), (3, 4), (1, 4)]))
+SIMPLEX = independence_complex(brute.graph([1, 2], []))
+PATH_FACETS = independence_complex(brute.graph([1, 2, 3], [(1, 3)]))
+POINT_AND_EDGE = independence_complex(brute.graph([1, 2, 3], [(1, 2), (1, 3)]))
 # complexes given by facets alone (vertex tuples), with no graph: the
 # 6-vertex real projective plane has H_1 = Z/2, so over F2 it has
 # b_1 = b_2 = 1 while its rational homology vanishes; its suspension
@@ -43,7 +42,7 @@ SIGMA_RP2 = [f + (apex,) for f in RP2 for apex in (7, 8)]
 
 
 def test_faces_of_two_points():
-    C = independence_complex(Graph("ab", [("a", "b")]))
+    C = independence_complex(brute.graph("ab", [("a", "b")]))
     by_size = faces_by_dimension(C)
     assert by_size == [[()], [("a",), ("b",)]]
 
@@ -142,7 +141,7 @@ def test_betti_invariant_under_relabeling():
         edges = [
             (a, b) for a in verts for b in verts if a < b and rng.random() < 0.5
         ]
-        C = independence_complex(Graph(verts, edges))
+        C = independence_complex(brute.graph(verts, edges))
         perm = verts[:]
         rng.shuffle(perm)
         relabeled = [tuple(perm[v] for v in f) for f in C.facets]
@@ -180,7 +179,7 @@ def test_reisner_pass_implies_pure():
         edges = [
             (a, b) for a in range(n) for b in range(n) if a < b and rng.random() < 0.5
         ]
-        complexes.append(independence_complex(Graph(range(n), edges)))
+        complexes.append(independence_complex(brute.graph(range(n), edges)))
     for C in complexes:
         ok, witness = reisner_cm(C)
         assert (ok, witness) == brute.reisner_cm_reference(C), C.facets
@@ -203,7 +202,7 @@ def test_reisner_cm_and_link_table():
 def test_homology_size_cap():
     verts = list(range(21))
     complete = [(a, b) for a in verts for b in verts if a < b]
-    C = independence_complex(Graph(verts, complete))
+    C = independence_complex(brute.graph(verts, complete))
     for run in (faces_by_dimension, link_rows, reisner_cm):
         with pytest.raises(SizeLimitExceededError):
             run(C)
@@ -357,7 +356,7 @@ def random_graphs(seed, count=300):
         n = rng.randint(1, 8)
         p = rng.random()
         edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
-        yield Graph(range(n), edges)
+        yield brute.graph(range(n), edges)
 
 
 def test_table_matches_reference_on_random_independence_complexes():
@@ -369,7 +368,7 @@ def test_faces_by_dimension_is_the_facet_closure(figure1):
     # the faces read off the graph are the downward closure of the
     # facets, size by size in lex order: the benchmark's homology.faces
     # count is their total
-    graphs = [Graph([], []), zero_divisor_graph(figure1), *random_graphs(37)]
+    graphs = [brute.graph([], []), zero_divisor_graph(figure1), *random_graphs(37)]
     for G in graphs:
         C = independence_complex(G)
         by_size = faces_by_dimension(C, len(G.vertices))
@@ -403,7 +402,7 @@ def planted_graph(rng, base):
             new = neighbours(edges, u) | extra
         edges |= {(w, n) for w in new}
         n += 1
-    return Graph(range(n), edges)
+    return brute.graph(range(n), edges)
 
 
 def test_fold_matches_reference_on_planted_dominated_vertices(monkeypatch):
@@ -461,7 +460,7 @@ def twinned_graph(rng, base):
         u = rng.randrange(n)
         edges |= {(w, n) for w in neighbours(edges, u) | {u}}
         n += 1
-    return Graph(range(n), edges)
+    return brute.graph(range(n), edges)
 
 
 def test_rows_match_reference_where_rest_masks_repeat(monkeypatch):
@@ -511,7 +510,7 @@ def graphs_with_dominated_vertex(draw):
     u = draw(st.integers(0, n - 1))
     extra = draw(st.sets(st.integers(0, n - 1)))
     new = neighbours(edges, u) | (extra - {u})
-    G = Graph(range(n + 1), edges | {(w, n) for w in new})
+    G = brute.graph(range(n + 1), edges | {(w, n) for w in new})
     assert G.neighbors(u) <= G.neighbors(n)
     return G, n
 
@@ -521,7 +520,7 @@ def graphs_with_dominated_vertex(draw):
 def test_fold_lemma_keeps_reduced_betti(case):
     G, v = case
     rest = [w for w in G.vertices if w != v]
-    smaller = Graph(rest, [e for e in G.edges() if v not in e])
+    smaller = brute.graph(rest, [e for e in G.edges() if v not in e])
     assert betti_map(independence_complex(G).facets) == betti_map(
         independence_complex(smaller).facets
     )
@@ -533,7 +532,7 @@ def small_graphs(draw):
     n = draw(st.integers(1, 8))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return Graph(range(n), edges)
+    return brute.graph(range(n), edges)
 
 
 @settings(max_examples=150, deadline=None)

@@ -233,7 +233,7 @@ def test_product_theorem_beyond_chains():
                 assert len(j_triple(A, 1, 2, 3)) == predicted_triple_size(sizes)
             two_chains = all(len(f) == 2 for f in factors)
             assert well_covered_verdict(A)[0] is two_chains, sizes
-            r = product_theorem(A)
+            r = product_theorem(A, Analysis(A.graph))
             assert r.boolean_lattice is two_chains and r.well_covered is two_chains
             assert r.cm_status == ("CM" if two_chains else "NotCM" if r.enumerated else None)
             seen.add((n, two_chains, len(set(sizes)) == 1, r.enumerated))
@@ -249,19 +249,22 @@ def test_product_theorem_beyond_chains():
 
 
 def test_equivalence_suite_all_true():
-    r = product_theorem(validate_factors(chains(2, 2, 2)))
+    A = validate_factors(chains(2, 2, 2))
+    r = product_theorem(A, Analysis(A.graph))
     assert r == TheoremCheck(
         boolean_lattice=True, cm_status="CM", well_covered=True, enumerated=True
     )
 
 
 def test_equivalence_suite_all_false():
-    r = product_theorem(validate_factors(chains(3, 3, 3)))
+    A = validate_factors(chains(3, 3, 3))
+    r = product_theorem(A, Analysis(A.graph))
     assert r == (False, "NotCM", False, True)
 
 
 def test_equivalence_suite_four_factors():
-    r = product_theorem(validate_factors(chains(2, 2, 2, 2)))
+    A = validate_factors(chains(2, 2, 2, 2))
+    r = product_theorem(A, Analysis(A.graph))
     assert r == (True, "CM", True, True)
 
 
@@ -326,20 +329,22 @@ def test_maximality_trap_fires_under_O():
 
 
 def test_bipartite_two_two():
-    assert product_theorem(validate_factors(chains(2, 2))) == (True, "CM", True, True)
+    A = validate_factors(chains(2, 2))
+    assert product_theorem(A, Analysis(A.graph)) == (True, "CM", True, True)
 
 
 def test_bipartite_three_three():
     # K_{2,2} is well-covered but not CM
     A = validate_factors(chains(3, 3))
-    assert product_theorem(A) == (False, "NotCM", True, True)
+    assert product_theorem(A, Analysis(A.graph)) == (False, "NotCM", True, True)
     # an Inconclusive verdict decides no statement, and is passed on
     r = product_theorem(A, Analysis(A.graph, max_search_nodes=1))
     assert r == (False, "Inconclusive", True, True)
 
 
 def test_bipartite_mixed():
-    r = product_theorem(validate_factors(chains(2, 3)))
+    A = validate_factors(chains(2, 3))
+    r = product_theorem(A, Analysis(A.graph))
     assert r == (False, "NotCM", False, True)
 
 
@@ -366,6 +371,15 @@ def test_parse_size_vectors():
     ten = (2,) * 10
     text = ",".join(map(str, ten)) + "\n32,32\n2,512\n"
     assert parse_size_vectors(text) == [ten, (32, 32), (2, 512)]
+    # a size is judged by its digits, leading zeros aside, before int()
+    # reads it: int() refuses more than 4,300 digits
+    assert parse_size_vectors("02,3\n" + "0" * 5000 + "2,2\n") == [(2, 3), (2, 2)]
+    with pytest.raises(ZdPosetError) as exc:
+        parse_size_vectors("2,2\n" + "9" * 5000 + ",2\n")
+    assert str(exc.value) == (
+        "line 2: a vector with a 5000-digit factor size would have at least "
+        "10^4999 elements, above the catalog cap of 1024"
+    )
 
 
 def test_sweep_report_golden():
@@ -485,7 +499,8 @@ def test_product_theorem_on_four_chains_under_the_facet_cap():
     ]
     for sizes in vectors:
         boolean = sizes == (2, 2, 2, 2)
-        r = product_theorem(validate_factors(chains(*sizes)))
+        A = validate_factors(chains(*sizes))
+        r = product_theorem(A, Analysis(A.graph))
         assert r == (boolean, "CM" if boolean else "NotCM", boolean, True), sizes
 
 
@@ -494,7 +509,8 @@ def test_product_theorem_on_complete_bipartite_graphs():
     # CM for no a, b >= 2
     for a in range(2, 8):
         for b in range(a, 8):
-            r = product_theorem(validate_factors(chains(a + 1, b + 1)))
+            A = validate_factors(chains(a + 1, b + 1))
+            r = product_theorem(A, Analysis(A.graph))
             assert r == (False, "NotCM", a == b, True), (a, b)
 
 
