@@ -4,8 +4,8 @@ relabeling certificate, with a constructive path for Boolean posets.
 The certificate pairs a minimal vertex cover {x_1..x_h} with a maximal
 independent set {y_1..y_h}, matched along edges and ordered so that cross
 edges x_i - y_j only run forward (i <= j).  For Boolean posets the pairs
-come from the weight-stratified canonical facet and its complement
-matching; for other very well-covered graphs a bounded backtracking
+come from the canonical facet by atom weight, each member matched to its
+complement; for other very well-covered graphs a bounded backtracking
 search decides existence (``search``); everything else is delegated to
 the homology oracle.  ``Analysis`` imports ``search`` and ``homology``
 only on the routes that run them.
@@ -70,20 +70,6 @@ class MyCertificate(NamedTuple):
         return json.dumps(obj, indent=2)
 
 
-class Stratification(NamedTuple):
-    """The weight-stratified canonical facet of a Boolean poset's graph.
-
-    ``strata`` maps the level i to the vertices of weight k - i; for even
-    k the half-weight representatives live in ``b_hat`` (one per
-    complementary pair, the smaller id).  ``facet`` is their union.
-    """
-
-    k: int
-    strata: tuple[tuple[int, tuple[int, ...]], ...]
-    b_hat: tuple[int, ...]
-    facet: tuple[int, ...]
-
-
 class CmVerdict(NamedTuple):
     status: str  # "CM" | "NotCM" | "Inconclusive"
     method: str
@@ -91,46 +77,22 @@ class CmVerdict(NamedTuple):
     detail: str = ""
 
 
-def boolean_facet(P: Poset, G: ZdGraph) -> Stratification:
-    """Build the canonical facet of a Boolean poset's graph G by weight strata."""
-    require_boolean(P)
-    k = P.poset_weight()
-    if k < 2:
-        raise ZdPosetError(f"poset has {k} atom(s); the zero-divisor graph is empty")
-    weight = {v: P.weight(v) for v in G.vertices}
+def boolean_labeling(P: Poset, G: ZdGraph) -> tuple[Pair, ...]:
+    """The ordered (x_i, y_i) pairs of a Boolean poset's graph G.
 
-    levels = (k - 1) // 2 if k % 2 else (k - 2) // 2
-    strata = []
-    members: list[int] = []
-    for i in range(1, levels + 1):
-        layer = tuple(v for v in G.vertices if weight[v] == k - i)
-        strata.append((i, layer))
-        members.extend(layer)
-    b_hat: tuple[int, ...] = ()
-    if k % 2 == 0:
-        half = [v for v in G.vertices if weight[v] == k // 2]
-        b_hat = tuple(sorted({min(v, min(P.complements_of(v))) for v in half}))
-        members.extend(b_hat)
-
-    return Stratification(k, tuple(strata), b_hat, tuple(sorted(members)))
-
-
-def boolean_labeling(P: Poset, S: Stratification) -> tuple[Pair, ...]:
-    """Pair the canonical facet (decreasing weight, then id) with complements.
-
-    Returns the ordered (x_i, y_i) pairs; x_i is the unique complement of
-    the facet member y_i.
+    For k atoms the facet holds each vertex y with 2|supp(y)| > k and the
+    smaller id of each complementary pair with 2|supp| = k, by decreasing
+    weight, then id; x_i is the complement of y_i, the one vertex whose
+    support is the atoms outside supp(y_i).
     """
-    ys: list[int] = []
-    for _, layer in S.strata:
-        ys.extend(sorted(layer))
-    ys.extend(S.b_hat)
+    require_boolean(P)
+    k, supp = P.poset_weight(), P.supports
+    by_support = {supp[v]: v for v in G.vertices}
     out = []
-    for y in ys:
-        comps = P.complements_of(y)
-        if len(comps) != 1:
-            raise TheoremContractError("Boolean posets are uniquely complemented")
-        out.append((min(comps), y))
+    for y in sorted(G.vertices, key=lambda v: (-supp[v].bit_count(), v)):
+        x, w = by_support[P.atoms_mask ^ supp[y]], 2 * supp[y].bit_count()
+        if w > k or (w == k and y < x):
+            out.append((x, y))
     return tuple(out)
 
 
@@ -287,7 +249,7 @@ class Analysis:
         if P.is_boolean():
             # equal-weight strata admit no cross edges, so the stratum
             # order already runs every cross edge forward
-            cert = verify_my_conditions(G, boolean_labeling(P, boolean_facet(P, G)))
+            cert = verify_my_conditions(G, boolean_labeling(P, G))
             if not cert.ok:
                 raise TheoremContractError(
                     "the Boolean certificate fails on a Boolean poset: "

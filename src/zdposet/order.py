@@ -131,12 +131,6 @@ class Poset:
         """Element names in ascending id order (the canonical rendering)."""
         return tuple(self.elements[i] for i in sorted(ids))
 
-    def leq(self, a: int, b: int) -> bool:
-        return bool((self.up[a] >> b) & 1)
-
-    def lt(self, a: int, b: int) -> bool:
-        return a != b and self.leq(a, b)
-
     def is_bounded(self) -> bool:
         return self.bottom is not None and self.top is not None
 
@@ -190,23 +184,22 @@ class Poset:
         """Elements covering the least element."""
         return frozenset(bits(self.atoms_mask))
 
+    @cached_property
+    def supports(self) -> tuple[int, ...]:
+        """supp(x) for every x: the mask of the atoms below x.  Every
+        Boolean question reads it (README's "Boolean posets")."""
+        atoms = self.atoms_mask
+        return tuple(atoms & row for row in self.down)
+
     def weight(self, x: int) -> int:
         """Number of atoms lying below ``x``."""
-        return (self.atoms_mask & self.down[x]).bit_count()
+        return self.supports[x].bit_count()
 
     def poset_weight(self) -> int:
         """Weight of the greatest element, i.e. the total number of atoms."""
         return self.weight(self._require_top())
 
     # -- complements -------------------------------------------------------------
-
-    def complements_of(self, x: int) -> frozenset[int]:
-        """All y with lower cone {bottom} and upper cone {top} against x.
-
-        Returns a set even when the poset is uniquely complemented; callers
-        relying on uniqueness must check for a singleton themselves.
-        """
-        return frozenset(bits(self.perp_mask(x) & self.coperp_mask(x)))
 
     def perp_mask(self, x: int) -> int:
         """Mask of {y : the lower cone of {x, y} is exactly {bottom}}.
@@ -215,7 +208,7 @@ class Poset:
         bound in common with x iff y lies above an atom below x.
         """
         m = 0
-        for a in bits(self.atoms_mask & self.down[x]):
+        for a in bits(self.supports[x]):
             m |= self.up[a]
         return self.full_mask & ~m
 
@@ -331,49 +324,36 @@ class Poset:
 
     @cached_property
     def _boolean(self) -> bool:
-        if not self.is_bounded():
+        if not self.is_bounded() or not self.is_ssc():
             return False
         atoms = self.atoms_mask
-        supports = [atoms & row for row in self.down]
-        if any(row != self.ucone_mask(s) for row, s in zip(self.up, supports)):
-            return False
-        return {atoms ^ s for s in supports} == set(supports)
+        return {atoms ^ s for s in self.supports} == set(self.supports)
 
     def is_boolean(self) -> bool:
         """Bounded, complemented and distributive; cached.
 
-        Decided from the supports, supp(x) = the atoms below x: P is
-        Boolean iff it is bounded, ``up[x] == ucone_mask(supp(x))`` for
-        every x (so x <= y iff supp(x) ⊆ supp(y)), and the supports are
-        closed under complement in the atom set.  README's "Boolean
-        posets" has the proof.  O(n·k) masks for k atoms; no clause runs.
+        Decided from the supports: P is Boolean iff it is bounded, SSC
+        (so x <= y iff supp(x) ⊆ supp(y)), and the supports are closed
+        under complement in the atom set.  README's "Boolean posets" has
+        the proof.  O(n·k) masks for k atoms; no clause runs.
         """
         return self._boolean
 
-    def _semi_complemented(self, weak: bool) -> bool:
-        bot = self._require_bottom()
-        n = len(self.elements)
-        nonzero = self.full_mask & ~(1 << bot)
-        perp = [self.perp_mask(a) for a in range(n)]
-        for a in range(n):
-            pa = perp[a] & nonzero
-            for b in range(n):
-                if weak:
-                    if not self.lt(a, b):
-                        continue
-                elif self.leq(b, a):
-                    continue
-                if not (self.down[b] & pa):
-                    return False
-        return True
-
     def is_ssc(self) -> bool:
-        """Section semi-complemented: b not<= a admits 0 < c <= b disjoint from a."""
-        return self._semi_complemented(weak=False)
+        """Section semi-complemented: each b not<= a admits 0 < c <= b with
+        L(a, c) = {0}; iff ``up[x] == ucone_mask(supp(x))`` for every x,
+        that is x <= y iff supp(x) ⊆ supp(y) (README's "Boolean posets")."""
+        self._require_bottom()
+        return all(row == self.ucone_mask(s) for row, s in zip(self.up, self.supports))
 
     def is_wssc(self) -> bool:
-        """Weakly section semi-complemented: same with the hypothesis a < b."""
-        return self._semi_complemented(weak=True)
+        """Weakly section semi-complemented: the same for a < b only; iff
+        a < b implies supp(a) != supp(b)."""
+        self._require_bottom()
+        alike: dict[int, int] = {}  # a support -> the elements that have it
+        for x, s in enumerate(self.supports):
+            alike[s] = alike.get(s, 0) | 1 << x
+        return all(self.up[x] & m == 1 << x for m in alike.values() for x in bits(m))
 
     # -- covers and serialization ----------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Catalog posets and direct products, built on the order core.
 
-``bits``, ``Poset`` and ``parse_poset`` live in ``order`` and are
-re-exported here, so ``from zdposet.poset import Poset`` keeps working;
-a run that only reads poset files never compiles this module.
+``bits``, ``Poset`` and ``parse_poset`` live in ``order``; ``parse_poset``
+is re-exported here for the benchmark, and a run that only reads poset
+files never compiles this module.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import itertools
 from typing import Sequence
 
 from .errors import ZdPosetError
-from .order import Poset, bits, parse_poset  # the core, re-exported
+from .order import Poset, bits, parse_poset  # parse_poset re-exported
 
 
 # -- products -----------------------------------------------------------------------

@@ -60,9 +60,11 @@ def require_boolean(P: Poset) -> None:
 
 
 def to_dot(G: ZdGraph) -> str:
-    """Deterministic DOT text: edges sorted by (min id, max id), one per line."""
+    """Deterministic DOT text: edges sorted by (min id, max id), one per
+    line, each name a quoted ID with its backslashes and quotes escaped."""
+    quote = lambda v: '"' + G.label(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
     lines = ["graph zdg {"]
     for a, b in G.edges():
-        lines.append(f'  "{G.label(a)}" -- "{G.label(b)}";')
+        lines.append(f"  {quote(a)} -- {quote(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,12 +9,13 @@ The complex-side references work on facet masks alone, with no graph:
 link from the facets through its face, and ``betti`` ranks any facet
 list (flag or not) with ``homology._betti``.
 
-The last section holds the lemma checks and helpers that the package no
-longer exports, because no subcommand calls them: ``graph``, which makes
-the hand-written test graphs from edge lists, the unique
-complementation and atom/end lemma checks, ends, graph complements, the
-complementary-pair greedy extension and the mask-level pseudocomplement.
-Their tests run them here.
+``leq`` and ``lt`` read the order off ``Poset.up``; the package itself
+asks only mask questions.  The last section holds the lemma checks and
+helpers that the package no longer exports, because no subcommand calls
+them: ``graph``, which makes the hand-written test graphs from edge
+lists, the unique complementation and atom/end lemma checks, ends,
+graph complements, the complementary-pair greedy extension and the
+mask-level pseudocomplement.  Their tests run them here.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from zdposet import homology
 from zdposet.cmcert import CmVerdict, ConditionStatus, MyCertificate
 from zdposet.errors import TheoremContractError, ZdPosetError
 from zdposet.graphs import Graph
-from zdposet.order import bits
-from zdposet.poset import Poset
+from zdposet.order import Poset, bits
 from zdposet.zdg import ZdGraph, complement_mask, require_boolean
 
 
@@ -38,17 +38,34 @@ def elements(P: Poset) -> range:
     return range(len(P))
 
 
+def leq(P: Poset, a: int, b: int) -> bool:
+    return bool((P.up[a] >> b) & 1)
+
+
+def lt(P: Poset, a: int, b: int) -> bool:
+    return a != b and leq(P, a, b)
+
+
 def upper_cone(P: Poset, A) -> set[int]:
-    return {b for b in elements(P) if all(P.leq(a, b) for a in A)}
+    return {b for b in elements(P) if all(leq(P, a, b) for a in A)}
 
 
 def lower_cone(P: Poset, A) -> set[int]:
-    return {b for b in elements(P) if all(P.leq(b, a) for a in A)}
+    return {b for b in elements(P) if all(leq(P, b, a) for a in A)}
 
 
 def mask(ids: Iterable[int]) -> int:
     """The bitmask of a set of ids, as ``Poset.ucone_mask`` takes it."""
     return sum(1 << i for i in set(ids))
+
+
+def shuffled(P: Poset, rng) -> Poset:
+    """P with its element ids permuted at random: the same names and order."""
+    order = list(elements(P))
+    rng.shuffle(order)
+    new = {old: i for i, old in enumerate(order)}
+    up = [sum(1 << new[j] for j in bits(P.up[old])) for old in order]
+    return Poset([P.elements[old] for old in order], up)
 
 
 def adjacency(G: Graph):
@@ -63,13 +80,13 @@ def atoms(P: Poset) -> set[int]:
         a
         for a in elements(P)
         if a != bot
-        and P.leq(bot, a)
-        and not any(b not in (bot, a) and P.leq(bot, b) and P.lt(b, a) for b in elements(P))
+        and leq(P, bot, a)
+        and not any(b not in (bot, a) and leq(P, bot, b) and lt(P, b, a) for b in elements(P))
     }
 
 
 def weight(P: Poset, x: int) -> int:
-    return sum(1 for a in atoms(P) if P.leq(a, x))
+    return sum(1 for a in atoms(P) if leq(P, a, x))
 
 
 def complements(P: Poset, x: int) -> set[int]:
@@ -118,7 +135,7 @@ def is_boolean_lattice_by_pairs(P: Poset) -> bool:
     if len(set(supports)) != n:
         return False
     return all(
-        P.leq(a, b) == (supports[a] & ~supports[b] == 0)
+        leq(P, a, b) == (supports[a] & ~supports[b] == 0)
         for a in range(n)
         for b in range(n)
     )
@@ -200,10 +217,10 @@ def is_ssc(P: Poset) -> bool:
     bot = P.bottom
     for a in elements(P):
         for b in elements(P):
-            if P.leq(b, a):
+            if leq(P, b, a):
                 continue
             if not any(
-                c != bot and P.leq(c, b) and lower_cone(P, {a, c}) == {bot}
+                c != bot and leq(P, c, b) and lower_cone(P, {a, c}) == {bot}
                 for c in elements(P)
             ):
                 return False
@@ -214,10 +231,10 @@ def is_wssc(P: Poset) -> bool:
     bot = P.bottom
     for a in elements(P):
         for b in elements(P):
-            if not P.lt(a, b):
+            if not lt(P, a, b):
                 continue
             if not any(
-                c != bot and P.leq(c, b) and lower_cone(P, {a, c}) == {bot}
+                c != bot and leq(P, c, b) and lower_cone(P, {a, c}) == {bot}
                 for c in elements(P)
             ):
                 return False
@@ -429,11 +446,11 @@ def is_boolean_lattice_reference(P: Poset) -> bool:
     k = len(atoms(P))
     if n != 2**k:
         return False
-    supports = [frozenset(x for x in atoms(P) if P.leq(x, y)) for y in range(n)]
+    supports = [frozenset(x for x in atoms(P) if leq(P, x, y)) for y in range(n)]
     if len(set(supports)) != n:
         return False
     if not all(
-        P.leq(a, b) == (supports[a] <= supports[b]) for a in range(n) for b in range(n)
+        leq(P, a, b) == (supports[a] <= supports[b]) for a in range(n) for b in range(n)
     ):
         return False
     if boolean_failure_reference(P) is not None:
@@ -441,12 +458,37 @@ def is_boolean_lattice_reference(P: Poset) -> bool:
     for a in range(n):
         for b in range(n):
             ub = upper_cone(P, {a, b})
-            if not any(all(P.leq(m, u) for u in ub) for m in ub):
+            if not any(all(leq(P, m, u) for u in ub) for m in ub):
                 return False
     return True
 
 
 # --- certificate-layer oracles -------------------------------------------------
+
+
+def boolean_labeling_reference(P: Poset, G: ZdGraph) -> tuple[tuple[int, int], ...]:
+    """The Boolean labeling built by weight strata, as the paper states it.
+
+    For k atoms: level i = 1, 2, ... holds the vertices of weight k - i,
+    up to weight (k + 1) / 2 for odd k and k / 2 + 1 for even k; for even
+    k the representatives of the half-weight complementary pairs (the
+    smaller id of each) follow.  Each facet member y, in that order and
+    by id within a level, is paired with its complement x as (x, y).
+    """
+    require_boolean(P)
+    k = len(atoms(P))
+    levels = (k - 1) // 2 if k % 2 else (k - 2) // 2
+    ys: list[int] = []
+    for i in range(1, levels + 1):
+        ys += sorted(v for v in G.vertices if weight(P, v) == k - i)
+    if k % 2 == 0:
+        half = [v for v in G.vertices if weight(P, v) == k // 2]
+        ys += sorted({min(v, *complements(P, v)) for v in half})
+    out = []
+    for y in ys:
+        (x,) = complements(P, y)
+        out.append((x, y))
+    return tuple(out)
 
 
 def verify_my_conditions_reference(G, pairs) -> MyCertificate:
@@ -677,7 +719,7 @@ def check_unique_complementation(P: Poset, G: ZdGraph) -> LemmaReport:
     violations = []
     for v in G.vertices:
         gc = graph_complements(G, v)
-        oc = P.complements_of(v)
+        oc = complements(P, v)
         if len(oc) != 1:
             raise TheoremContractError("Boolean posets are uniquely complemented")
         (c,) = oc
@@ -697,7 +739,7 @@ def check_atom_end_lemma(P: Poset, G: ZdGraph) -> LemmaReport:
     end_set = ends(G)
     violations = []
     for b in G.vertices:
-        (c,) = P.complements_of(b)
+        (c,) = complements(P, b)
         ends_at_b = end_set & G.neighbors(b)
         if b in atoms:
             if ends_at_b != {c}:
@@ -744,7 +786,7 @@ def extend_independent(P: Poset, G: Graph, seed: Iterable[int]) -> tuple[int, ..
             )
 
     pairs = sorted(
-        {tuple(sorted((v, min(P.complements_of(v))))) for v in G.vertices}
+        {tuple(sorted((v, min(complements(P, v))))) for v in G.vertices}
     )
     for a, b in pairs:
         if a in current or b in current:

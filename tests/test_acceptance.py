@@ -14,7 +14,6 @@ import brute
 from brute import extend_independent, pseudocomplement_of
 from zdposet.cmcert import (
     Analysis,
-    boolean_facet,
     boolean_labeling,
     is_cohen_macaulay,
     verify_my_conditions,
@@ -93,8 +92,7 @@ def test_criterion_3_constructive_certificate(boolean_catalog):
     )
     for P in boolean_catalog:
         G = zero_divisor_graph(P)
-        strat = boolean_facet(P, G)
-        pairs = boolean_labeling(P, strat)
+        pairs = boolean_labeling(P, G)
         ordered = find_ordering(G, pairs)
         assert ordered is not None
         cert = verify_my_conditions(G, ordered)
@@ -211,7 +209,7 @@ def _suite_unique_complements(rng):
     for _ in range(CASES):
         P = rng.choice(pool)
         x = rng.randrange(len(P))
-        cs = P.complements_of(x)
+        cs = brute.complements(P, x)
         assert len(cs) == 1
         assert pseudocomplement_of(P, x) == min(cs)
 
@@ -221,7 +219,7 @@ def _suite_weight_sum(rng):
     for _ in range(CASES):
         P = rng.choice(pool)
         x = rng.randrange(len(P))
-        (c,) = P.complements_of(x)
+        (c,) = brute.complements(P, x)
         assert P.weight(x) + P.weight(c) == P.poset_weight()
 
 
@@ -230,10 +228,10 @@ def _suite_weight_monotone(rng):
     for _ in range(CASES):
         P = rng.choice(pool)
         b = rng.randrange(len(P))
-        below = [a for a in range(len(P)) if P.lt(a, b)]
+        below = [a for a in range(len(P)) if brute.lt(P, a, b)]
         if not below:
             b = P.top
-            below = [a for a in range(len(P)) if P.lt(a, b)]
+            below = [a for a in range(len(P)) if brute.lt(P, a, b)]
         a = rng.choice(below)
         assert P.weight(a) < P.weight(b)
 
@@ -248,7 +246,7 @@ def _suite_adjacent_complementary_weights(rng):
         edges = G.edges()
         v, w = edges[rng.randrange(len(edges))]
         if P.weight(v) + P.weight(w) == P.poset_weight():
-            assert P.complements_of(v) == {w}
+            assert brute.complements(P, v) == {w}
             hits += 1
     assert hits > 0
 

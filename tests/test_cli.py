@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import os
 import re
 import subprocess
@@ -81,6 +82,24 @@ def test_zdg_dot(fig1_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("graph zdg {\n")
     assert out.count(" -- ") == 10
+
+
+def test_zdg_escapes_quotes_and_backslashes(tmp_path, capsys):
+    names = ['a"b', "c\\", '\\"', "d"]
+    path = tmp_path / "odd.poset"
+    path.write_text(
+        "poset v1\nelem 0\nelem 1\n"
+        + "".join(f"elem {x}\nle 0 {x}\nle {x} 1\n" for x in names)
+    )
+    assert main(["zdg", str(path)]) == 0
+    edges = set()
+    for line in capsys.readouterr().out.splitlines()[1:-1]:
+        ids = re.findall(r'"((?:[^"\\]|\\.)*)"', line)
+        assert len(ids) == 2, line
+        assert line == "  " + " -- ".join(f'"{i}"' for i in ids) + ";"
+        edges.add(frozenset(re.sub(r"\\(.)", r"\1", i) for i in ids))
+    # the four atoms between 0 and 1 are pairwise adjacent
+    assert edges == {frozenset(pair) for pair in itertools.combinations(names, 2)}
 
 
 def test_zdg_empty_graph(tmp_path, capsys):
@@ -398,13 +417,13 @@ def test_readme_flag_table_matches_the_parser():
 
 
 def test_boolean_certificate_trap_fires_under_O(tmp_path):
-    # stratum pairs in reverse order run cross edges backwards; the check
+    # the pairs in reverse order run cross edges backwards; the check
     # must exit 1 even with asserts stripped
     path = write_poset(tmp_path, generate("boolean_lattice", 4))
     script = (
         "import sys, zdposet.cmcert as m\n"
         "orig = m.boolean_labeling\n"
-        "m.boolean_labeling = lambda P, S: orig(P, S)[::-1]\n"
+        "m.boolean_labeling = lambda P, G: orig(P, G)[::-1]\n"
         "from zdposet.cli import main\n"
         f"sys.exit(main(['check', {path!r}]))\n"
     )

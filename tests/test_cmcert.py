@@ -7,7 +7,6 @@ import pytest
 import brute
 from zdposet.cmcert import (
     Analysis,
-    boolean_facet,
     boolean_labeling,
     is_cohen_macaulay,
     verify_my_conditions,
@@ -31,74 +30,80 @@ def k22():
     ])
 
 
-# --- boolean_facet ------------------------------------------------------------
-
-
-def test_boolean_facet_figure1(figure1):
-    S = boolean_facet(figure1, zero_divisor_graph(figure1))
-    assert S.k == 4
-    q = figure1.elements.index
-    assert dict(S.strata) == {1: tuple(q(name) for name in ("q1'", "q2'", "q3'", "q4'"))}
-    assert S.b_hat == ()
-    assert figure1.names(S.facet) == ("q1'", "q2'", "q3'", "q4'")
-
-
-def test_boolean_facet_cube():
-    P = generate("boolean_lattice", 3)
-    S = boolean_facet(P, zero_divisor_graph(P))
-    assert S.k == 3
-    assert set(P.names(S.facet)) == {"a12", "a13", "a23"}
-
-
-def test_boolean_facet_2_4():
-    P = generate("boolean_lattice", 4)
-    G = zero_divisor_graph(P)
-    S = boolean_facet(P, G)
-    assert len(S.facet) == 7
-    assert frozenset(S.facet) in brute.maximal_independent_sets(G.vertices, brute.adjacency(G))
-    # representatives are the smaller member of each half-weight pair
-    for v in S.b_hat:
-        (c,) = P.complements_of(v)
-        assert v < c
-
-
-def test_boolean_facet_guards():
-    P = generate("m_atoms", 3)
-    with pytest.raises(ZdPosetError, match="^poset is not Boolean: not distributive"):
-        boolean_facet(P, zero_divisor_graph(P))
-    P = generate("boolean_lattice", 1)
-    with pytest.raises(
-        ZdPosetError, match=r"^poset has 1 atom\(s\); the zero-divisor graph is empty$"
-    ):
-        boolean_facet(P, zero_divisor_graph(P))
-
-
 # --- boolean_labeling -----------------------------------------------------------
 
 
+def facet(P, G):
+    """The y side of the Boolean labeling: the canonical facet, in order."""
+    return [y for _, y in boolean_labeling(P, G)]
+
+
 def test_labeling_figure1(figure1):
-    pairs = boolean_labeling(figure1, boolean_facet(figure1, zero_divisor_graph(figure1)))
+    pairs = boolean_labeling(figure1, zero_divisor_graph(figure1))
     expected = tuple(
         (figure1.elements.index(f"q{i}"), figure1.elements.index(f"q{i}'"))
         for i in (1, 2, 3, 4)
     )
     assert pairs == expected
+    assert figure1.names(facet(figure1, zero_divisor_graph(figure1))) == (
+        "q1'", "q2'", "q3'", "q4'",
+    )
 
 
 def test_labeling_cube():
     P = generate("boolean_lattice", 3)
-    pairs = boolean_labeling(P, boolean_facet(P, zero_divisor_graph(P)))
+    pairs = boolean_labeling(P, zero_divisor_graph(P))
     for x, y in pairs:
-        assert P.complements_of(y) == {x}
+        assert brute.complements(P, y) == {x}
         assert P.weight(y) == 2
+    assert set(P.names(y for _, y in pairs)) == {"a12", "a13", "a23"}
+
+
+def test_labeling_2_4():
+    P = generate("boolean_lattice", 4)
+    G = zero_divisor_graph(P)
+    ys = facet(P, G)
+    assert len(ys) == 7
+    assert frozenset(ys) in brute.maximal_independent_sets(G.vertices, brute.adjacency(G))
+    # of each half-weight pair the facet holds the smaller member
+    for v in ys:
+        if P.weight(v) == 2:
+            (c,) = brute.complements(P, v)
+            assert v < c
 
 
 def test_labeling_single_pair():
     P = generate("boolean_lattice", 2)
-    pairs = boolean_labeling(P, boolean_facet(P, zero_divisor_graph(P)))
+    pairs = boolean_labeling(P, zero_divisor_graph(P))
     assert len(pairs) == 1
     x, y = pairs[0]
     assert {P.elements[x], P.elements[y]} == {"a1", "a2"}
+
+
+def test_labeling_guard():
+    P = generate("m_atoms", 3)
+    with pytest.raises(ZdPosetError, match="^poset is not Boolean: not distributive"):
+        boolean_labeling(P, zero_divisor_graph(P))
+    # one atom: the graph is empty, and so is the labeling
+    P = generate("boolean_lattice", 1)
+    assert boolean_labeling(P, zero_divisor_graph(P)) == ()
+
+
+def test_labeling_matches_the_stratified_reference(boolean_catalog, b4_without_a12_a34):
+    # the one-pass labeling against the weight strata, half-weight
+    # representatives and complements built from the definitions, with
+    # the element ids shuffled so that id order and weight order differ
+    rng = random.Random(24)
+    posets = [*boolean_catalog, b4_without_a12_a34]
+    posets += [generate("atom_coatom", k) for k in range(2, 10)]
+    posets += [
+        direct_product([generate("boolean_lattice", a), generate("boolean_lattice", b)]).carrier
+        for a, b in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3))
+    ]
+    for P in posets:
+        for Q in [P] + [brute.shuffled(P, rng) for _ in range(5)]:
+            G = zero_divisor_graph(Q)
+            assert boolean_labeling(Q, G) == brute.boolean_labeling_reference(Q, G), Q.to_text()
 
 
 # --- verify_my_conditions -------------------------------------------------------
@@ -106,7 +111,7 @@ def test_labeling_single_pair():
 
 def test_verify_passes_on_figure1(figure1):
     G = zero_divisor_graph(figure1)
-    cert = verify_my_conditions(G, boolean_labeling(figure1, boolean_facet(figure1, G)))
+    cert = verify_my_conditions(G, boolean_labeling(figure1, G))
     assert cert.ok
     assert [name for name, _ in cert.conditions] == ["a", "b", "c", "d", "e"]
 
@@ -131,7 +136,7 @@ def test_verify_k22_fails_only_condition_e():
 def test_verify_k2_passes():
     P = generate("boolean_lattice", 2)
     G = zero_divisor_graph(P)
-    cert = verify_my_conditions(G, boolean_labeling(P, boolean_facet(P, G)))
+    cert = verify_my_conditions(G, boolean_labeling(P, G))
     assert cert.ok
 
 
@@ -147,13 +152,13 @@ def test_stratum_order_itself_satisfies_all_conditions(boolean_catalog):
     # labeling passes even before the topological re-derivation
     for P in boolean_catalog:
         G = zero_divisor_graph(P)
-        pairs = boolean_labeling(P, boolean_facet(P, G))
+        pairs = boolean_labeling(P, G)
         assert verify_my_conditions(G, pairs).ok
 
 
 def test_permuting_pairs_only_moves_condition_e(figure1):
     G = zero_divisor_graph(figure1)
-    pairs = list(boolean_labeling(figure1, boolean_facet(figure1, G)))
+    pairs = list(boolean_labeling(figure1, G))
     rng = random.Random(5)
     base = dict(verify_my_conditions(G, pairs).conditions)
     for _ in range(20):
@@ -173,7 +178,7 @@ def test_condition_witnesses_carry_names():
 def test_certificate_json_golden():
     P = generate("boolean_lattice", 2)
     G = zero_divisor_graph(P)
-    cert = verify_my_conditions(G, boolean_labeling(P, boolean_facet(P, G)))
+    cert = verify_my_conditions(G, boolean_labeling(P, G))
     obj = json.loads(cert.to_json())
     assert obj == {
         "h": 1,
@@ -195,7 +200,7 @@ def test_certificate_json_golden():
 def test_ordering_cube_matching_is_free():
     P = generate("boolean_lattice", 3)
     G = zero_divisor_graph(P)
-    pairs = boolean_labeling(P, boolean_facet(P, G))
+    pairs = boolean_labeling(P, G)
     out = find_ordering(G, pairs)
     assert out is not None
     assert set(out) == set(pairs)
@@ -389,7 +394,7 @@ def test_verify_matches_reference_on_boolean_labelings(boolean_catalog):
     rng = random.Random(8)
     for P in boolean_catalog[:6]:
         G = zero_divisor_graph(P)
-        pairs = list(boolean_labeling(P, boolean_facet(P, G)))
+        pairs = list(boolean_labeling(P, G))
         for _ in range(3):
             cert = verify_my_conditions(G, pairs)
             assert cert == brute.verify_my_conditions_reference(G, pairs)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import brute
 from zdposet.errors import PosetSyntaxError, TheoremContractError, ZdPosetError
-from zdposet.poset import Poset, bits, direct_product, generate, parse_poset
+from zdposet.order import Poset, bits, parse_poset
+from zdposet.poset import direct_product, generate
 
 
 def ids(P, *names):
@@ -33,7 +34,7 @@ def test_parse_three_chain():
     assert len(P) == 3
     assert P.elements == ("0", "a", "1")
     assert (P.bottom, P.top) == (0, 2)
-    assert P.leq(0, 2)  # closure supplies 0 <= 1
+    assert brute.leq(P, 0, 2)  # closure supplies 0 <= 1
 
 
 def test_parse_figure1(figure1):
@@ -207,15 +208,14 @@ def test_atoms_need_bottom():
 
 def test_complements_in_power_set():
     P = generate("boolean_lattice", 3)
-    assert P.complements_of(P.elements.index("a1")) == ids(P, "a23")
-    assert P.complements_of(P.bottom) == {P.top}
+    assert brute.complements(P, P.elements.index("a1")) == ids(P, "a23")
+    assert brute.complements(P, P.bottom) == {P.top}
 
 
 def test_three_atom_counterexample_has_non_unique_complements():
     P = generate("m_atoms", 3)
     a = P.elements.index("a1")
-    assert P.complements_of(a) == ids(P, "a2", "a3")
-    assert P.complements_of(a) == brute.complements(P, a)
+    assert brute.complements(P, a) == ids(P, "a2", "a3")
 
 
 def test_pseudocomplements():
@@ -328,7 +328,6 @@ def test_order_queries_match_the_quadratic_scans(figure1, b4_without_a12_a34):
         for x in range(len(P)):
             assert P.perp_mask(x) == brute.perp_mask_reference(P, x), P.to_text()
             assert P.coperp_mask(x) == brute.coperp_mask_reference(P, x), P.to_text()
-            assert P.complements_of(x) == brute.complements(P, x), P.to_text()
         first = brute.first_uncomplemented_reference(P)
         assert fresh._first_uncomplemented == first, P.to_text()
         lattice = is_boolean_lattice(P)
@@ -498,6 +497,34 @@ def test_ssc_wssc_match_brute_force(name, param):
         assert P.is_wssc()
 
 
+def random_poset_with_bottom(rng, top):
+    """Atoms a_i over a bottom z, elements m_j each over a random set of
+    atoms and of earlier m's, and a top t when asked; ids shuffled."""
+    k, n = rng.randint(1, 4), rng.randint(0, 5)
+    lines = ["poset v1", "elem z", *(f"elem a{i}" for i in range(k))]
+    lines += [f"elem m{j}" for j in range(n)] + [f"le z a{i}" for i in range(k)]
+    for j in range(n):
+        lines += [f"le a{i} m{j}" for i in range(k) if rng.random() < 0.5] or [f"le z m{j}"]
+        lines += [f"le m{i} m{j}" for i in range(j) if rng.random() < 0.3]
+    if top:
+        lines += ["elem t", "le z t", *(f"le a{i} t" for i in range(k))]
+        lines += [f"le m{j} t" for j in range(n)]
+    return brute.shuffled(parse_poset("\n".join(lines) + "\n"), rng)
+
+
+def test_ssc_wssc_match_brute_force_on_random_posets():
+    rng = random.Random(24)
+    seen = []
+    for i in range(400):
+        P = random_poset_with_bottom(rng, top=i % 2 == 0)
+        ssc, wssc = P.is_ssc(), P.is_wssc()
+        assert (ssc, wssc) == (brute.is_ssc(P), brute.is_wssc(P)), P.to_text()
+        seen.append((ssc, wssc))
+    for k in (0, 1):  # each predicate comes out both ways, often
+        assert all(sum(s[k] == v for s in seen) >= 30 for v in (True, False))
+    assert seen.count((False, True)) >= 5  # WSSC without SSC
+
+
 def test_boolean_implies_ssc(boolean_catalog):
     for P in boolean_catalog:
         assert P.is_ssc() and P.is_wssc()
@@ -510,7 +537,7 @@ def test_uniquely_complemented_implies_wssc(boolean_catalog):
         generate("boolean_lattice", 2),
     ]
     for P in pool:
-        if all(len(P.complements_of(x)) == 1 for x in range(len(P))):
+        if all(len(brute.complements(P, x)) == 1 for x in range(len(P))):
             assert P.is_wssc()
 
 
@@ -521,7 +548,7 @@ def test_complement_weight_sum(boolean_catalog):
     for P in boolean_catalog:
         k = P.poset_weight()
         for x in range(len(P)):
-            (c,) = P.complements_of(x)
+            (c,) = brute.complements(P, x)
             assert P.weight(x) + P.weight(c) == k
 
 
@@ -532,7 +559,7 @@ def test_strict_weight_monotonicity(boolean_catalog):
             (a, b)
             for a in range(len(P))
             for b in range(len(P))
-            if P.lt(a, b)
+            if brute.lt(P, a, b)
         ]
         for a, b in rng.sample(pairs, min(50, len(pairs))):
             assert P.weight(a) < P.weight(b)
@@ -543,13 +570,13 @@ def test_weight_converse_fails_without_adjacency():
     P = generate("boolean_lattice", 4)
     x, y = P.elements.index("a12"), P.elements.index("a23")
     assert P.weight(x) + P.weight(y) == P.poset_weight()
-    assert y not in P.complements_of(x)
+    assert y not in brute.complements(P, x)
 
 
 def test_unique_complementation_on_boolean_catalog(boolean_catalog):
     for P in boolean_catalog:
         for x in range(len(P)):
-            cs = P.complements_of(x)
+            cs = brute.complements(P, x)
             assert len(cs) == 1
             assert brute.pseudocomplement_of(P, x) == min(cs)
 
@@ -585,10 +612,10 @@ def test_product_componentwise_order(figure1):
         for i in range(len(P)):
             for j in range(len(P)):
                 expect = all(
-                    f.leq(a, b)
+                    brute.leq(f, a, b)
                     for f, a, b in zip(pp.factors, pp.coord_of[i], pp.coord_of[j])
                 )
-                assert P.leq(i, j) == expect == bool(P.down[j] >> i & 1)
+                assert brute.leq(P, i, j) == expect == bool(P.down[j] >> i & 1)
 
 
 def test_benchmark_product_carriers_pass_the_full_order_check():
@@ -644,7 +671,7 @@ def test_generate_m_atoms_counterexample():
 def test_generate_boolean_lattice_1_is_two_chain():
     P = generate("boolean_lattice", 1)
     assert P.elements == ("0", "1")
-    assert P.leq(0, 1)
+    assert brute.leq(P, 0, 1)
 
 
 def test_generate_guards():

@@ -25,7 +25,6 @@ from zdposet.cmcert import (
     CmVerdict,
     ConditionStatus,
     MyCertificate,
-    Stratification,
 )
 from zdposet.poset import direct_product, generate
 from zdposet.product import PredictedCounts, TheoremCheck
@@ -234,7 +233,6 @@ def test_names_the_benchmark_imports_resolve():
 RECORDS = {
     ConditionStatus: ("ok", "witness"),
     MyCertificate: ("pairs", "pair_names", "h", "conditions"),
-    Stratification: ("k", "strata", "b_hat", "facet"),
     CmVerdict: ("status", "method", "certificate", "detail"),
     PredictedCounts: ("j_single_sizes", "j_triple_size"),
     TheoremCheck: ("boolean_lattice", "cm_status", "well_covered", "enumerated"),

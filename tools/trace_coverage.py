@@ -6,7 +6,8 @@ statement counter, over the inputs the project already pins:
 - ``check`` on every item of ``bench/goldens.json`` and ``sweep`` over
   its rows;
 - ``info`` on every poset of ``tests/data/info_goldens.json`` and
-  ``check -v`` on every case of ``tests/data/verbose_goldens.json``;
+  ``check -v`` on every case of ``tests/data/verbose_goldens.json``,
+  catalog names and stored poset text alike;
 - ``zdg`` and both ``export`` dialects on figure 1 and the catalog;
 - each cap flag set low, files that fail to parse, refused ``sweep``
   lines and ``gen`` parameters;
@@ -74,8 +75,10 @@ def drive(tmp: Path) -> None:
     data = ROOT / "tests" / "data"
     for case in json.loads((data / "info_goldens.json").read_text(encoding="utf-8")).values():
         run("info", write("info.poset", case["poset"]))
-    for name in json.loads((data / "verbose_goldens.json").read_text(encoding="utf-8")):
-        run("check", write("verbose.poset", build(name).to_text()), "-v")
+    verbose = json.loads((data / "verbose_goldens.json").read_text(encoding="utf-8"))
+    for name, case in verbose.items():
+        text = case.get("poset") or build(name).to_text()
+        run("check", write("verbose.poset", text), "-v")
 
     figure1 = str(data / "figure1.poset")
     posets = [figure1, write("b3.poset", build("boolean_lattice 3").to_text())]
