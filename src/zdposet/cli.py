@@ -1,17 +1,20 @@
-"""Command-line front end.
+"""Command-line front end: the ``zdposet`` command.
 
-Subcommands: info, zdg, check, export, sweep, gen.  All output is
-byte-deterministic for fixed inputs and flags.  Exit codes: 0 on
-success, 1 when two internally-equivalent verdicts disagree (a bug
-trap), 2 on input or usage errors.
-Each subcommand imports only the layers it runs.
+All output is byte-deterministic for fixed inputs and flags.  Exit
+codes: 0 on success, 1 when two internally-equivalent verdicts disagree
+(a bug trap), 2 on input or usage errors.
+
+Without cached bytecode a run compiles every module it loads, so a run
+loads only the code it calls: this module holds the argument table, the
+reader of plain argument lists, ``check`` and ``main``; ``arguments``
+reads every other list, and ``commands`` holds the other subcommands.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from contextlib import suppress
+from types import SimpleNamespace
 from typing import Sequence
 
 from . import complexes, zdg
@@ -19,8 +22,98 @@ from .complexes import STATUS_TEXT, yes_no
 from .errors import SizeLimitExceededError, TheoremContractError, ZdPosetError
 from .order import Poset, parse_poset
 
+# An option is (flags, metavar, type, default, help).  Type None is a flag
+# that stores True; str and int take one value, and a tuple takes one of
+# its values.  The default REQUIRED makes the option required.  Its value
+# goes to the long flag's name: --max-vertices to max_vertices.
+REQUIRED = ...  # a singleton: the same under python -m
+HELP = (("-h", "--help"), "", None, False, "show this help message and exit")
+OUTPUT = (("-o", "--output"), "FILE", str, None, "write here instead of stdout")
+FACET_CAP = (("--max-vertices",), "N", int, complexes.DEFAULT_MAX_VERTICES, "facet enumeration cap")
+# A positional is (name, metavar, kind): "one" takes one argument and
+# "ints" one or more integers.
+FILE = (("input", "FILE", "one"),)
 
-def _read(path: str) -> str:
+# name -> (help, positionals, options), in the order help lists them
+COMMANDS = {
+    "info": ("order-theoretic profile of a poset file", FILE, (OUTPUT,)),
+    "zdg": ("zero-divisor graph as DOT", FILE, (OUTPUT,)),
+    "check": ("consolidated coveredness / CM verdict", FILE, (
+        OUTPUT,
+        FACET_CAP,
+        (("--max-homology-vertices",), "N", int, complexes.DEFAULT_MAX_HOMOLOGY_VERTICES,
+         "homology oracle cap"),
+        (("--max-search-nodes",), "N", int, complexes.DEFAULT_MAX_SEARCH_NODES,
+         "matching-search budget"),
+        (("-v", "--verbose"), "", None, False, "include the per-face homology table"),
+    )),
+    "export": ("edge ideal script for a CAS", FILE, (
+        (("-d", "--dialect"), "{m2,singular}", ("m2", "singular"), REQUIRED, "CAS dialect"),
+        OUTPUT,
+    )),
+    "sweep": ("TSV verdicts over factor-size vectors", FILE, (OUTPUT, FACET_CAP)),
+    "gen": ("emit a catalog poset file", (("catalog", "CATALOG", "one"), ("params", "N", "ints")),
+            (OUTPUT,)),
+}
+CAPS = ("max_vertices", "max_homology_vertices", "max_search_nodes")
+
+
+def dest(flags: tuple[str, ...]) -> str:
+    return flags[-1].lstrip("-").replace("-", "_")
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The subcommand and its values; a usage error exits 2, -h exits 0.
+
+    A plain list, the subcommand, its positionals, then each option as
+    a flag or as ``-o FILE``, is read here; any other, or one with a bad
+    value, by ``arguments.parse_args``.
+    """
+    argv = list(argv)
+    values = _read_plain(argv)
+    if values is None:
+        from .arguments import parse_args as read_fully
+
+        values = read_fully(argv)
+    return SimpleNamespace(**values)
+
+
+def _read_plain(argv: list[str]) -> dict | None:
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command, *rest = argv
+    _, positionals, options = COMMANDS[command]
+    values = {"command": command}
+    values.update((dest(o[0]), o[3]) for o in options)
+    n = next((i for i, token in enumerate(rest) if token[:1] == "-"), len(rest))
+    if n < len(positionals) or n > len(positionals) and positionals[-1][2] != "ints":
+        return None
+    try:
+        for i, (name, _, kind) in enumerate(positionals):
+            values[name] = list(map(int, rest[i:n])) if kind == "ints" else rest[i]
+        by_flag = {flag: opt for opt in options for flag in opt[0]}
+        while n < len(rest):
+            flags, _, kind, _, _ = by_flag[rest[n]]
+            value = True  # a flag: -v, --verbose
+            if kind is not None:
+                n += 1
+                value = rest[n]
+                if value[:1] == "-":
+                    return None
+                if kind is int:
+                    value = int(value)
+                elif kind is not str and value not in kind:
+                    return None
+            values[dest(flags)] = value
+            n += 1
+    except (KeyError, IndexError, ValueError):
+        return None
+    if REQUIRED in values.values() or any(values.get(cap, 1) < 1 for cap in CAPS):
+        return None
+    return values
+
+
+def read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -31,7 +124,7 @@ def _read(path: str) -> str:
         ) from None
 
 
-def _write_output(text: str, path: str | None) -> None:
+def write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -39,61 +132,14 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _load_poset(path: str) -> Poset:
-    return parse_poset(_read(path))
+def load_poset(path: str) -> Poset:
+    return parse_poset(read_text(path))
 
 
-def cmd_info(args: argparse.Namespace) -> int:
-    P = _load_poset(args.input)
-    lines = [f"elements: {len(P)}"]
-    if P.bottom is None:
-        lines.append("bounded: no (no least element)")
-    elif P.top is None:
-        lines.append("bounded: no (no greatest element)")
-    else:
-        lines.append("bounded: yes")
-    if P.bottom is not None:
-        atom_names = " ".join(P.names(P.atoms()))
-        lines.append(f"atoms: {len(P.atoms())} ({atom_names})")
-    else:
-        lines.append("atoms: n/a (no least element)")
-    if P.is_bounded():
-        lines.append(f"weight: {P.poset_weight()}")
-    else:
-        lines.append("weight: n/a (not bounded)")
-    w = None if P.is_boolean() else P.distributivity_witness
-    if w is None:
-        lines.append("distributive: yes")
-    else:
-        names = ",".join(P.elements[i] for i in w)
-        lines.append(f"distributive: no (witness: {names})")
-    reason = P.boolean_failure
-    lines.append(
-        "boolean: yes" if reason is None else f"boolean: no ({reason})"
-    )
-    if P.bottom is not None:
-        lines.append(f"ssc: {yes_no(P.is_ssc())}")
-        lines.append(f"wssc: {yes_no(P.is_wssc())}")
-        lines.append(f"zero-divisors: {len(zdg.zero_divisors(P))}")
-    else:
-        lines.append("ssc: n/a (no least element)")
-        lines.append("wssc: n/a (no least element)")
-        lines.append("zero-divisors: n/a (no least element)")
-    _write_output("\n".join(lines) + "\n", args.output)
-    return 0
-
-
-def cmd_zdg(args: argparse.Namespace) -> int:
-    P = _load_poset(args.input)
-    G = zdg.zero_divisor_graph(P)
-    _write_output(zdg.to_dot(G), args.output)
-    return 0
-
-
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     from .cmcert import Analysis  # the certificate layer: only check runs it
 
-    P = _load_poset(args.input)
+    P = load_poset(args.input)
     G = zdg.zero_divisor_graph(P)
     A = Analysis(
         G, args.max_vertices, args.max_homology_vertices, args.max_search_nodes
@@ -104,7 +150,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     ]
     if not G.vertices:
         lines.append("zero-divisor graph is empty; nothing to check")
-        _write_output("\n".join(lines) + "\n", args.output)
+        write_output("\n".join(lines) + "\n", args.output)
         return 0
 
     problems: list[str] = []
@@ -122,7 +168,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     table = ""
     if args.verbose and C is not None:
-        from .homology import link_table
+        from .formats import link_table
 
         # built before the verdict, which then reads the Reisner answer
         # off the same rows: one face walk for both; above the homology
@@ -160,119 +206,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     lines.append(f"consistent: {yes_no(not problems)}")
     for p in problems:
         lines.append(f"  !! {p}")
-    _write_output("\n".join(lines) + "\n", args.output)
+    write_output("\n".join(lines) + "\n", args.output)
     return 1 if problems else 0
 
 
-def cmd_export(args: argparse.Namespace) -> int:
-    P = _load_poset(args.input)
-    G = zdg.zero_divisor_graph(P)
-    if not G.vertices:
-        raise ZdPosetError("the zero-divisor graph is empty; nothing to export")
-    _write_output(complexes.export_edge_ideal(G, args.dialect), args.output)
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from . import product  # the other subcommands never load the product layer
-
-    vectors = product.parse_size_vectors(_read(args.input))
-    _write_output(product.sweep_report(vectors, args.max_vertices), args.output)
-    return 0
-
-
-def cmd_gen(args: argparse.Namespace) -> int:
-    from .poset import generate  # the catalog: no other subcommand loads it
-
-    P = generate(args.catalog, *args.params)
-    _write_output(P.to_text(), args.output)
-    return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zdposet",
-        description="Zero-divisor graphs of finite bounded posets: "
-        "well-coveredness and Cohen-Macaulayness.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-o", "--output", default=None, help="write here instead of stdout")
-
-    def add_facet_cap(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--max-vertices",
-            type=int,
-            default=complexes.DEFAULT_MAX_VERTICES,
-            help="facet enumeration cap (default %(default)s)",
-        )
-
-    p = sub.add_parser("info", help="order-theoretic profile of a poset file")
-    p.add_argument("input")
-    add_output(p)
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser("zdg", help="zero-divisor graph as DOT")
-    p.add_argument("input")
-    add_output(p)
-    p.set_defaults(func=cmd_zdg)
-
-    p = sub.add_parser("check", help="consolidated coveredness / CM verdict")
-    p.add_argument("input")
-    add_output(p)
-    add_facet_cap(p)
-    p.add_argument(
-        "--max-homology-vertices",
-        type=int,
-        default=complexes.DEFAULT_MAX_HOMOLOGY_VERTICES,
-        help="homology oracle cap (default %(default)s)",
-    )
-    p.add_argument(
-        "--max-search-nodes",
-        type=int,
-        default=complexes.DEFAULT_MAX_SEARCH_NODES,
-        help="matching-search budget (default %(default)s)",
-    )
-    p.add_argument(
-        "-v",
-        "--verbose",
-        action="store_true",
-        help="include the per-face homology table",
-    )
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("export", help="edge ideal script for a CAS")
-    p.add_argument("input")
-    p.add_argument(
-        "-d", "--dialect", choices=("m2", "singular"), required=True
-    )
-    add_output(p)
-    p.set_defaults(func=cmd_export)
-
-    p = sub.add_parser("sweep", help="TSV verdicts over factor-size vectors")
-    p.add_argument("input")
-    add_output(p)
-    add_facet_cap(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("gen", help="emit a catalog poset file")
-    p.add_argument("catalog")
-    p.add_argument("params", nargs="+", type=int)
-    add_output(p)
-    p.set_defaults(func=cmd_gen)
-
-    return parser
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for cap in ("max_vertices", "max_homology_vertices", "max_search_nodes"):
-        if getattr(args, cap, 1) < 1:
-            parser.error(f"--{cap.replace('_', '-')} must be positive")
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        if args.command == "check":
+            return cmd_check(args)
+        from .commands import RUN  # the other subcommands
+
+        return RUN[args.command](args)
     except TheoremContractError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 1

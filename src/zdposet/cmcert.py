@@ -53,22 +53,6 @@ class MyCertificate(NamedTuple):
     def ok(self) -> bool:
         return all(status.ok for _, status in self.conditions)
 
-    def to_json(self) -> str:
-        import json  # only a failing certificate is rendered
-
-        obj = {
-            "h": self.h,
-            "pairs": [[x, y] for x, y in self.pair_names],
-            "conditions": {
-                name: {
-                    "ok": status.ok,
-                    "witness": list(status.witness) if status.witness else None,
-                }
-                for name, status in self.conditions
-            },
-        }
-        return json.dumps(obj, indent=2)
-
 
 class CmVerdict(NamedTuple):
     status: str  # "CM" | "NotCM" | "Inconclusive"
@@ -216,7 +200,7 @@ class Analysis:
     def link_rows(self) -> list[LinkRow]:
         """``homology.link_rows`` of the complex, the ``check -v`` table;
         raises SizeLimitExceededError at a cap."""
-        from . import homology  # the oracle loads only when a run asks for it
+        from . import homology
 
         return homology.link_rows(self.complex, self.max_homology_vertices)
 
@@ -251,9 +235,11 @@ class Analysis:
             # order already runs every cross edge forward
             cert = verify_my_conditions(G, boolean_labeling(P, G))
             if not cert.ok:
+                from .formats import certificate_json  # only a failing one is rendered
+
                 raise TheoremContractError(
                     "the Boolean certificate fails on a Boolean poset: "
-                    + cert.to_json()
+                    + certificate_json(cert)
                 )
             return CmVerdict("CM", "boolean-certificate", cert)
 

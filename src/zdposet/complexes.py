@@ -1,4 +1,4 @@
-"""Independence complexes: facet enumeration, coveredness, edge ideals.
+"""Independence complexes: facet enumeration and coveredness.
 
 Facets (maximal independent sets) are enumerated with Bron-Kerbosch on
 the complement graph, over vertex-index bitmasks, and stay bitmasks.
@@ -104,29 +104,3 @@ def is_very_well_covered(C: IndependenceComplex) -> bool:
     if C.graph.has_isolated_vertex():
         return False
     return len(C.graph.vertices) == 2 * C.masks[0].bit_count()
-
-
-def export_edge_ideal(G: Graph, dialect: str) -> str:
-    """Emit the squarefree quadratic generators of the edge ideal.
-
-    One variable per vertex in ascending id order; generators sorted by
-    (min index, max index); a name map rides along as comments.
-    """
-    if dialect not in ("m2", "singular"):
-        raise ValueError(f"unknown dialect {dialect!r} (use 'm2' or 'singular')")
-    verts = G.vertices
-    m = len(verts)
-    if m == 0:
-        raise ZdPosetError("graph has no vertices: nothing to export")
-    gens = [f"v{G.index[a]}*v{G.index[b]}" for a, b in G.edges()]
-    comment = "--" if dialect == "m2" else "//"
-    lines = [f"{comment} v{i} = {G.label(v)}" for i, v in enumerate(verts)]
-    if dialect == "m2":
-        lines.append(f"R = QQ[v0..v{m - 1}];")
-        body = ", ".join(gens) if gens else "0_R"
-        lines.append(f"I = monomialIdeal({body});")
-    else:
-        lines.append(f"ring R = 0, (v0..v{m - 1}), dp;")
-        body = ", ".join(gens) if gens else "0"
-        lines.append(f"ideal I = {body};")
-    return "\n".join(lines) + "\n"

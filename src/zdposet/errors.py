@@ -1,10 +1,9 @@
 """The four exception types, one for each way a caller reacts.
 
-- ``ZdPosetError``: bad input or a broken hypothesis of the paper (an
-  unbounded factor, Z(P_i) != {0}, n < 3 for the counting formulas, a
-  non-Boolean poset for the certificate, ...); the CLI exits 2.
-- ``PosetSyntaxError``: a malformed poset file, a duplicate element or an
-  unknown element name or id, with its line when known; the CLI exits 2.
+- ``ZdPosetError``: bad input or a broken hypothesis of the paper; the
+  CLI exits 2.
+- ``PosetSyntaxError``: a malformed poset file, with its line when
+  known; the CLI exits 2.
 - ``SizeLimitExceededError``: a cap was hit; callers skip the step or
   answer ``Inconclusive``.
 - ``TheoremContractError``: two verdicts that must agree by theorem

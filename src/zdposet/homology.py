@@ -1,12 +1,11 @@
 """Reisner's link criterion over the rationals, on independence complexes.
 
-Reisner's criterion (``reisner_cm``, ``link_rows``, ``link_table``)
-is read off the graph of an ``IndependenceComplex``, the flag complex
-the paper's CM claim is about.  One face walk yields each link's
-rational Betti vector, for both the verdict and the ``check -v`` table.
-Faces are built one size at a time, each with R = V - N[F], whose
-induced graph has the link as its independence complex;
-``faces_by_dimension`` reads the same generator.  Each distinct R is
+The criterion is read off the graph of an ``IndependenceComplex``, the
+flag complex the paper's CM claim is about.  One face walk yields each
+link's rational Betti vector, for both the verdict (``reisner_cm``) and
+the ``check -v`` table (``link_rows``).  Faces are built one size at a
+time, each with R = V - N[F], whose induced graph has the link as its
+independence complex; ``faces_by_dimension`` reads the same generator.  Each distinct R is
 shrunk once by cone and fold moves (Engström's fold lemma: if
 N(u) ⊆ N(v) for u != v, then Ind(G) ≃ Ind(G - v)); both keep the
 homotopy type, so what is left is ranked exactly and padded with zeros
@@ -23,7 +22,7 @@ from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import SizeLimitExceededError, TheoremContractError, ZdPosetError
-from .complexes import DEFAULT_MAX_HOMOLOGY_VERTICES, IndependenceComplex, yes_no
+from .complexes import DEFAULT_MAX_HOMOLOGY_VERTICES, IndependenceComplex
 from .graphs import Vertex
 from .order import bits
 
@@ -249,20 +248,6 @@ def reisner_verdict(
             bad = next(d for d in range(-1, dim) if betti[d])
             return False, (C.vertices_of(face), bad)
     return True, None
-
-
-def link_table(C: IndependenceComplex, rows: Sequence[LinkRow]) -> str:
-    """The per-face table of ``link_rows``: a header, one (face, link
-    dimension, betti vector) line per face, then the verdict.  Faces are
-    named through ``C.graph.label``."""
-    lines = ["face\tlink-dim\tbetti"]
-    for face, dim, betti in rows:
-        cells = ",".join(map(str, betti.values()))
-        names = ",".join(map(C.graph.label, C.vertices_of(face)))
-        lines.append(f"{{{names}}}\t{dim}\t{cells}")
-    ok, _ = reisner_verdict(C, rows)
-    lines.append(f"CM: {yes_no(ok)}")
-    return "\n".join(lines) + "\n"
 
 
 def reisner_cm(

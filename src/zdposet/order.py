@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import PosetSyntaxError, TheoremContractError, ZdPosetError
+from .errors import PosetSyntaxError, ZdPosetError
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -41,69 +41,53 @@ class Poset:
     :func:`generate` or :func:`direct_product` to build instances.
     """
 
-    def __init__(self, elements: Sequence[str], up: Sequence[int]):
+    def __init__(
+        self, elements: Sequence[str], up: Sequence[int], down: Sequence[int] | None = None
+    ):
+        """``down``, when given, is the transpose of ``up`` on rows known to
+        form a partial order already (a product's), and the order axioms
+        are not checked again."""
         self.elements: tuple[str, ...] = tuple(elements)
         self.up: tuple[int, ...] = tuple(up)
         n = len(self.elements)
         if len(self.up) != n:
             raise ValueError("relation size does not match element count")
-        self._check_names()
-
-        full = self.full_mask
-        down = [0] * n
-        for i, row in enumerate(self.up):
-            if row & ~full:
-                raise ValueError("relation references unknown element ids")
-            if not (row >> i) & 1:
-                raise ValueError(f"relation is not reflexive at {self.elements[i]!r}")
-            for j in bits(row):
-                down[j] |= 1 << i
-        self.down: tuple[int, ...] = tuple(down)
-
-        for i in range(n):
-            both = self.up[i] & self.down[i]
-            if both != 1 << i:
-                j = next(j for j in bits(both) if j != i)
-                raise ZdPosetError(
-                    f"elements {self.elements[i]!r} and {self.elements[j]!r} "
-                    "lie below each other"
-                )
-        for i in range(n):
-            row = self.up[i]
-            for j in bits(row):
-                if self.up[j] | row != row:
-                    raise ValueError(
-                        f"relation is not transitive at "
-                        f"({self.elements[i]!r}, {self.elements[j]!r})"
-                    )
-        self._find_bounds()
-
-    @classmethod
-    def _from_order(
-        cls, elements: Sequence[str], up: Sequence[int], down: Sequence[int]
-    ) -> Poset:
-        """A poset on rows that already form a closed partial order, with
-        ``down`` the transpose of ``up``; the order axioms are not
-        checked again."""
-        P = cls.__new__(cls)
-        P.elements, P.up, P.down = tuple(elements), tuple(up), tuple(down)
-        P._check_names()
-        P._find_bounds()
-        return P
-
-    def _check_names(self) -> None:
-        self.full_mask: int = (1 << len(self.elements)) - 1
+        full = self.full_mask = (1 << n) - 1
         seen: set[str] = set()
         for name in self.elements:
             if name in seen:
                 raise PosetSyntaxError(f"duplicate element name {name!r}")
             seen.add(name)
 
-    def _find_bounds(self) -> None:
-        full = self.full_mask
+        if down is None:
+            down = [0] * n
+            for i, row in enumerate(self.up):
+                if row & ~full:
+                    raise ValueError("relation references unknown element ids")
+                if not (row >> i) & 1:
+                    raise ValueError(f"relation is not reflexive at {self.elements[i]!r}")
+                for j in bits(row):
+                    down[j] |= 1 << i
+            for i in range(n):
+                both = self.up[i] & down[i]
+                if both != 1 << i:
+                    j = next(j for j in bits(both) if j != i)
+                    raise ZdPosetError(
+                        f"elements {self.elements[i]!r} and {self.elements[j]!r} "
+                        "lie below each other"
+                    )
+            for i in range(n):
+                row = self.up[i]
+                for j in bits(row):
+                    if self.up[j] | row != row:
+                        raise ValueError(
+                            f"relation is not transitive at "
+                            f"({self.elements[i]!r}, {self.elements[j]!r})"
+                        )
+        self.down: tuple[int, ...] = tuple(down)
         self.bottom: int | None = None
         self.top: int | None = None
-        for i in range(len(self.elements)):
+        for i in range(n):
             if self.up[i] == full:
                 self.bottom = i
             if self.down[i] == full:
@@ -139,11 +123,6 @@ class Poset:
             raise ZdPosetError("poset has no least element")
         return self.bottom
 
-    def _require_top(self) -> int:
-        if self.top is None:
-            raise ZdPosetError("poset has no greatest element")
-        return self.top
-
     # -- cones ---------------------------------------------------------------
 
     def ucone_mask(self, mask: int) -> int:
@@ -151,12 +130,6 @@ class Poset:
         out = self.full_mask
         for i in bits(mask):
             out &= self.up[i]
-        return out
-
-    def lcone_mask(self, mask: int) -> int:
-        out = self.full_mask
-        for i in bits(mask):
-            out &= self.down[i]
         return out
 
     # -- atoms and weights -----------------------------------------------------
@@ -167,16 +140,6 @@ class Poset:
         m = 0
         for i in range(len(self.elements)):
             if i != bot and self.down[i] == (1 << bot) | (1 << i):
-                m |= 1 << i
-        return m
-
-    @cached_property
-    def coatoms_mask(self) -> int:
-        """Mask of the elements the greatest element covers."""
-        top = self._require_top()
-        m = 0
-        for i in range(len(self.elements)):
-            if i != top and self.up[i] == (1 << top) | (1 << i):
                 m |= 1 << i
         return m
 
@@ -197,7 +160,9 @@ class Poset:
 
     def poset_weight(self) -> int:
         """Weight of the greatest element, i.e. the total number of atoms."""
-        return self.weight(self._require_top())
+        if self.top is None:
+            raise ZdPosetError("poset has no greatest element")
+        return self.weight(self.top)
 
     # -- complements -------------------------------------------------------------
 
@@ -212,115 +177,7 @@ class Poset:
             m |= self.up[a]
         return self.full_mask & ~m
 
-    def coperp_mask(self, x: int) -> int:
-        """Mask of {y : the upper cone of {x, y} is exactly {top}}: the
-        dual of ``perp_mask``, through the coatoms above x."""
-        m = 0
-        for c in bits(self.coatoms_mask & self.up[x]):
-            m |= self.down[c]
-        return self.full_mask & ~m
-
     # -- structural predicates ------------------------------------------------------
-
-    def _is_distributive_lattice(self) -> bool:
-        """True if the poset is a distributive lattice, else False.
-
-        A finite poset with a least element and a join for every pair is a
-        lattice.  A finite lattice is distributive iff every join-irreducible
-        is join-prime (Birkhoff), i.e. iff ``J(b ∨ c) == J(b) | J(c)`` for
-        all b, c, where ``J(x)`` is the mask of join-irreducibles below x.
-        On a lattice the cone law is the lattice distributive law, so True
-        decides it.  False only means this test cannot decide it.
-        """
-        if self.bottom is None:
-            return False
-        up, down = self.up, self.down
-        # b ∨ c is the element whose up-set is up[b] & up[c], if any
-        by_up = {row: i for i, row in enumerate(up)}
-        # x has exactly one lower cover iff the elements strictly below x
-        # are the down-set of one element
-        by_down = set(down)
-        irreducible = 0
-        for x, row in enumerate(down):
-            if (row ^ (1 << x)) in by_down:
-                irreducible |= 1 << x
-        J = [row & irreducible for row in down]
-        for b, ub in enumerate(up):
-            jb = J[b]
-            for c in range(b + 1, len(up)):
-                join = by_up.get(ub & up[c])
-                if join is None or J[join] != jb | J[c]:
-                    return False
-        return True
-
-    @cached_property
-    def distributivity_witness(self) -> tuple[int, int, int] | None:
-        """First triple (a, b, c) violating the cone distributive law, or None.
-
-        The law compared is
-        ``({a} ∪ {b,c}^u)^l == ({a,b}^l ∪ {a,c}^l)^{ul}``.  Distributive
-        lattices are recognized in O(n²) mask operations; every other poset
-        goes through the O(n³) triple loop, which finds the first witness.
-        """
-        if self._is_distributive_lattice():
-            return None
-        n = len(self.elements)
-        up, down = self.up, self.down
-        # the law is symmetric in b and c, and holds at b = c since
-        # ({a,b}^l)^{ul} = {a,b}^l; so the first witness has b < c, and
-        # only those pairs are tried.  pre[b][c]: lower cone of {b,c}^u
-        pre: list[list[int]] = [[0] * n for _ in range(n)]
-        for b in range(n):
-            for c in range(b + 1, n):
-                pre[b][c] = self.lcone_mask(up[b] & up[c])
-        ul_memo: dict[int, int] = {}
-        for a in range(n):
-            da = down[a]
-            for b in range(n):
-                dab = da & down[b]
-                row = pre[b]
-                for c in range(b + 1, n):
-                    lhs = da & row[c]
-                    union = dab | (da & down[c])
-                    rhs = ul_memo.get(union)
-                    if rhs is None:
-                        rhs = self.lcone_mask(self.ucone_mask(union))
-                        ul_memo[union] = rhs
-                    if lhs != rhs:
-                        return (a, b, c)
-        return None
-
-    @cached_property
-    def _first_uncomplemented(self) -> int | None:
-        """The first element of a bounded poset with no complement, or None."""
-        for x in range(len(self.elements)):
-            if not self.perp_mask(x) & self.coperp_mask(x):
-                return x
-        return None
-
-    @cached_property
-    def boolean_failure(self) -> str | None:
-        """None if Boolean, else a reason naming the first failed clause.
-
-        Clauses are reported in the order bounded, distributive,
-        complemented; only a non-Boolean poset reads them.
-        """
-        if self.is_boolean():
-            return None
-        if self.bottom is None:
-            return "not bounded (no least element)"
-        if self.top is None:
-            return "not bounded (no greatest element)"
-        w = self.distributivity_witness
-        if w is not None:
-            a, b, c = (self.elements[i] for i in w)
-            return f"not distributive (witness: {a},{b},{c})"
-        x = self._first_uncomplemented
-        if x is None:
-            raise TheoremContractError(
-                "a complemented distributive poset failed the support test"
-            )
-        return f"element {self.elements[x]!r} has no complement"
 
     @cached_property
     def _boolean(self) -> bool:
@@ -339,53 +196,53 @@ class Poset:
         """
         return self._boolean
 
+    @cached_property
+    def _ssc(self) -> bool:
+        return all(row == self.ucone_mask(s) for row, s in zip(self.up, self.supports))
+
     def is_ssc(self) -> bool:
         """Section semi-complemented: each b not<= a admits 0 < c <= b with
         L(a, c) = {0}; iff ``up[x] == ucone_mask(supp(x))`` for every x,
-        that is x <= y iff supp(x) ⊆ supp(y) (README's "Boolean posets")."""
+        that is x <= y iff supp(x) ⊆ supp(y) (README's "Boolean posets").
+        Cached."""
         self._require_bottom()
-        return all(row == self.ucone_mask(s) for row, s in zip(self.up, self.supports))
+        return self._ssc
 
-    def is_wssc(self) -> bool:
-        """Weakly section semi-complemented: the same for a < b only; iff
-        a < b implies supp(a) != supp(b)."""
-        self._require_bottom()
-        alike: dict[int, int] = {}  # a support -> the elements that have it
-        for x, s in enumerate(self.supports):
-            alike[s] = alike.get(s, 0) | 1 << x
-        return all(self.up[x] & m == 1 << x for m in alike.values() for x in bits(m))
+    @cached_property
+    def distributivity_witness(self) -> tuple[int, int, int] | None:
+        """``lattice.distributivity_witness``, cached."""
+        from .lattice import distributivity_witness
 
-    # -- covers and serialization ----------------------------------------------------
-
-    def cover_pairs(self) -> list[tuple[int, int]]:
-        """All (i, j) with j covering i, sorted by (i, j)."""
-        out = []
-        for i in range(len(self.elements)):
-            for j in bits(self.up[i] & ~(1 << i)):
-                if (self.down[j] & self.up[i]) == (1 << i) | (1 << j):
-                    out.append((i, j))
-        return out
+        return distributivity_witness(self)
 
     def to_text(self) -> str:
-        """Serialize in the poset file format (cover pairs only)."""
-        lines = ["poset v1"]
-        for name in self.elements:
-            if not name or any(ch.isspace() for ch in name) or "#" in name:
-                raise ValueError(f"element name {name!r} is not file-safe")
-            lines.append(f"elem {name}")
-        for i, j in self.cover_pairs():
-            lines.append(f"le {self.elements[i]} {self.elements[j]}")
-        return "\n".join(lines) + "\n"
+        """The poset file: ``formats.poset_text``."""
+        from .formats import poset_text
+
+        return poset_text(self)
 
 
 # -- parsing --------------------------------------------------------------------
+
+# the largest poset, in elements, that a file or a catalog builder may
+# give; each refuses a larger one before building anything
+MAX_CATALOG_ELEMENTS = 2**10
+
+
+def above_cap(poset: str, elements: object) -> ZdPosetError:
+    return ZdPosetError(
+        f"{poset} would have {elements} elements, above the catalog cap of "
+        f"{MAX_CATALOG_ELEMENTS}"
+    )
 
 
 def parse_poset(text: str) -> Poset:
     """Parse the line-oriented poset file format.
 
     The order is the reflexive-transitive closure of the declared ``le``
-    pairs; ``#`` starts a comment anywhere on a line.
+    pairs; ``#`` starts a comment anywhere on a line.  A file with more
+    than ``MAX_CATALOG_ELEMENTS`` elements is refused at the first
+    ``elem`` line past the cap.
     """
     names: list[str] = []
     index: dict[str, int] = {}
@@ -409,6 +266,10 @@ def parse_poset(text: str) -> Poset:
             name = tokens[1]
             if name in index:
                 raise PosetSyntaxError(f"duplicate element {name!r}", lineno)
+            if len(names) == MAX_CATALOG_ELEMENTS:
+                raise above_cap(
+                    f"line {lineno}: the poset", f"more than {MAX_CATALOG_ELEMENTS}"
+                )
             index[name] = len(names)
             names.append(name)
         elif tokens[0] == "le":

@@ -1,7 +1,8 @@
 """Catalog posets and direct products, built on the order core.
 
-``bits``, ``Poset`` and ``parse_poset`` live in ``order``; ``parse_poset``
-is re-exported here for the benchmark, and a run that only reads poset
+``bits``, ``Poset``, ``parse_poset`` and the element cap
+``MAX_CATALOG_ELEMENTS`` live in ``order``; ``parse_poset`` is
+re-exported here for the benchmark, and a run that only reads poset
 files never compiles this module.
 """
 
@@ -11,7 +12,13 @@ import itertools
 from typing import Sequence
 
 from .errors import ZdPosetError
-from .order import Poset, bits, parse_poset  # parse_poset re-exported
+from .order import (  # parse_poset re-exported
+    MAX_CATALOG_ELEMENTS,
+    Poset,
+    above_cap,
+    bits,
+    parse_poset,
+)
 
 
 # -- products -----------------------------------------------------------------------
@@ -43,7 +50,7 @@ class ProductPoset:
                 at[p][x] |= 1 << i
         # a product of partial orders is one: the carrier's rows need no
         # second check of the order axioms
-        self.carrier: Poset = Poset._from_order(
+        self.carrier: Poset = Poset(
             names,
             _product_rows(coords, at, [f.up for f in factors]),
             _product_rows(coords, at, [f.down for f in factors]),
@@ -85,18 +92,6 @@ def direct_product(factors: Sequence[Poset]) -> ProductPoset:
 
 
 # -- catalog ------------------------------------------------------------------------
-
-# the largest catalog poset, in elements: each builder refuses a larger
-# one before building anything
-MAX_CATALOG_ELEMENTS = 2**10
-
-
-def above_cap(poset: str, elements: object) -> ZdPosetError:
-    return ZdPosetError(
-        f"{poset} would have {elements} elements, above the catalog cap of "
-        f"{MAX_CATALOG_ELEMENTS}"
-    )
-
 
 def _subset_name(mask: int, n: int, full: int) -> str:
     if mask == 0:

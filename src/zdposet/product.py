@@ -16,8 +16,8 @@ from typing import NamedTuple, Sequence
 from .cmcert import Analysis
 from .complexes import DEFAULT_MAX_VERTICES, STATUS_TEXT, is_well_covered, yes_no
 from .errors import SizeLimitExceededError, TheoremContractError, ZdPosetError
-from .order import Poset, bits
-from .poset import MAX_CATALOG_ELEMENTS, ProductPoset, above_cap, generate
+from .order import MAX_CATALOG_ELEMENTS, Poset, above_cap, bits
+from .poset import ProductPoset, generate
 from .zdg import ZdGraph, zero_divisor_graph, zero_divisors
 
 

@@ -14,7 +14,12 @@ from typing import Sequence
 from .cmcert import CmVerdict, MyCertificate, Pair, _pair_table, verify_my_conditions
 from .graphs import Graph
 from .order import bits
-from .zdg import complement_mask
+
+
+def complement_mask(nbr: list[int], row: int) -> int:
+    """The positions in a vertex's adjacency ``row`` that share no neighbour
+    with it: its neighbours w such that the edge v-w lies in no triangle."""
+    return sum(1 << j for j in bits(row) if not row & nbr[j])
 
 
 def find_ordering(G: Graph, matching: Sequence[Pair]) -> tuple[Pair, ...] | None:

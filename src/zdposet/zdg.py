@@ -1,4 +1,4 @@
-"""Zero-divisor graphs of posets, their graph complements, and DOT output.
+"""Zero-divisor graphs of posets.
 
 The graph of a poset with least element 0 has the nonzero zero-divisors
 as vertices, two being adjacent exactly when their lower cone is {0}.
@@ -47,24 +47,8 @@ def zero_divisor_graph(P: Poset) -> ZdGraph:
     return ZdGraph(P, verts, nbr)
 
 
-def complement_mask(nbr: list[int], row: int) -> int:
-    """The positions in a vertex's adjacency ``row`` that share no neighbour
-    with it: its neighbours w such that the edge v-w lies in no triangle."""
-    return sum(1 << j for j in bits(row) if not row & nbr[j])
-
-
 def require_boolean(P: Poset) -> None:
-    reason = P.boolean_failure
-    if reason is not None:
-        raise ZdPosetError(f"poset is not Boolean: {reason}")
+    if not P.is_boolean():
+        from .lattice import boolean_failure  # the clauses load only to name one
 
-
-def to_dot(G: ZdGraph) -> str:
-    """Deterministic DOT text: edges sorted by (min id, max id), one per
-    line, each name a quoted ID with its backslashes and quotes escaped."""
-    quote = lambda v: '"' + G.label(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
-    lines = ["graph zdg {"]
-    for a, b in G.edges():
-        lines.append(f"  {quote(a)} -- {quote(b)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        raise ZdPosetError(f"poset is not Boolean: {boolean_failure(P)}")

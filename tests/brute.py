@@ -15,7 +15,9 @@ helpers that the package no longer exports, because no subcommand calls
 them: ``graph``, which makes the hand-written test graphs from edge
 lists, the unique complementation and atom/end lemma checks, ends,
 graph complements, the complementary-pair greedy extension and the
-mask-level pseudocomplement.  Their tests run them here.
+mask-level pseudocomplement.  Their tests run them here.  The CLI's old
+argparse parser is ``argparse_reference``, the reference of the argv
+fuzzer in ``test_fuzz_cli.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from zdposet.cmcert import CmVerdict, ConditionStatus, MyCertificate
 from zdposet.errors import TheoremContractError, ZdPosetError
 from zdposet.graphs import Graph
 from zdposet.order import Poset, bits
-from zdposet.zdg import ZdGraph, complement_mask, require_boolean
+from zdposet.lattice import boolean_failure, lcone_mask
+from zdposet.search import complement_mask
+from zdposet.zdg import ZdGraph, require_boolean
 
 
 def elements(P: Poset) -> range:
@@ -115,7 +119,7 @@ def coperp_mask_reference(P: Poset, x: int) -> int:
 
 
 def first_uncomplemented_reference(P: Poset) -> int | None:
-    """The O(n²) scan ``Poset._first_uncomplemented`` replaces."""
+    """The O(n²) scan ``lattice.first_uncomplemented`` replaces."""
     for x in elements(P):
         if not perp_mask_reference(P, x) & coperp_mask_reference(P, x):
             return x
@@ -169,7 +173,7 @@ def distributivity_witness_reference(P: Poset) -> tuple[int, int, int] | None:
     """The O(n³) cone-law loop over every triple, first witness in
     (a, b, c) order; ``Poset.distributivity_witness`` must agree."""
     n = len(P)
-    pre = [[P.lcone_mask(P.up[b] & P.up[c]) for c in range(n)] for b in range(n)]
+    pre = [[lcone_mask(P, P.up[b] & P.up[c]) for c in range(n)] for b in range(n)]
     ul: dict[int, int] = {}  # the right-hand side depends on the union alone
     for a in range(n):
         da = P.down[a]
@@ -178,14 +182,14 @@ def distributivity_witness_reference(P: Poset) -> tuple[int, int, int] | None:
             for c in range(n):
                 union = dab | (da & P.down[c])
                 if union not in ul:
-                    ul[union] = P.lcone_mask(P.ucone_mask(union))
+                    ul[union] = lcone_mask(P, P.ucone_mask(union))
                 if da & pre[b][c] != ul[union]:
                     return (a, b, c)
     return None
 
 
 def boolean_failure_reference(P: Poset) -> str | None:
-    """``Poset.boolean_failure`` from the reference loop and the
+    """``lattice.boolean_failure`` from the reference loop and the
     definition of a complement: bounded, distributive, complemented."""
     if P.bottom is None:
         return "not bounded (no least element)"
@@ -769,7 +773,7 @@ def extend_independent(P: Poset, G: Graph, seed: Iterable[int]) -> tuple[int, ..
     The result is always a facet of size |V|/2.
     """
     if not P.is_boolean():
-        raise ZdPosetError(f"poset is not Boolean: {P.boolean_failure}")
+        raise ZdPosetError(f"poset is not Boolean: {boolean_failure(P)}")
     vertex_set = set(G.vertices)
     current = set()
     for v in seed:
@@ -807,3 +811,81 @@ def extend_independent(P: Poset, G: Graph, seed: Iterable[int]) -> tuple[int, ..
             )
         current.add(pick)
     return tuple(sorted(current))
+
+
+# -- the argparse parser the CLI replaced ---------------------------------------------
+
+
+def argparse_reference():
+    """The CLI's argparse parser as it was before the table-driven one,
+    kept as the reference the argv fuzzer compares against.  Its
+    namespace holds the subcommand in ``command`` and no ``func``."""
+    import argparse
+
+    from zdposet import complexes
+
+    parser = argparse.ArgumentParser(
+        prog="zdposet",
+        description="Zero-divisor graphs of finite bounded posets: "
+        "well-coveredness and Cohen-Macaulayness.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_output(p):
+        p.add_argument("-o", "--output", default=None, help="write here instead of stdout")
+
+    def add_facet_cap(p):
+        p.add_argument(
+            "--max-vertices",
+            type=int,
+            default=complexes.DEFAULT_MAX_VERTICES,
+            help="facet enumeration cap (default %(default)s)",
+        )
+
+    p = sub.add_parser("info", help="order-theoretic profile of a poset file")
+    p.add_argument("input")
+    add_output(p)
+
+    p = sub.add_parser("zdg", help="zero-divisor graph as DOT")
+    p.add_argument("input")
+    add_output(p)
+
+    p = sub.add_parser("check", help="consolidated coveredness / CM verdict")
+    p.add_argument("input")
+    add_output(p)
+    add_facet_cap(p)
+    p.add_argument(
+        "--max-homology-vertices",
+        type=int,
+        default=complexes.DEFAULT_MAX_HOMOLOGY_VERTICES,
+        help="homology oracle cap (default %(default)s)",
+    )
+    p.add_argument(
+        "--max-search-nodes",
+        type=int,
+        default=complexes.DEFAULT_MAX_SEARCH_NODES,
+        help="matching-search budget (default %(default)s)",
+    )
+    p.add_argument(
+        "-v",
+        "--verbose",
+        action="store_true",
+        help="include the per-face homology table",
+    )
+
+    p = sub.add_parser("export", help="edge ideal script for a CAS")
+    p.add_argument("input")
+    p.add_argument("-d", "--dialect", choices=("m2", "singular"), required=True)
+    add_output(p)
+
+    p = sub.add_parser("sweep", help="TSV verdicts over factor-size vectors")
+    p.add_argument("input")
+    add_output(p)
+    add_facet_cap(p)
+
+    p = sub.add_parser("gen", help="emit a catalog poset file")
+    p.add_argument("catalog")
+    p.add_argument("params", nargs="+", type=int)
+    add_output(p)
+
+    return parser

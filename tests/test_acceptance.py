@@ -20,6 +20,7 @@ from zdposet.cmcert import (
 )
 from zdposet.complexes import independence_complex, is_very_well_covered, is_well_covered
 from zdposet.homology import reisner_cm
+from zdposet.lattice import lcone_mask
 from zdposet.poset import direct_product, generate, parse_poset
 from zdposet.product import (
     j_single,
@@ -198,7 +199,7 @@ def _suite_cone_galois(rng):
         A = {v for v in universe if rng.random() < 0.3}
         B = A | {v for v in universe if rng.random() < 0.3}
         a, b = brute.mask(A), brute.mask(B)
-        ul = P.lcone_mask(P.ucone_mask(a))
+        ul = lcone_mask(P, P.ucone_mask(a))
         assert a & ~ul == 0
         assert P.ucone_mask(ul) == P.ucone_mask(a)
         assert P.ucone_mask(b) & ~P.ucone_mask(a) == 0

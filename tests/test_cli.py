@@ -1,4 +1,3 @@
-import argparse
 import itertools
 import os
 import re
@@ -10,7 +9,8 @@ import pytest
 
 import zdposet
 import zdposet.zdg as zdg_mod
-from zdposet.cli import build_parser, main
+from zdposet import lattice
+from zdposet.cli import COMMANDS, main
 from zdposet.cmcert import is_cohen_macaulay
 from zdposet.order import Poset
 from zdposet.poset import direct_product, generate, parse_poset
@@ -275,7 +275,8 @@ def test_boolean_posets_run_no_distributivity_test(tmp_path, monkeypatch, capsys
     def broken(*_):
         raise AssertionError("a distributivity test ran")
 
-    monkeypatch.setattr(Poset, "_is_distributive_lattice", broken)
+    monkeypatch.setattr(lattice, "is_distributive_lattice", broken)
+    monkeypatch.setattr(lattice, "distributivity_witness", broken)
     monkeypatch.setattr(Poset, "distributivity_witness", property(broken))
 
     def info(n, atoms):
@@ -318,6 +319,40 @@ def test_boolean_posets_run_no_distributivity_test(tmp_path, monkeypatch, capsys
     for argv, lines in expected.items():
         assert main(list(argv)) == 0, argv
         assert capsys.readouterr() == ("\n".join(lines) + "\n", ""), argv
+
+
+@pytest.mark.parametrize(
+    "P", [generate("atom_coatom", 9), generate("chain", 5)], ids=["atom_coatom 9", "chain 5"]
+)
+def test_info_decides_ssc_once(tmp_path, monkeypatch, capsys, P):
+    # the Boolean test and the ssc: line read one cached SSC answer, so
+    # info makes the ucone_mask calls of one is_ssc() and no more
+    calls = []
+    real = Poset.ucone_mask
+    monkeypatch.setattr(Poset, "ucone_mask", lambda Q, m: calls.append(m) or real(Q, m))
+    Poset(P.elements, P.up).is_ssc()
+    once = len(calls)
+    assert once > 0
+    calls.clear()
+    assert main(["info", write_poset(tmp_path, P)]) == 0
+    assert "ssc: " in capsys.readouterr().out
+    assert len(calls) == once
+
+
+@pytest.mark.parametrize(
+    "argv", [["info"], ["zdg"], ["check"], ["export", "-d", "m2"]], ids=lambda argv: argv[0]
+)
+def test_poset_file_above_the_cap_is_refused(tmp_path, capsys, argv):
+    # refused at its 1025th element, before the closure is built
+    path = tmp_path / "big.poset"
+    path.write_text("poset v1\n" + "".join(f"elem e{i}\n" for i in range(1025)))
+    command, *flags = argv
+    assert main([command, str(path), *flags]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: line 1026: the poset would have more than 1024 elements, above the "
+        "catalog cap of 1024\n",
+    )
 
 
 def test_gen_roundtrip(tmp_path, capsys):
@@ -406,12 +441,9 @@ def readme_flag_table():
 
 
 def test_readme_flag_table_matches_the_parser():
-    (subparsers,) = (
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
     parsed = {
-        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
-        for name, p in subparsers.choices.items()
+        name: {flag for option in options for flag in option[0]}
+        for name, (_, _, options) in COMMANDS.items()
     }
     assert readme_flag_table() == parsed
 

@@ -17,6 +17,7 @@ from zdposet.complexes import (
     is_well_covered,
 )
 from zdposet.errors import ZdPosetError
+from zdposet.formats import certificate_json
 from zdposet.graphs import Graph
 from zdposet.homology import reisner_cm
 from zdposet.poset import direct_product, generate
@@ -179,7 +180,7 @@ def test_certificate_json_golden():
     P = generate("boolean_lattice", 2)
     G = zero_divisor_graph(P)
     cert = verify_my_conditions(G, boolean_labeling(P, G))
-    obj = json.loads(cert.to_json())
+    obj = json.loads(certificate_json(cert))
     assert obj == {
         "h": 1,
         "pairs": [["a2", "a1"]],

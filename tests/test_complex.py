@@ -5,13 +5,13 @@ import pytest
 import brute
 from brute import NotIndependentError, extend_independent
 from zdposet.complexes import (
-    export_edge_ideal,
+    IndependenceComplex,
     independence_complex,
     is_very_well_covered,
     is_well_covered,
 )
 from zdposet.errors import SizeLimitExceededError, ZdPosetError
-from zdposet.complexes import IndependenceComplex
+from zdposet.formats import export_edge_ideal
 from zdposet.poset import direct_product, generate
 from zdposet.zdg import zero_divisor_graph
 

@@ -1,18 +1,31 @@
-"""The CLI's parsers on mutated input files, run in-process.
+"""The CLI's parsers on mutated input files and argument lists, run
+in-process.
 
 A run of ``cli.main`` on a mutated file must exit 0 (the file still
 means something) or 2 with one ``error:`` line (it does not).  Exit 1
 is kept for a contract violation, which no input may cause, and no
 exception may escape.
+
+An argument list must parse to the values the argparse parser the CLI
+used to have (``brute.argparse_reference``) gives it, or be refused by
+both with exit 2, or print the help with exit 0 in both.  Two
+differences are declared.  Argparse took a unique prefix of a long flag
+(``--max-v``), and the table parser takes none.  Argparse dropped an
+explicit value ``--`` (``--output=--``, ``-o--``) and stored an empty
+list, on which the run then crashed; the table parser takes the value
+as given.
 """
 
 import contextlib
 import io
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zdposet.cli import main
+from brute import argparse_reference
+from zdposet import arguments
+from zdposet.cli import CAPS, COMMANDS, main, parse_args
 from zdposet.poset import direct_product, generate
 
 # valid poset files of at most 8 elements, one with comments and blanks
@@ -112,3 +125,99 @@ def test_mutated_poset_files(input_path, data, argv):
 def test_mutated_size_files(input_path, data):
     run_cli(input_path, data, "sweep")
 
+
+
+# -- the argument parser against the argparse one it replaced ----------------------
+
+FLAGS = sorted(
+    {flag for _, _, options in COMMANDS.values() for option in options for flag in option[0]}
+    | {"-h", "--help"}
+)
+WORDS = [
+    "in.poset", "chain", "3", "0", "40", "-3", "-1.5", "-.5", "+2", "٣", "-٣",
+    " 4", "2_0", "m2", "singular", "", "-", "--", "a b", "-x y", "x=y", "-5\n",
+]
+JUNK = [
+    "-x", "--workers", "-vx", "-vd", "-vo", "-ox", "-dm2", "-dx", "-hv", "-vh", "-hh",
+    "-hx", "--max", "--max-v", "--out", "--verb", "--he", "-=", "=", "---", "-5x",
+    "-v=", "-o=", "--output=", "--verbose=", "--help=x", "-verbose", "-o=x", "-vo=x",
+]
+COMMAND_WORDS = [*COMMANDS, "frob", "-h", "--help", "-x", "--", "-3", "--he"]
+
+token = st.one_of(
+    st.sampled_from(FLAGS),
+    st.sampled_from(WORDS),
+    st.sampled_from(JUNK),
+    st.builds("{}={}".format, st.sampled_from(FLAGS), st.sampled_from(WORDS)),
+    st.builds(str.__add__, st.sampled_from(["-o", "-d", "-v", "-h"]), st.sampled_from(WORDS)),
+)
+
+
+@st.composite
+def plain_argv(draw):
+    """The subcommand, its positionals, then full options with values."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    argv = [command, *draw(st.lists(st.sampled_from(WORDS[:6]), min_size=1, max_size=3))]
+    for option in draw(st.lists(st.sampled_from(FLAGS), max_size=4)):
+        value = draw(st.sampled_from(["7", "0", "out", "m2", "singular", "x"]))
+        argv += draw(st.sampled_from([[option, value], [f"{option}={value}"], [option]]))
+    return argv
+
+
+argvs = st.one_of(
+    plain_argv(),
+    st.builds(
+        lambda first, rest: first + rest,
+        st.lists(st.sampled_from(list(COMMANDS)), min_size=1, max_size=1),
+        st.lists(token, max_size=7),
+    ),
+    st.lists(st.one_of(st.sampled_from(COMMAND_WORDS), token), max_size=6),
+)
+
+
+def declared(argv):
+    """True when an option of ``argv`` is read differently on purpose: a
+    long flag that is a proper prefix of a flag, which argparse read as
+    that flag or refused as ambiguous, or an explicit value ``--``."""
+    for token in argv[: argv.index("--") if "--" in argv else None]:
+        name = token.partition("=")[0]
+        if token.startswith("--") and name not in FLAGS and any(f.startswith(name) for f in FLAGS):
+            return True
+        if token.startswith("-") and token.endswith("--") and len(token) > 2:
+            return True
+    return False
+
+
+def outcome(parse, argv):
+    """(exit code, the parsed values, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            values = parse(list(argv))
+    except SystemExit as exc:
+        return exc.code, None, out.getvalue(), err.getvalue()
+    return 0, values, out.getvalue(), err.getvalue()
+
+
+def reference_parse(argv):
+    parser = argparse_reference()
+    values = vars(parser.parse_args(argv))
+    for cap in CAPS:  # main refused a cap below 1 after parsing
+        if isinstance(values.get(cap), int) and values[cap] < 1:
+            parser.error(f"--{cap.replace('_', '-')} must be positive")
+    return values
+
+
+@settings(max_examples=1500, deadline=None)
+@given(argv=argvs)
+def test_argv_parses_as_argparse_did(argv):
+    expected = outcome(reference_parse, argv)
+    for parse in (lambda a: vars(parse_args(a)), arguments.parse_args):
+        code, values, out, err = outcome(parse, argv)
+        assert code in (0, 2), (argv, code)
+        if code == 2:  # the usage line, then the message
+            assert re.match(r"usage: zdposet[^\n]*\nzdposet( \w+)?: error: ", err), (argv, err)
+        elif values is None:
+            assert out.startswith("usage: zdposet") and err == "", (argv, out, err)
+        if not declared(argv):
+            assert (code, values) == expected[:2], argv

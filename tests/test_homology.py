@@ -13,7 +13,8 @@ from test_crossval import betti_by_dense_fractions
 from zdposet import homology
 from zdposet.complexes import independence_complex, is_well_covered
 from zdposet.errors import SizeLimitExceededError
-from zdposet.homology import faces_by_dimension, link_rows, link_table, reisner_cm
+from zdposet.formats import link_table
+from zdposet.homology import faces_by_dimension, link_rows, reisner_cm
 from zdposet.poset import direct_product, generate
 from zdposet.zdg import zero_divisor_graph
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import brute
+from zdposet import lattice
 from zdposet.errors import PosetSyntaxError, TheoremContractError, ZdPosetError
 from zdposet.order import Poset, bits, parse_poset
 from zdposet.poset import direct_product, generate
@@ -22,8 +23,8 @@ def upper_cone(P, A):
 
 
 def lower_cone(P, A):
-    """``P.lcone_mask`` on a set of ids."""
-    return set(bits(P.lcone_mask(brute.mask(A))))
+    """``lattice.lcone_mask`` on a set of ids."""
+    return set(bits(lattice.lcone_mask(P, brute.mask(A))))
 
 
 # --- parsing -----------------------------------------------------------------
@@ -252,13 +253,13 @@ def test_is_boolean(figure1):
     assert generate("boolean_lattice", 1).is_boolean()  # the 2-chain
     M = generate("m_atoms", 3)
     assert not M.is_boolean()
-    assert "distributive" in M.boolean_failure
+    assert "distributive" in lattice.boolean_failure(M)
 
 
 def test_boolean_failure_reports_missing_complement():
     P = generate("chain", 3)
     assert P.distributivity_witness is None
-    assert "complement" in P.boolean_failure
+    assert "complement" in lattice.boolean_failure(P)
 
 
 N5 = parse_poset(
@@ -278,7 +279,7 @@ def assert_boolean_gate_matches_reference(P, definitional=True):
     assert (P.distributivity_witness is None) == (w is None)
     if definitional:
         assert brute.is_distributive(P) == (w is None)
-    assert P.boolean_failure == brute.boolean_failure_reference(P)
+    assert lattice.boolean_failure(P) == brute.boolean_failure_reference(P)
     assert P.is_boolean() == boolean
 
 
@@ -301,7 +302,7 @@ def test_boolean_gate_on_named_posets(figure1, b4_without_a12_a34):
     assert all(P.is_boolean() for P in named[4:])
     # no Boolean poset here is a lattice, so the cone law decides them,
     # running through every triple
-    assert not any(P._is_distributive_lattice() for P in named[4:])
+    assert not any(lattice.is_distributive_lattice(P) for P in named[4:])
 
 
 def test_order_queries_match_the_quadratic_scans(figure1, b4_without_a12_a34):
@@ -324,15 +325,15 @@ def test_order_queries_match_the_quadratic_scans(figure1, b4_without_a12_a34):
     posets += [random_bounded_poset(rng, rng.randint(0, 9)) for _ in range(120)]
     verdicts = set()
     for P in posets:
-        fresh = Poset(P.elements, P.up)  # nothing cached
+        coperp = lattice.coperp_masks(P)
         for x in range(len(P)):
             assert P.perp_mask(x) == brute.perp_mask_reference(P, x), P.to_text()
-            assert P.coperp_mask(x) == brute.coperp_mask_reference(P, x), P.to_text()
+            assert coperp[x] == brute.coperp_mask_reference(P, x), P.to_text()
         first = brute.first_uncomplemented_reference(P)
-        assert fresh._first_uncomplemented == first, P.to_text()
-        lattice = is_boolean_lattice(P)
-        assert lattice == brute.is_boolean_lattice_by_pairs(P), P.to_text()
-        verdicts.add((first is None, lattice))
+        assert lattice.first_uncomplemented(P) == first, P.to_text()
+        boolean_lattice = is_boolean_lattice(P)
+        assert boolean_lattice == brute.is_boolean_lattice_by_pairs(P), P.to_text()
+        verdicts.add((first is None, boolean_lattice))
     assert verdicts == {(True, True), (True, False), (False, False)}
 
 
@@ -376,7 +377,7 @@ def test_boolean_gate_matches_reference_on_random_posets(P):
 @settings(max_examples=150, deadline=None)
 @given(distributive_lattices())
 def test_boolean_gate_matches_reference_on_distributive_lattices(P):
-    assert P._is_distributive_lattice()
+    assert lattice.is_distributive_lattice(P)
     assert_boolean_gate_matches_reference(P, definitional=len(P) <= 8)
 
 
@@ -442,7 +443,7 @@ def test_boolean_failure_traps_a_support_test_disagreement(figure1):
     P = Poset(figure1.elements, figure1.up)
     P.__dict__["_boolean"] = False
     with pytest.raises(TheoremContractError, match="failed the support test"):
-        P.boolean_failure
+        lattice.boolean_failure(P)
 
 
 def test_is_boolean_tests_complements_first():
@@ -464,10 +465,10 @@ def test_distributive_lattice_skips_the_triple_loop(build, monkeypatch):
     assert P.is_boolean()  # the support test reads ucone_mask itself
     # the cone calls below are made only by the triple loop
     calls = []
-    for name in ("ucone_mask", "lcone_mask"):
-        real = getattr(Poset, name)
+    for owner, name in ((Poset, "ucone_mask"), (lattice, "lcone_mask")):
+        real = getattr(owner, name)
         monkeypatch.setattr(
-            Poset, name, lambda self, m, real=real: calls.append(m) or real(self, m)
+            owner, name, lambda P, m, real=real: calls.append(m) or real(P, m)
         )
     assert P.distributivity_witness is None
     assert calls == []
@@ -479,10 +480,10 @@ def test_distributive_lattice_skips_the_triple_loop(build, monkeypatch):
 def test_ssc_wssc():
     fig = generate("atom_coatom", 4)
     assert fig.is_ssc()
-    assert generate("boolean_lattice", 3).is_wssc()
+    assert lattice.is_wssc(generate("boolean_lattice", 3))
     chain3 = generate("chain", 3)
     assert not chain3.is_ssc()
-    assert not chain3.is_wssc()
+    assert not lattice.is_wssc(chain3)
 
 
 @pytest.mark.parametrize(
@@ -492,9 +493,9 @@ def test_ssc_wssc():
 def test_ssc_wssc_match_brute_force(name, param):
     P = generate(name, param)
     assert P.is_ssc() == brute.is_ssc(P)
-    assert P.is_wssc() == brute.is_wssc(P)
+    assert lattice.is_wssc(P) == brute.is_wssc(P)
     if P.is_ssc():
-        assert P.is_wssc()
+        assert lattice.is_wssc(P)
 
 
 def random_poset_with_bottom(rng, top):
@@ -517,7 +518,7 @@ def test_ssc_wssc_match_brute_force_on_random_posets():
     seen = []
     for i in range(400):
         P = random_poset_with_bottom(rng, top=i % 2 == 0)
-        ssc, wssc = P.is_ssc(), P.is_wssc()
+        ssc, wssc = P.is_ssc(), lattice.is_wssc(P)
         assert (ssc, wssc) == (brute.is_ssc(P), brute.is_wssc(P)), P.to_text()
         seen.append((ssc, wssc))
     for k in (0, 1):  # each predicate comes out both ways, often
@@ -527,7 +528,7 @@ def test_ssc_wssc_match_brute_force_on_random_posets():
 
 def test_boolean_implies_ssc(boolean_catalog):
     for P in boolean_catalog:
-        assert P.is_ssc() and P.is_wssc()
+        assert P.is_ssc() and lattice.is_wssc(P)
 
 
 def test_uniquely_complemented_implies_wssc(boolean_catalog):
@@ -538,7 +539,7 @@ def test_uniquely_complemented_implies_wssc(boolean_catalog):
     ]
     for P in pool:
         if all(len(brute.complements(P, x)) == 1 for x in range(len(P))):
-            assert P.is_wssc()
+            assert lattice.is_wssc(P)
 
 
 # --- weight lemmas on Boolean posets ---------------------------------------------------
@@ -717,3 +718,16 @@ def test_generate_builds_every_poset_up_to_the_catalog_cap():
         ("m_atoms", 1022),
     ):
         assert len(generate(name, k)) == MAX_CATALOG_ELEMENTS
+
+
+def test_parse_poset_takes_files_up_to_the_cap():
+    from zdposet.order import MAX_CATALOG_ELEMENTS
+
+    # an antichain: one element past the cap is refused at its elem line
+    text = "poset v1\n" + "".join(f"elem e{i}\n" for i in range(MAX_CATALOG_ELEMENTS))
+    assert len(parse_poset(text)) == MAX_CATALOG_ELEMENTS
+    with pytest.raises(ZdPosetError) as err:
+        parse_poset(text + "elem last\nle e0 nowhere\n")
+    assert str(err.value) == (
+        "line 1026: the poset would have more than 1024 elements, above the catalog cap of 1024"
+    )

@@ -7,8 +7,10 @@ loads for ``sweep`` alone, the catalog (``poset``) for ``gen`` and
 ``sweep``, the certificate layer (``cmcert``) for ``check`` and
 ``sweep``, the labeling search only on the matching-search route, the
 homology oracle never for ``sweep``, and neither ``dataclasses`` nor
-``json`` loads on the way to a verdict.  The result records are named
-tuples.
+``json`` loads on the way to a verdict.  No run imports ``argparse``
+(nor ``gettext`` and ``locale``, which it pulls in), and ``check``
+compiles at most ``CHECK_SOURCE_CAP`` bytes of package source.  The
+result records are named tuples.
 """
 
 import ast
@@ -80,22 +82,31 @@ def test_poset_subcommands_load_no_heavy_module(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "command", [["info"], ["zdg"], ["export", "-d", "m2"]], ids=" ".join
+    "command, own",
+    [
+        (["info"], "zdposet.lattice"),
+        (["zdg"], "zdposet.formats"),
+        (["export", "-d", "m2"], "zdposet.formats"),
+    ],
+    ids=["info", "zdg", "export -d m2"],
 )
-def test_info_zdg_and_export_load_no_certificate_layer(tmp_path, command):
+def test_info_zdg_and_export_load_no_certificate_layer(tmp_path, command, own):
     # the parser reads its cap defaults, and info its yes/no text, from
-    # complexes; only check imports cmcert
+    # complexes; only check imports cmcert.  info reads the order
+    # clauses (lattice), zdg and export the text writers (formats)
     path = tmp_path / "b3.poset"
     path.write_text(generate("boolean_lattice", 3).to_text())
     argv = [command[0], str(path), *command[1:], "-o", str(tmp_path / "out")]
     assert package_modules(modules_loaded_by(argv)) == {
         "zdposet",
         "zdposet.cli",
+        "zdposet.commands",
         "zdposet.complexes",
         "zdposet.errors",
         "zdposet.graphs",
         "zdposet.order",
         "zdposet.zdg",
+        own,
     }
 
 
@@ -171,6 +182,64 @@ def test_check_on_a_very_well_covered_poset_loads_the_search(tmp_path):
     assert "[matching-search]" in out.read_text()
     assert "zdposet.search" in loaded
     assert {"zdposet.poset", "zdposet.product"} & loaded == set()
+
+
+# argparse, and the two modules its message lookups pull in
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "{poset}"],
+        ["zdg", "{poset}"],
+        ["check", "{poset}"],
+        ["check", "{poset}", "-v", "--max-vertices=30"],
+        ["check", "-v", "{poset}"],  # options first: not the plain shape
+        ["export", "{poset}", "-d", "m2"],
+        ["export", "-dsingular", "{poset}"],
+        ["sweep", "{sizes}"],
+        ["gen", "chain", "3"],
+        ["gen", "-o", "{out}", "chain", "3"],
+    ],
+    ids=" ".join,
+)
+def test_no_run_loads_argparse(tmp_path, argv):
+    files = {"poset": tmp_path / "b3.poset", "sizes": tmp_path / "sizes.txt"}
+    files["poset"].write_text(generate("boolean_lattice", 3).to_text())
+    files["sizes"].write_text("2,2,2\n3,3\n")
+    argv = [a.format(**files, out=tmp_path / "out") for a in argv]
+    if "-o" not in argv:
+        argv += ["-o", str(tmp_path / "out")]
+    assert modules_loaded_by(argv) & ARGPARSE == set()
+
+
+# the package source a check run may compile, in bytes: every module it
+# loads is compiled in full, whether or not the run calls its code
+CHECK_SOURCE_CAP = 50_000
+
+
+def source_bytes(modules):
+    package = Path(zdposet.__file__).resolve().parent
+    return sum(
+        (package / (m.partition(".")[2] or "__init__")).with_suffix(".py").stat().st_size
+        for m in package_modules(modules)
+    )
+
+
+@pytest.mark.parametrize("route", ["boolean-certificate", "not-well-covered"])
+def test_check_compiles_at_most_the_source_cap(tmp_path, route):
+    if route == "boolean-certificate":
+        P = generate("boolean_lattice", 3)
+    else:  # the graph is K_{1,2}
+        P = direct_product([generate("chain", 2), generate("chain", 3)]).carrier
+    path = tmp_path / "in.poset"
+    path.write_text(P.to_text())
+    out = tmp_path / "out"
+    loaded = modules_loaded_by(["check", str(path), "-o", str(out)])
+    assert f"[{route}]" in out.read_text()
+    assert {"zdposet.arguments", "zdposet.commands", "zdposet.formats", "zdposet.lattice"} & loaded == set()
+    assert source_bytes(loaded) <= CHECK_SOURCE_CAP
 
 
 def test_gen_loads_the_catalog(tmp_path):

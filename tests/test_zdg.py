@@ -11,7 +11,8 @@ from brute import (
     ends,
     graph_complements,
 )
-from zdposet.zdg import to_dot, zero_divisor_graph, zero_divisors
+from zdposet.formats import to_dot
+from zdposet.zdg import zero_divisor_graph, zero_divisors
 
 
 def names(P, vs):

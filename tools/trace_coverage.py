@@ -11,14 +11,20 @@ statement counter, over the inputs the project already pins:
 - ``zdg`` and both ``export`` dialects on figure 1 and the catalog;
 - each cap flag set low, files that fail to parse, refused ``sweep``
   lines and ``gen`` parameters;
+- argument lists that are not the plain shape, usage errors and ``-h``;
 - the benchmark's set-up (``bench/workloads.py``) for every workload,
   then every item it writes.
 
 It then prints, per module, the executable lines that never ran.  Lines
 inside a ``raise`` statement, an ``except`` handler or an ``assert``
 message are counted but not listed: they are error paths and contract
-traps, which the tests reach.  Run it from anywhere; it takes about
-ten seconds:
+traps, which the tests reach.
+
+Last, it runs the runs of each subcommand again in a fresh interpreter
+under ``sys.setprofile`` and prints the kB of package source they load,
+and the kB in functions that none of them calls, with those functions by
+module: code that every run of the subcommand compiles and none runs.
+Run it from anywhere; it takes about ten seconds:
 
     python3 tools/trace_coverage.py
 """
@@ -30,6 +36,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import subprocess
 import sys
 import tempfile
 import trace
@@ -48,21 +55,15 @@ def build(name: str):
     return factors[0] if len(factors) == 1 else direct_product(factors).carrier
 
 
-def drive(tmp: Path) -> None:
-    """Every run, with stdout and stderr discarded."""
-    from zdposet.cli import main
+def prepare(tmp: Path) -> list[list[str]]:
+    """Write every input under ``tmp``; return the argument lists of the runs."""
+    runs: list[list[str]] = []
 
     def run(*argv: str) -> None:
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                main(list(argv))
-        except SystemExit:  # argparse refusing its arguments
-            pass
-        except Exception as exc:  # a crash: report it, and go on
-            print(f"{argv[0]} escaped with {type(exc).__name__}: {exc}"[:200], file=sys.stderr)
+        runs.append(list(argv))
 
     def write(name: str, text: str) -> str:
-        path = tmp / name
+        path = tmp / f"{len(runs)}-{name}"
         path.write_text(text, encoding="utf-8")
         return str(path)
 
@@ -102,7 +103,8 @@ def drive(tmp: Path) -> None:
 
     # files that are refused, and a missing one
     for text in ("", "poset v2\n", "poset v1\nelem a\nelem a\n", "poset v1\nle a b\n",
-                 "poset v1\nelem a\nelem b\nle a b\nle b a\n", "poset v1\nelem a\nelem b\n"):
+                 "poset v1\nelem a\nelem b\nle a b\nle b a\n", "poset v1\nelem a\nelem b\n",
+                 "poset v1\n" + "".join(f"elem e{i}\n" for i in range(1025))):
         run("check", write("bad.poset", text))
     (tmp / "binary.poset").write_bytes(b"\xff\xfe poset")
     for command in ("check", "info", "sweep"):
@@ -115,6 +117,16 @@ def drive(tmp: Path) -> None:
                         ("nope", "2")):
         run("gen", name, param)
 
+    # argument lists that are not the plain shape, usage errors and help
+    for argv in (
+        ["check", "-v", figure1], ["check", "-vo", str(tmp / "out"), figure1],
+        ["export", "-dm2", figure1], ["gen", "-o", str(tmp / "gen.poset"), "chain", "3"],
+        ["gen", "--", "chain", "3"], ["check", figure1, "--workers", "2"], ["check"],
+        ["gen", "chain", "x"], ["export", figure1, "-d", "maple"], ["check", "-vx", figure1],
+        ["check", figure1, "-o"], ["check", "-h"], ["export", "--help"], ["-h"], ["frob"],
+    ):
+        run(*argv)
+
     # the benchmark's set-up, then the items it writes
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -123,6 +135,93 @@ def drive(tmp: Path) -> None:
         out = tmp / workload
         for item in workloads.write_inputs(workload, 0, out):
             run(item["command"], str(out / item["file"]))
+    return runs
+
+
+def run_all(runs: list[list[str]]) -> None:
+    """Every run, in-process, with stdout and stderr discarded."""
+    from zdposet.cli import main
+
+    for argv in runs:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                main(argv)
+        except SystemExit:  # a usage error, or -h
+            pass
+        except Exception as exc:  # a crash: report it, and go on
+            print(f"{argv[0]} escaped with {type(exc).__name__}: {exc}"[:200], file=sys.stderr)
+
+
+def drive(tmp: Path) -> list[list[str]]:
+    runs = prepare(tmp)
+    run_all(runs)
+    return runs
+
+
+def loads(runs: list[list[str]]) -> dict:
+    """Run ``runs`` in a fresh interpreter: the package files it loads, and
+    the (file, first line) of every function it calls."""
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r}); sys.path.insert(0, {str(ROOT / 'tools')!r})\n"
+        "called = set()\n"
+        "def profile(frame, event, arg):\n"
+        "    if event == 'call':\n"
+        "        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))\n"
+        "sys.setprofile(profile)\n"
+        "import trace_coverage\n"
+        f"trace_coverage.run_all({runs!r})\n"
+        "sys.setprofile(None)\n"
+        "files = sorted({m.__file__ for n, m in sys.modules.items() if n.split('.')[0] == 'zdposet'})\n"
+        "print(json.dumps({'files': files, 'called': sorted(called)}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def uncalled_functions(path: Path, called: set) -> list[tuple[str, int]]:
+    """(qualified name, source bytes) of each function in ``path`` that no
+    run called, outermost only: a function nested in one is counted with it."""
+    source = path.read_bytes()
+    starts = [0]
+    for line in source.split(b"\n"):
+        starts.append(starts[-1] + len(line) + 1)
+    out: list[tuple[str, int]] = []
+
+    def walk(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                if (str(path), first) not in called:
+                    out.append((prefix + child.name, starts[child.end_lineno] - starts[first - 1]))
+                    continue
+            name = prefix + child.name + "." if isinstance(child, ast.ClassDef) else prefix
+            walk(child, name)
+
+    walk(ast.parse(source), "")
+    return out
+
+
+def load_report(runs: list[list[str]]) -> None:
+    """Per subcommand, over all of its runs: the kB of package source it
+    loads, and the kB in the functions that none of its runs call."""
+    from zdposet.cli import COMMANDS
+
+    print("\nsource each subcommand loads (kB), and what of it no run of it calls")
+    for command in sorted(COMMANDS):
+        mine = [argv for argv in runs if argv[0] == command]
+        result = loads(mine)
+        called = {tuple(c) for c in result["called"]}
+        paths = [Path(f) for f in result["files"]]
+        size = sum(p.stat().st_size for p in paths)
+        idle = {p: uncalled_functions(p, called) for p in paths}
+        idle_size = sum(b for funcs in idle.values() for _, b in funcs)
+        print(f"{command:7} {size / 1000:5.1f} kB loaded, {idle_size / 1000:4.1f} kB in uncalled "
+              f"functions ({len(mine)} runs)")
+        for p, funcs in idle.items():
+            if funcs:
+                names = ", ".join(f"{n} {b / 1000:.1f}" for n, b in sorted(funcs, key=lambda f: -f[1]))
+                print(f"          {p.stem}: {names}")
 
 
 def executable_lines(path: Path) -> dict[int, str]:
@@ -161,8 +260,15 @@ def main() -> int:
         raise SystemExit("zdposet is already imported: its import-time lines would not count")
     tracer = trace.Trace(count=1, trace=0)
     with tempfile.TemporaryDirectory() as tmp:
-        tracer.runfunc(drive, Path(tmp))
-    ran = {(Path(f).resolve(), line) for f, line in tracer.results().counts}
+        runs = tracer.runfunc(drive, Path(tmp))
+        ran = {(Path(f).resolve(), line) for f, line in tracer.results().counts}
+        report_lines(ran)
+        load_report(runs)
+    return 0
+
+
+def report_lines(ran: set) -> None:
+    """Per module, the executable lines that no run executed."""
     total = unexecuted = errors = 0
     for path in sorted(PACKAGE.glob("*.py")):
         owner = executable_lines(path)
@@ -182,7 +288,6 @@ def main() -> int:
         f"{total} executable lines, {unexecuted} never ran: {errors} on error "
         f"paths, {unexecuted - errors} listed"
     )
-    return 0
 
 
 if __name__ == "__main__":
