@@ -43,8 +43,6 @@ COMMANDS = {
         FACET_CAP,
         (("--max-homology-vertices",), "N", int, complexes.DEFAULT_MAX_HOMOLOGY_VERTICES,
          "homology oracle cap"),
-        (("--max-search-nodes",), "N", int, complexes.DEFAULT_MAX_SEARCH_NODES,
-         "matching-search budget"),
         (("-v", "--verbose"), "", None, False, "include the per-face homology table"),
     )),
     "export": ("edge ideal script for a CAS", FILE, (
@@ -55,7 +53,7 @@ COMMANDS = {
     "gen": ("emit a catalog poset file", (("catalog", "CATALOG", "one"), ("params", "N", "ints")),
             (OUTPUT,)),
 }
-CAPS = ("max_vertices", "max_homology_vertices", "max_search_nodes")
+CAPS = ("max_vertices", "max_homology_vertices")
 
 
 def dest(flags: tuple[str, ...]) -> str:
@@ -141,9 +139,7 @@ def cmd_check(args: SimpleNamespace) -> int:
 
     P = load_poset(args.input)
     G = zdg.zero_divisor_graph(P)
-    A = Analysis(
-        G, args.max_vertices, args.max_homology_vertices, args.max_search_nodes
-    )
+    A = Analysis(G, args.max_vertices, args.max_homology_vertices)
     lines = [
         f"poset: {len(P)} elements, boolean: {yes_no(P.is_boolean())}",
         f"graph: {len(G.vertices)} vertices, {len(G.edges())} edges",
@@ -230,4 +226,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # under python -m, commands and arguments import this module by name:
+    # hand them the running one rather than compiling it a second time
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(main())

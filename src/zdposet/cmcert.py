@@ -5,9 +5,9 @@ The certificate pairs a minimal vertex cover {x_1..x_h} with a maximal
 independent set {y_1..y_h}, matched along edges and ordered so that cross
 edges x_i - y_j only run forward (i <= j).  For Boolean posets the pairs
 come from the canonical facet by atom weight, each member matched to its
-complement; for other very well-covered graphs a bounded backtracking
-search decides existence (``search``); everything else is delegated to
-the homology oracle.  ``Analysis`` imports ``search`` and ``homology``
+complement; other very well-covered graphs are decided by their twins
+and one matching (``search``); everything else is delegated to the
+homology oracle.  ``Analysis`` imports ``search`` and ``homology``
 only on the routes that run them.
 """
 
@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .complexes import (
     DEFAULT_MAX_HOMOLOGY_VERTICES,
-    DEFAULT_MAX_SEARCH_NODES,
     DEFAULT_MAX_VERTICES,
     IndependenceComplex,
     independence_complex,
@@ -34,6 +33,10 @@ if TYPE_CHECKING:
     from .homology import LinkRow
 
 Pair = tuple[Vertex, Vertex]
+
+# the default of is_cohen_macaulay's ignored search-budget keyword: no
+# route has a budget, but bench/tracing.py imports and passes both
+DEFAULT_MAX_SEARCH_NODES = 10**6
 
 
 class ConditionStatus(NamedTuple):
@@ -184,12 +187,10 @@ class Analysis:
         graph: ZdGraph,
         max_vertices: int = DEFAULT_MAX_VERTICES,
         max_homology_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES,
-        max_search_nodes: int = DEFAULT_MAX_SEARCH_NODES,
     ):
         self.graph = graph
         self.max_vertices = max_vertices
         self.max_homology_vertices = max_homology_vertices
-        self.max_search_nodes = max_search_nodes
 
     @cached_property
     def complex(self) -> IndependenceComplex:
@@ -222,9 +223,9 @@ class Analysis:
         """Decide Cohen-Macaulayness of the graph.
 
         Boolean posets go through the constructive certificate, other very
-        well-covered graphs through the exhaustive (budgeted) labeling
-        search, non-well-covered graphs are rejected outright, and whatever
-        remains is settled by the homology oracle.
+        well-covered graphs through their twins and one matching from the
+        first facet, non-well-covered graphs are rejected outright, and
+        whatever remains is settled by the homology oracle.
         """
         G, P = self.graph, self.graph.owner
         if not G.vertices:
@@ -256,9 +257,9 @@ class Analysis:
                 f"facet sizes {sizes} differ; Cohen-Macaulay graphs are well-covered",
             )
         if is_very_well_covered(C):
-            from .search import _search_certificate  # this route alone loads it
+            from .search import matching_certificate  # this route alone loads it
 
-            return _search_certificate(G, C.masks, self.max_search_nodes)
+            return matching_certificate(G, C.masks[0])
         try:
             ok, witness = self.reisner
         except SizeLimitExceededError as exc:
@@ -282,12 +283,10 @@ def is_cohen_macaulay(
     *,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     max_homology_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES,
-    max_search_nodes: int = DEFAULT_MAX_SEARCH_NODES,
+    max_search_nodes: int = DEFAULT_MAX_SEARCH_NODES,  # ignored, see DEFAULT_MAX_SEARCH_NODES
 ) -> CmVerdict:
     """Decide Cohen-Macaulayness of the poset's zero-divisor graph.
 
     See ``Analysis.verdict`` for the routes.
     """
-    return Analysis(
-        zero_divisor_graph(P), max_vertices, max_homology_vertices, max_search_nodes
-    ).verdict
+    return Analysis(zero_divisor_graph(P), max_vertices, max_homology_vertices).verdict

@@ -16,11 +16,9 @@ from .graphs import Graph, Vertex
 from .order import bits
 
 DEFAULT_MAX_VERTICES = 40
-# the homology oracle's cap and the matching search's budget, kept here
-# so that the CLI reads them without compiling ``homology``, ``cmcert``
-# or ``search``
+# the homology oracle's cap, kept here so that the CLI reads it without
+# compiling ``homology``
 DEFAULT_MAX_HOMOLOGY_VERTICES = 20
-DEFAULT_MAX_SEARCH_NODES = 10**6
 
 # the printed form of a verdict status, in check's CM(MY) line and sweep's CM cell
 STATUS_TEXT = {"CM": "yes", "NotCM": "no", "Inconclusive": "inconclusive"}

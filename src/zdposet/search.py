@@ -1,25 +1,29 @@
-"""The labeling search: the matching-search route of ``Analysis.verdict``.
-
-For a very well-covered graph that is not a Boolean poset's, the search
-tries every facet as the independent side and every edge matching
-against its complement, orders each complete matching so that cross
-edges run forward (``find_ordering``) and verifies the five conditions.
-``Analysis.verdict`` imports this module on that route alone.
+"""The matching-search route of ``Analysis.verdict``, which imports this
+module on that route alone: twins rule Cohen-Macaulayness out, and on a
+twin-free very well-covered graph one labeling, matched, ordered and
+verified, certifies it.  README ("Very well-covered graphs") proves each
+step but the matching's existence, which it cites; a step that fails
+raises ``TheoremContractError``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .cmcert import CmVerdict, MyCertificate, Pair, _pair_table, verify_my_conditions
+from .cmcert import CmVerdict, Pair, _pair_table, verify_my_conditions
+from .errors import TheoremContractError
 from .graphs import Graph
 from .order import bits
 
 
-def complement_mask(nbr: list[int], row: int) -> int:
-    """The positions in a vertex's adjacency ``row`` that share no neighbour
-    with it: its neighbours w such that the edge v-w lies in no triangle."""
-    return sum(1 << j for j in bits(row) if not row & nbr[j])
+def twin_pair(G: Graph) -> tuple[int, int] | None:
+    """The first two vertex positions with equal adjacency rows, or None.
+    Twins are never adjacent: a row holds no loop."""
+    first: dict[int, int] = {}
+    for i, row in enumerate(G.nbr):
+        if (j := first.setdefault(row, i)) != i:
+            return j, i
+    return None
 
 
 def find_ordering(G: Graph, matching: Sequence[Pair]) -> tuple[Pair, ...] | None:
@@ -39,79 +43,44 @@ def find_ordering(G: Graph, matching: Sequence[Pair]) -> tuple[Pair, ...] | None
     return None if left else tuple(matching[p] for p in order)
 
 
-def _search_certificate(G: Graph, facets: Sequence[int], budget: int) -> CmVerdict:
-    """Backtracking search for a passing labeling of a very well-covered graph.
+def matching_certificate(G: Graph, facet: int) -> CmVerdict:
+    """Decide a very well-covered graph, given one facet's position mask:
+    NotCM when it has twins, which the detail names, and otherwise CM with
+    the certificate that matches the rest into ``facet`` by augmenting paths."""
+    V, nbr = G.vertices, G.nbr
+    if twins := twin_pair(G):
+        u, w = (G.label(V[i]) for i in twins)
+        return CmVerdict(
+            "NotCM",
+            "matching-search",
+            None,
+            f"{u} and {w} have the same neighbours; twins rule Cohen-Macaulayness out",
+        )
+    mate: dict[int, int] = {}  # a position in the facet -> the one matched to it
 
-    Exhausts every facet (a mask over ``G``'s vertex positions, tried in
-    the given order) as the independent side and every edge-matching
-    against its complement; prunes partial matchings that already violate
-    condition (d) or contain an unorderable two-cycle of cross edges.
-    Works on vertex positions: x_t is the t-th position outside the facet,
-    and ``tox`` is the pair table of these x's.
-    """
-    nbr, V = G.nbr, G.vertices
-    nodes = 0
-    exhausted = False
+    def augment(x: int, seen: set[int]) -> bool:
+        for y in bits(nbr[x] & facet):
+            if y not in seen:
+                seen.add(y)
+                if y not in mate or augment(mate[y], seen):
+                    mate[y] = x
+                    return True
+        return False
 
-    for ymask in facets:
-        X = [x for x in range(len(V)) if not ymask >> x & 1]
-        tox = _pair_table(nbr, X)
-        candidates = []
-        for x in X:
-            comps = complement_mask(nbr, nbr[x]) & ymask
-            candidates.append([*bits(comps), *bits(nbr[x] & ymask & ~comps)])
-
-        ys: list[int] = []
-        used = 0
-
-        def backtrack(idx: int) -> MyCertificate | None:
-            nonlocal nodes, exhausted, used
-            if exhausted:
-                return None
-            if idx == len(X):
-                pairs = find_ordering(G, [(V[x], V[y]) for x, y in zip(X, ys)])
-                if pairs is None:
-                    return None
-                cert = verify_my_conditions(G, pairs)
-                return cert if cert.ok else None
-            x = X[idx]
-            # earlier pairs t with x ~ x_t, and with x ~ y_t
-            to_x = tox[x] & ((1 << idx) - 1)
-            to_y = sum(1 << t for t, y2 in enumerate(ys) if nbr[x] >> y2 & 1)
-            for y in candidates[idx]:
-                if used >> y & 1:
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    exhausted = True
-                    return None
-                # earlier pairs t with y ~ x_t; a pair in two of the three
-                # sets breaks (d) or closes a two-cycle of cross edges
-                from_y = tox[y] & ((1 << idx) - 1)
-                if to_y & (to_x | from_y) or from_y & to_x:
-                    continue
-                ys.append(y)
-                used |= 1 << y
-                found = backtrack(idx + 1)
-                if found is not None:
-                    return found
-                ys.pop()
-                used ^= 1 << y
-            return None
-
-        cert = backtrack(0)
-        if cert is not None:
-            return CmVerdict("CM", "matching-search", cert)
-        if exhausted:
-            return CmVerdict(
-                "Inconclusive",
-                "matching-search",
-                None,
-                f"search budget of {budget} nodes exhausted",
-            )
-    return CmVerdict(
-        "NotCM",
-        "matching-search",
-        None,
-        "no labeling satisfies all five conditions (search was exhaustive)",
-    )
+    if not all(augment(x, set()) for x in range(len(V)) if not facet >> x & 1):
+        raise TheoremContractError(
+            "a twin-free very well-covered graph has no perfect matching "
+            "between a facet and its complement"
+        )
+    pairs = find_ordering(G, sorted((V[x], V[y]) for y, x in mate.items()))
+    if pairs is None:
+        raise TheoremContractError(
+            "cross edges close a cycle on a twin-free very well-covered graph"
+        )
+    cert = verify_my_conditions(G, pairs)
+    if not cert.ok:
+        raise TheoremContractError(
+            "the matching certificate fails on a twin-free very well-covered graph: "
+            + ", ".join(f"({name}) {st.witness}" for name, st in cert.conditions if not st.ok)
+        )
+    return CmVerdict("CM", "matching-search", cert)

@@ -34,7 +34,6 @@ from zdposet.errors import TheoremContractError, ZdPosetError
 from zdposet.graphs import Graph
 from zdposet.order import Poset, bits
 from zdposet.lattice import boolean_failure, lcone_mask
-from zdposet.search import complement_mask
 from zdposet.zdg import ZdGraph, require_boolean
 
 
@@ -603,11 +602,12 @@ def find_ordering_reference(G, matching):
 
 
 def search_certificate_reference(G, facets, budget: int) -> CmVerdict:
-    """The labeling search on vertex sets: every facet as the independent
-    side, candidates per x its graph complements (neighbours with no
-    common neighbour) then its other neighbours on that side, each in
-    vertex order; one node per tried candidate, same prune and budget as
-    ``search._search_certificate``."""
+    """The exhaustive labeling search on vertex sets, the reference for
+    ``search.matching_certificate``: every facet as the independent side,
+    candidates per x its graph complements (neighbours with no common
+    neighbour) then its other neighbours on that side, each in vertex
+    order; one node per tried candidate, and Inconclusive past ``budget``
+    nodes."""
     adj = adjacency(G)
     nodes = 0
     exhausted = False
@@ -698,6 +698,12 @@ def pseudocomplement_of(P: Poset, x: int) -> int | None:
     if len(found) > 1:
         raise TheoremContractError("distinct elements cannot share a lower set")
     return found[0] if found else None
+
+
+def complement_mask(nbr: list[int], row: int) -> int:
+    """The positions in a vertex's adjacency ``row`` that share no neighbour
+    with it: its neighbours w such that the edge v-w lies in no triangle."""
+    return sum(1 << j for j in bits(row) if not row & nbr[j])
 
 
 def graph_complements(G: Graph, v) -> frozenset:
@@ -859,12 +865,6 @@ def argparse_reference():
         type=int,
         default=complexes.DEFAULT_MAX_HOMOLOGY_VERTICES,
         help="homology oracle cap (default %(default)s)",
-    )
-    p.add_argument(
-        "--max-search-nodes",
-        type=int,
-        default=complexes.DEFAULT_MAX_SEARCH_NODES,
-        help="matching-search budget (default %(default)s)",
     )
     p.add_argument(
         "-v",

@@ -423,6 +423,13 @@ def test_flags_only_where_they_act(fig1_path):
     assert exc.value.code == 2
 
 
+def test_check_has_no_search_budget(fig1_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", fig1_path, "--max-search-nodes", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-search-nodes 5" in capsys.readouterr().err
+
+
 def readme_flag_table():
     """README's per-subcommand flag table: subcommand -> option strings."""
     readme = Path(__file__).parent.parent / "README.md"
@@ -448,45 +455,66 @@ def test_readme_flag_table_matches_the_parser():
     assert readme_flag_table() == parsed
 
 
-def test_boolean_certificate_trap_fires_under_O(tmp_path):
-    # the pairs in reverse order run cross edges backwards; the check
-    # must exit 1 even with asserts stripped
-    path = write_poset(tmp_path, generate("boolean_lattice", 4))
-    script = (
-        "import sys, zdposet.cmcert as m\n"
-        "orig = m.boolean_labeling\n"
-        "m.boolean_labeling = lambda P, G: orig(P, G)[::-1]\n"
-        "from zdposet.cli import main\n"
-        f"sys.exit(main(['check', {path!r}]))\n"
-    )
+def check_under_O(path, patch):
+    """``main(["check", path])`` in a ``python -O`` subprocess, after the
+    lines ``patch``: the finished process."""
+    script = f"import sys\n{patch}from zdposet.cli import main\n"
+    script += f"sys.exit(main(['check', {path!r}]))\n"
     src = str(Path(zdposet.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-c", script],
-        env=env,
+        env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_boolean_certificate_trap_fires_under_O(tmp_path):
+    # the pairs in reverse order run cross edges backwards; the check
+    # must exit 1 even with asserts stripped
+    path = write_poset(tmp_path, generate("boolean_lattice", 4))
+    proc = check_under_O(path, (
+        "import zdposet.cmcert as m\n"
+        "orig = m.boolean_labeling\n"
+        "m.boolean_labeling = lambda P, G: orig(P, G)[::-1]\n"
+    ))
     assert proc.returncode == 1, proc.stderr
     assert "contract violation" in proc.stderr
 
 
+# 0 < a, b < c < 1: the graph is the edge a-b, twin-free and very
+# well-covered
+ONE_EDGE = parse_poset(
+    "poset v1\nelem 0\nelem a\nelem b\nelem c\nelem 1\n"
+    "le 0 a\nle 0 b\nle a c\nle b c\nle c 1\n"
+)
+
+
+def test_matching_trap_exits_1(tmp_path, monkeypatch, capsys):
+    import zdposet.search as search_mod
+
+    monkeypatch.setattr(search_mod, "find_ordering", lambda G, matching: None)
+    assert main(["check", write_poset(tmp_path, ONE_EDGE)]) == 1
+    assert "contract violation: cross edges close a cycle" in capsys.readouterr().err
+
+
+def test_matching_trap_fires_under_O(tmp_path):
+    path = write_poset(tmp_path, ONE_EDGE)
+    proc = check_under_O(
+        path, "import zdposet.search as m\nm.find_ordering = lambda G, matching: None\n"
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "contract violation: cross edges close a cycle" in proc.stderr
+
+
 # one input, and the caps it needs, per (status, route) that
 # Analysis.verdict can return
-CHAIN_3_SQUARED = direct_product([generate("chain", 3)] * 2).carrier
 ROUTE_INPUTS = {
     ("CM", "boolean-certificate"): (generate("boolean_lattice", 3), {}),
-    # 0 < a, b < c < 1: the graph is the edge a-b
-    ("CM", "matching-search"): (
-        parse_poset(
-            "poset v1\nelem 0\nelem a\nelem b\nelem c\nelem 1\n"
-            "le 0 a\nle 0 b\nle a c\nle b c\nle c 1\n"
-        ),
-        {},
-    ),
-    ("NotCM", "matching-search"): (CHAIN_3_SQUARED, {}),
-    ("Inconclusive", "matching-search"): (CHAIN_3_SQUARED, {"max_search_nodes": 1}),
+    ("CM", "matching-search"): (ONE_EDGE, {}),
+    # the graph is C_4, two pairs of twins
+    ("NotCM", "matching-search"): (direct_product([generate("chain", 3)] * 2).carrier, {}),
     ("NotCM", "not-well-covered"): (
         direct_product([generate("chain", 3)] * 3).carrier,
         {},

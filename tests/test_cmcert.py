@@ -16,12 +16,13 @@ from zdposet.complexes import (
     is_very_well_covered,
     is_well_covered,
 )
-from zdposet.errors import ZdPosetError
+from zdposet.errors import TheoremContractError, ZdPosetError
 from zdposet.formats import certificate_json
 from zdposet.graphs import Graph
 from zdposet.homology import reisner_cm
 from zdposet.poset import direct_product, generate
-from zdposet.search import _search_certificate, find_ordering
+from zdposet import search
+from zdposet.search import find_ordering, matching_certificate, twin_pair
 from zdposet.zdg import zero_divisor_graph
 
 
@@ -251,12 +252,6 @@ def test_cm_k22_via_search():
     assert (v.status, v.method) == ("NotCM", "matching-search")
 
 
-def test_cm_search_budget_inconclusive():
-    pp = direct_product([generate("chain", 3)] * 2)
-    v = is_cohen_macaulay(pp.carrier, max_search_nodes=1)
-    assert v.status == "Inconclusive"
-
-
 def test_cm_empty_graph_raises():
     with pytest.raises(ZdPosetError, match="^the zero-divisor graph has no vertices$"):
         is_cohen_macaulay(generate("chain", 3))
@@ -306,8 +301,8 @@ def test_condition_d_failure_witness():
 
 
 def test_search_verdict_matches_reisner_on_random_vwc_graphs():
-    # exhaustive-search soundness: on very well-covered graphs the labeling
-    # search must agree with the homology oracle
+    # on very well-covered graphs the matching route must agree with the
+    # homology oracle
     rng = random.Random(41)
     checked = 0
     attempts = 0
@@ -327,7 +322,7 @@ def test_search_verdict_matches_reisner_on_random_vwc_graphs():
             continue
         if not is_very_well_covered(C):
             continue
-        verdict = _search_certificate(G, C.masks, 10**6)
+        verdict = matching_certificate(G, C.masks[0])
         assert verdict.status in ("CM", "NotCM")
         ok, witness = reisner_cm(C)
         assert (ok, witness) == brute.reisner_cm_reference(C), edges
@@ -433,27 +428,119 @@ def random_vwc_graph(rng, h):
     return (G, C) if is_well_covered(C) and is_very_well_covered(C) else None
 
 
-def test_search_matches_reference_with_small_budgets():
-    rng = random.Random(17)
-    cases = [
-        (G, independence_complex(G))
-        for G in (
-            zero_divisor_graph(direct_product([generate("chain", 3)] * 2).carrier),
-            zero_divisor_graph(direct_product([generate("chain", 4)] * 2).carrier),
-            zero_divisor_graph(generate("boolean_lattice", 3)),
-        )
-    ]
-    while len(cases) < 400:
-        drawn = random_vwc_graph(rng, rng.randint(2, 6))
+def planted_vwc_graph(rng, h):
+    """A perfect matching x_i - y_i plus random edges, with shuffled
+    labels, or None when the draw is not very well-covered."""
+    verts = list(range(2 * h))
+    rng.shuffle(verts)
+    p = rng.choice([0.1, 0.2, 0.3])
+    edges = {(verts[2 * i], verts[2 * i + 1]) for i in range(h)}
+    edges |= {e for e in itertools.combinations(verts, 2) if rng.random() < p}
+    G = brute.graph(verts, edges)
+    C = independence_complex(G)
+    return (G, C) if is_very_well_covered(C) else None
+
+
+def small_vwc_graphs():
+    """Every labeled very well-covered graph on 1 to 6 vertices."""
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            G = brute.graph(range(n), [e for i, e in enumerate(pairs) if code >> i & 1])
+            if not G.has_isolated_vertex():
+                C = independence_complex(G)
+                if is_very_well_covered(C):
+                    yield G, C
+
+
+def draw(make, rng, sizes, count):
+    cases = []
+    while len(cases) < count:
+        drawn = make(rng, rng.randint(*sizes))
         if drawn is not None:
             cases.append(drawn)
+    return cases
+
+
+def test_route_matches_the_exhaustive_search_and_reisner():
+    # the route's status against the exhaustive labeling search, at a
+    # budget it never reaches, and against the homology oracle; a NotCM
+    # names two non-adjacent vertices with one neighbourhood, and a CM
+    # certificate passes the loop-level verifier
+    rng = random.Random(17)
+    small = list(small_vwc_graphs())
+    assert len(small) == 1289
+    cases = {
+        "small": small,
+        "drawn": draw(random_vwc_graph, rng, (2, 6), 150),
+        "planted": draw(planted_vwc_graph, rng, (4, 7), 60),
+    }
     statuses = set()
-    for G, C in cases:
-        for budget in (3, 10, 50, 10**6):
-            got = _search_certificate(G, C.masks, budget)
-            assert got == brute.search_certificate_reference(G, C.facets, budget)
-            statuses.add(got.status)
-    assert statuses == {"CM", "NotCM", "Inconclusive"}
+    for kind, graphs in cases.items():
+        for G, C in graphs:
+            got = matching_certificate(G, C.masks[0])
+            ref = brute.search_certificate_reference(G, C.facets, 10**9)
+            ok, _ = reisner_cm(C)
+            assert got.status == ref.status == ("CM" if ok else "NotCM"), G.edges()
+            if got.status == "CM":
+                assert brute.verify_my_conditions_reference(G, got.certificate.pairs).ok
+            else:
+                by_label = {G.label(v): v for v in G.vertices}
+                u, w = map(by_label.get, got.detail.split(" have ")[0].split(" and "))
+                adj = brute.adjacency(G)
+                assert u != w and not adj(u, w)
+                assert {z for z in G.vertices if adj(u, z)} == {z for z in G.vertices if adj(w, z)}
+            statuses.add((kind, got.status))
+    assert statuses == {(kind, s) for kind in cases for s in ("CM", "NotCM")}
+
+
+def test_twin_pair_is_the_first_pair_of_equal_rows():
+    assert twin_pair(k22()) == (0, 1)
+    assert twin_pair(brute.graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])) is None
+    assert twin_pair(brute.graph("abc", [("a", "b"), ("b", "c")])) == (0, 2)
+
+
+# a path a-b-c-d: twin-free, very well-covered and Cohen-Macaulay
+P4 = brute.graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+
+
+def test_route_certifies_the_path_on_four_vertices():
+    C = independence_complex(P4)
+    v = matching_certificate(P4, C.masks[0])
+    assert (v.status, v.method) == ("CM", "matching-search")
+    assert v.certificate.pairs == (("b", "a"), ("d", "c"))
+
+
+def test_route_rematches_along_alternating_paths():
+    # a triangle 0 4 5 with whiskers 3, 1, 2 on its corners; the first
+    # facet is {0, 1, 2}.  Whisker 3 takes 0, its one neighbour there,
+    # and keeps it: 4 and 5 each try 0 first, then take their whiskers
+    G = brute.graph(range(6), [(0, 4), (0, 5), (4, 5), (0, 3), (4, 1), (5, 2)])
+    C = independence_complex(G)
+    assert C.masks[0] == 0b111
+    v = matching_certificate(G, C.masks[0])
+    assert (v.status, v.certificate.pairs) == ("CM", ((4, 1), (5, 2), (3, 0)))
+
+
+def test_route_traps_a_facet_it_cannot_match():
+    # a-b-c-d-e is twin-free; the facet {b, e} leaves three vertices
+    G = brute.graph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+    with pytest.raises(TheoremContractError, match="no perfect matching"):
+        matching_certificate(G, 0b10010)
+
+
+def test_route_traps_an_unorderable_matching(monkeypatch):
+    monkeypatch.setattr(search, "find_ordering", lambda G, matching: None)
+    with pytest.raises(TheoremContractError, match="cross edges close a cycle"):
+        matching_certificate(P4, independence_complex(P4).masks[0])
+
+
+def test_route_traps_a_failing_certificate(monkeypatch):
+    # the pairs in reverse order run the cross edge b - c backwards
+    order = search.find_ordering
+    monkeypatch.setattr(search, "find_ordering", lambda G, matching: order(G, matching)[::-1])
+    with pytest.raises(TheoremContractError, match=r"certificate fails .*: \(e\) \('b', 'c'\)"):
+        matching_certificate(P4, independence_complex(P4).masks[0])
 
 
 def test_certificate_layer_reads_only_adjacency_rows(boolean_catalog, monkeypatch):

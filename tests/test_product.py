@@ -12,7 +12,7 @@ import brute
 import zdposet
 from test_zdg import random_bounded_poset
 from zdposet.errors import ZdPosetError
-from zdposet.cmcert import Analysis
+from zdposet.cmcert import Analysis, CmVerdict
 from zdposet.complexes import DEFAULT_MAX_VERTICES
 from zdposet.poset import ProductPoset, direct_product, generate, parse_poset
 from zdposet.product import (
@@ -338,8 +338,9 @@ def test_bipartite_three_three():
     A = validate_factors(chains(3, 3))
     assert product_theorem(A, Analysis(A.graph)) == (False, "NotCM", True, True)
     # an Inconclusive verdict decides no statement, and is passed on
-    r = product_theorem(A, Analysis(A.graph, max_search_nodes=1))
-    assert r == (False, "Inconclusive", True, True)
+    analysis = Analysis(A.graph)
+    analysis.verdict = CmVerdict("Inconclusive", "facet-cap")
+    assert product_theorem(A, analysis) == (False, "Inconclusive", True, True)
 
 
 def test_bipartite_mixed():

@@ -5,7 +5,7 @@ without cached bytecode every module it loads is compiled from source,
 so each subcommand imports only the layers it runs: the product layer
 loads for ``sweep`` alone, the catalog (``poset``) for ``gen`` and
 ``sweep``, the certificate layer (``cmcert``) for ``check`` and
-``sweep``, the labeling search only on the matching-search route, the
+``sweep``, ``search`` only on the matching-search route, the
 homology oracle never for ``sweep``, and neither ``dataclasses`` nor
 ``json`` loads on the way to a verdict.  No run imports ``argparse``
 (nor ``gettext`` and ``locale``, which it pulls in), and ``check``
@@ -249,6 +249,29 @@ def test_gen_loads_the_catalog(tmp_path):
     assert "zdposet.homology" not in loaded
 
 
+def test_python_m_compiles_the_cli_once(tmp_path):
+    # run as __main__, cli registers itself under its own name, so the
+    # commands module imports no second copy of it
+    path = tmp_path / "c3.poset"
+    path.write_text(generate("chain", 3).to_text())
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "zdposet.cli", "info", str(path)],
+        env={**os.environ, "PYTHONPATH": str(Path(zdposet.__file__).resolve().parent.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("elements: 3")
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "zdposet.commands" in imported
+    assert "zdposet.cli" not in imported
+
+
 # the zdposet names the benchmark imports, by module (bench/workloads.py
 # and bench/tracing.py); the benchmark is run on other commits, so these
 # stay importable from these modules, also where bench/ is not checked out
@@ -328,7 +351,6 @@ def test_analysis_keeps_its_signature():
     G = zdposet.zdg.zero_divisor_graph(generate("boolean_lattice", 2))
     A = Analysis(G)
     assert (A.graph, A.max_vertices, A.max_homology_vertices) == (G, 40, 20)
-    assert A.max_search_nodes == 10**6
-    A = Analysis(G, 5, max_homology_vertices=6, max_search_nodes=7)
-    assert (A.max_vertices, A.max_homology_vertices, A.max_search_nodes) == (5, 6, 7)
+    A = Analysis(G, 5, max_homology_vertices=6)
+    assert (A.max_vertices, A.max_homology_vertices) == (5, 6)
     assert A.verdict is A.verdict

@@ -11,6 +11,8 @@ statement counter, over the inputs the project already pins:
 - ``zdg`` and both ``export`` dialects on figure 1 and the catalog;
 - each cap flag set low, files that fail to parse, refused ``sweep``
   lines and ``gen`` parameters;
+- ``check`` on both outcomes of the matching route, twins and a
+  certificate, and on a matching that re-matches along alternating paths;
 - argument lists that are not the plain shape, usage errors and ``-h``;
 - the benchmark's set-up (``bench/workloads.py``) for every workload,
   then every item it writes.
@@ -45,6 +47,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "zdposet"
+
+
+def whiskers() -> str:
+    """The Boolean lattice on three atoms plus e, a second upper bound of
+    the atoms below 1: not Boolean, and its graph is a triangle a1 a2 a3
+    with a whisker c_i on each a_i, numbered so that the matching route's
+    first facet is {a1, c2, c3}, and c1, matched first, holds a1 against
+    a2 and a3."""
+    lines = ["poset v1", *(f"elem {e}" for e in "0 a1 c2 c3 c1 a2 a3 e 1".split())]
+    lines += [f"le 0 a{i}" for i in (1, 2, 3)]
+    for top, atoms in {"c1": "a2 a3", "c2": "a1 a3", "c3": "a1 a2", "e": "a1 a2 a3"}.items():
+        lines += [f"le {a} {top}" for a in atoms.split()] + [f"le {top} 1"]
+    return "\n".join(lines) + "\n"
 
 
 def build(name: str):
@@ -96,9 +111,15 @@ def prepare(tmp: Path) -> list[list[str]]:
     for path in (figure1, c3c3, b4):
         run("check", path, "--max-vertices", "5")
         run("check", path, "--max-homology-vertices", "5")
-        run("check", path, "--max-search-nodes", "1")
         run("check", path, "-v", "--max-homology-vertices", "5")
     run("check", c3c3, "--max-vertices", "0")
+    # both outcomes of the matching route: twins (chain 3 x chain 3, the
+    # graph C_4) and a certificate (0 < a, b < c < 1, the graph one edge),
+    # and a matching that re-matches along alternating paths
+    run("check", c3c3)
+    run("check", write("edge.poset", "poset v1\nelem 0\nelem a\nelem b\nelem c\nelem 1\n"
+                       "le 0 a\nle 0 b\nle a c\nle b c\nle c 1\n"))
+    run("check", write("whiskers.poset", whiskers()))
     run("sweep", write("capped.txt", "2,2,2\n3,3\n21,21\n"), "--max-vertices", "12")
 
     # files that are refused, and a missing one
