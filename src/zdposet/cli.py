@@ -166,9 +166,9 @@ def cmd_check(args: SimpleNamespace) -> int:
     if args.verbose and C is not None:
         from .formats import link_table
 
-        # built before the verdict, which then reads the Reisner answer
-        # off the same rows: one face walk for both; above the homology
-        # cap the CM(Reisner) line below reports the skip
+        # built before the verdict, which then reads a failing face off
+        # the same rows: one face walk for both; above the homology cap
+        # the CM(Reisner) line below reports the skip
         with suppress(SizeLimitExceededError):
             table = link_table(C, A.link_rows)
 
@@ -180,7 +180,8 @@ def cmd_check(args: SimpleNamespace) -> int:
         lines.append("CM(Reisner): skipped (facet enumeration was capped)")
     else:
         try:
-            reisner_status, _ = A.reisner
+            # the yes/no alone walks no face; printed rows must agree with it
+            reisner_status = A.reisner[0] if table else A.links_cm
             lines.append(f"CM(Reisner): {yes_no(reisner_status)}")
             lines.extend("  " + row for row in table.splitlines())
         except SizeLimitExceededError as exc:

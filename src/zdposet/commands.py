@@ -14,6 +14,13 @@ from . import zdg
 from .cli import load_poset, read_text, write_output
 from .complexes import yes_no
 from .errors import ZdPosetError
+from .order import Poset, bits
+
+
+def zero_divisors(P: Poset) -> frozenset[int]:
+    """Ids of all a admitting a nonzero b with lower cone {a,b} = {0}."""
+    nonzero = P.full_mask & ~(1 << P._require_bottom())
+    return frozenset(a for a in range(len(P)) if P.perp_mask(a) & nonzero)
 
 
 def cmd_info(args: SimpleNamespace) -> int:
@@ -28,8 +35,8 @@ def cmd_info(args: SimpleNamespace) -> int:
     else:
         lines.append("bounded: yes")
     if P.bottom is not None:
-        atom_names = " ".join(P.names(P.atoms()))
-        lines.append(f"atoms: {len(P.atoms())} ({atom_names})")
+        atom_names = " ".join(P.elements[i] for i in bits(P.atoms_mask))
+        lines.append(f"atoms: {P.atoms_mask.bit_count()} ({atom_names})")
     else:
         lines.append("atoms: n/a (no least element)")
     if P.is_bounded():
@@ -49,7 +56,7 @@ def cmd_info(args: SimpleNamespace) -> int:
     if P.bottom is not None:
         lines.append(f"ssc: {yes_no(P.is_ssc())}")
         lines.append(f"wssc: {yes_no(is_wssc(P))}")
-        lines.append(f"zero-divisors: {len(zdg.zero_divisors(P))}")
+        lines.append(f"zero-divisors: {len(zero_divisors(P))}")
     else:
         lines.append("ssc: n/a (no least element)")
         lines.append("wssc: n/a (no least element)")

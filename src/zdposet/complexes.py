@@ -50,9 +50,6 @@ class IndependenceComplex:
     def facets(self) -> tuple[tuple[Vertex, ...], ...]:
         return tuple(self.vertices_of(m) for m in self.masks)
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({len(self.masks)} facets)"
-
 
 def _maximal_independent_masks(nbr: list[int], n: int) -> list[int]:
     # Bron-Kerbosch with pivoting on the complement graph: maximal cliques

@@ -13,9 +13,9 @@ from .graphs import Graph
 from .order import Poset, bits
 
 if TYPE_CHECKING:  # writing a poset file loads none of these
-    from .cmcert import MyCertificate
+    from .certificate import MyCertificate
     from .complexes import IndependenceComplex
-    from .homology import LinkRow
+    from .facewalk import LinkRow
 
 
 def cover_pairs(P: Poset) -> list[tuple[int, int]]:
@@ -78,11 +78,11 @@ def export_edge_ideal(G: Graph, dialect: str) -> str:
 
 
 def link_table(C: IndependenceComplex, rows: Sequence[LinkRow]) -> str:
-    """The per-face table of ``homology.link_rows``: a header, one (face,
+    """The per-face table of ``facewalk.link_rows``: a header, one (face,
     link dimension, betti vector) line per face, then the verdict.  Faces
     are named through ``C.graph.label``."""
     from .complexes import yes_no
-    from .homology import reisner_verdict  # loaded already: it built the rows
+    from .facewalk import reisner_verdict  # loaded already: it built the rows
 
     lines = ["face\tlink-dim\tbetti"]
     for face, dim, betti in rows:

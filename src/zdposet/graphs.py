@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from .errors import ZdPosetError
 from .order import bits
 
 Vertex = Hashable
@@ -24,16 +23,6 @@ class Graph:
         self.vertices = vertices
         self.index: dict[Vertex, int] = {v: i for i, v in enumerate(vertices)}
         self.nbr = nbr
-
-    def __repr__(self) -> str:
-        return f"Graph({len(self.vertices)} vertices, {len(self.edges())} edges)"
-
-    def neighbors(self, v: Vertex) -> frozenset[Vertex]:
-        try:
-            row = self.nbr[self.index[v]]
-        except KeyError:
-            raise ZdPosetError(f"unknown vertex {v!r}") from None
-        return frozenset(self.vertices[j] for j in bits(row))
 
     def edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
         """All edges as (smaller, larger) pairs, sorted."""

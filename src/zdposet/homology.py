@@ -1,33 +1,31 @@
 """Reisner's link criterion over the rationals, on independence complexes.
 
 The criterion is read off the graph of an ``IndependenceComplex``, the
-flag complex the paper's CM claim is about.  One face walk yields each
-link's rational Betti vector, for both the verdict (``reisner_cm``) and
-the ``check -v`` table (``link_rows``).  Faces are built one size at a
-time, each with R = V - N[F], whose induced graph has the link as its
-independence complex; ``faces_by_dimension`` reads the same generator.  Each distinct R is
-shrunk once by cone and fold moves (Engström's fold lemma: if
-N(u) ⊆ N(v) for u != v, then Ind(G) ≃ Ind(G - v)); both keep the
-homotopy type, so what is left is ranked exactly and padded with zeros
-up to the link's dimension.  Ranks come from integer fraction-free
-elimination on the boundary matrices of the reduced chain complex (the
-empty face is a genuine generator in degree -1).  No floating point is
-involved anywhere: Betti numbers are integers and tolerances would be
-meaningless.
+flag complex the paper's CM claim is about.  The link of a face F is
+Ind(G[K]), K = V - N[F], so ``cm_by_links`` decides the yes/no by one
+memoised recursion over link graphs G[K], and never builds the
+complex's faces: a cone is CM iff its base is, a leaf settles a graph
+by the links of its two ends, and any other graph is CM iff its vertex
+links are and its homology vanishes below its dimension (README,
+"Reisner oracle", proves the three).  That homology is ranked after
+fold moves (Engström's fold lemma: if N(u) ⊆ N(v) for u != v, then
+Ind(G) ≃ Ind(G - v)), which keep the homotopy type.  Ranks come from
+integer fraction-free elimination on the boundary matrices of the
+reduced chain complex (the empty face is a genuine generator in degree
+-1).  No floating point is involved anywhere: Betti numbers are
+integers and tolerances would be meaningless.  Naming the first failing
+face, and the ``check -v`` table, take the face walk of ``facewalk``.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import SizeLimitExceededError, TheoremContractError, ZdPosetError
 from .complexes import DEFAULT_MAX_HOMOLOGY_VERTICES, IndependenceComplex
 from .graphs import Vertex
 from .order import bits
-
-# (face mask, link dimension, the link's reduced Betti numbers by dimension)
-LinkRow = tuple[int, int, dict[int, int]]
 
 
 def _check_cap(C: IndependenceComplex, max_vertices: int) -> None:
@@ -184,70 +182,63 @@ def faces_by_dimension(
     return [[C.vertices_of(f) for f, _ in level] for level in levels]
 
 
-def _face_walk(C: IndependenceComplex) -> Iterator[LinkRow]:
-    """(face mask, link dimension, the link's reduced rational Betti
-    numbers over dimensions -1..dim) in (size, lex) face order.
+def _alpha(facets: Sequence[int], rest: int) -> int:
+    """The independence number of G[rest]: every independent set of
+    G[rest] lies in a facet of G, so it is the largest facet ∩ rest."""
+    return max((m & rest).bit_count() for m in facets)
 
-    The link of F is Ind(G[R]), R = V - N[F].  ``_levels`` yields the
-    faces one size at a time with R carried down, so a failing complex
-    stops at its witness's size.  Each distinct R is settled once per
-    walk: the dimension from the largest facet through F, then the cone
-    and fold moves of ``_fold``, which keep the homotopy type, before
-    any face of the link is built.  What is left is ranked exactly, and
-    zero padding up to dim, which it never exceeds, completes the
-    vector.  Faces with one R, and cone links of one dimension, share
-    one Betti dict: treat rows as read-only.
+
+def _link_cm(
+    nbr: Sequence[int], facets: Sequence[int], rest: int, memo: dict[int, bool]
+) -> bool:
+    """Whether Ind(G[rest]) satisfies Reisner's criterion.  Vertices
+    with no neighbour in rest are dropped first (the cone lemma); memo
+    maps each rest mask left, once settled, to its answer."""
+    for u in bits(rest):
+        if not nbr[u] & rest:
+            rest ^= 1 << u
+    if rest not in memo:
+        memo[rest] = _settle(nbr, facets, rest, memo)
+    return memo[rest]
+
+
+def _settle(
+    nbr: Sequence[int], facets: Sequence[int], rest: int, memo: dict[int, bool]
+) -> bool:
+    """``_link_cm`` on a rest mask where every vertex has a neighbour.
+
+    A leaf u, with v its one neighbour, settles it by the leaf lemma:
+    the links of u and v are CM, of equal independence number.
+    Otherwise every vertex link must be CM, and the homology of
+    Ind(G[rest]), ranked after folding, vanish below its dimension.
     """
-    nbr = C.graph.nbr
-    facets = sorted(C.masks, key=int.bit_count, reverse=True)
-    links: dict[int, tuple[int, dict[int, int]]] = {}
-    cones: dict[int, tuple[int, dict[int, int]]] = {}
-    for level in _levels(nbr, (1 << len(nbr)) - 1):
-        for face, rest in level:
-            link = links.get(rest)
-            if link is None:
-                top = next(m for m in facets if m & face == face)
-                dim = top.bit_count() - face.bit_count() - 1
-                folded = _fold(nbr, rest)
-                if folded is None:
-                    link = cones.get(dim)
-                    if link is None:
-                        zeros = dict.fromkeys(range(-1, dim + 1), 0)
-                        link = cones[dim] = dim, zeros
-                else:
-                    betti = dict.fromkeys(range(-1, dim + 1), 0)
-                    if rest == 0:  # a facet: the link is {∅}
-                        betti[-1] = 1
-                    else:
-                        faces = [[f for f, _ in lv] for lv in _levels(nbr, folded)]
-                        betti.update(_betti(faces))
-                    link = dim, betti
-                links[rest] = link
-            yield face, *link
+    for u in bits(rest):
+        row = nbr[u] & rest
+        if not row & row - 1:  # u is a leaf, and row holds its neighbour v
+            v = row.bit_length() - 1
+            lu, lv = rest & ~row & ~(1 << u), rest & ~nbr[v] & ~row
+            return (
+                _alpha(facets, lu) == _alpha(facets, lv)
+                and _link_cm(nbr, facets, lu, memo)
+                and _link_cm(nbr, facets, lv, memo)
+            )
+    for w in bits(rest):
+        if not _link_cm(nbr, facets, rest & ~nbr[w] & ~(1 << w), memo):
+            return False
+    folded = _fold(nbr, rest)
+    if folded is None:  # folding left a cone
+        return True
+    betti = _betti([[f for f, _ in level] for level in _levels(nbr, folded)])
+    return not any(betti.get(d) for d in range(-1, _alpha(facets, rest) - 1))
 
 
-def link_rows(
+def cm_by_links(
     C: IndependenceComplex, max_vertices: int = DEFAULT_MAX_HOMOLOGY_VERTICES
-) -> list[LinkRow]:
-    """Every face's (face mask, link dimension, reduced rational Betti
-    vector over -1..dim) in (size, lex) order: one whole face walk.
-    Rows may share one Betti dict; they are read-only."""
+) -> bool:
+    """Reisner's criterion over the rationals, as a yes/no: ``reisner_cm``
+    without the witness, by the link recursion of ``_link_cm``."""
     _check_cap(C, max_vertices)
-    return list(_face_walk(C))
-
-
-def reisner_verdict(
-    C: IndependenceComplex, rows: Iterable[LinkRow]
-) -> tuple[bool, tuple[tuple[Vertex, ...], int] | None]:
-    """``reisner_cm``'s answer from face-walk rows, read up to the first
-    face whose link has homology below its dimension."""
-    for face, dim, betti in rows:
-        # Betti numbers are nonnegative: the sum exceeds the top one
-        # exactly when some lower one is nonzero
-        if sum(betti.values()) > betti[dim]:
-            bad = next(d for d in range(-1, dim) if betti[d])
-            return False, (C.vertices_of(face), bad)
-    return True, None
+    return _link_cm(C.graph.nbr, C.masks, (1 << len(C.vertices)) - 1, {0: True})
 
 
 def reisner_cm(
@@ -259,8 +250,11 @@ def reisner_cm(
     True iff every face's link (the empty face included) has vanishing
     reduced homology strictly below the link's dimension; on failure the
     witness is the first such (face, dimension) in (size, lex) face order.
-    The link vectors come from the face walk the ``check -v`` table
-    prints: exact rational Betti numbers of each fold-reduced link graph.
+    ``cm_by_links`` decides; only a failure runs the face walk, which
+    names the witness and must agree.
     """
-    _check_cap(C, max_vertices)
-    return reisner_verdict(C, _face_walk(C))
+    if cm_by_links(C, max_vertices):
+        return True, None
+    from .facewalk import _face_walk, checked_verdict
+
+    return checked_verdict(C, _face_walk(C), False)

@@ -20,7 +20,7 @@ threads; derived data (atoms, distributivity, ...) is cached lazily.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import PosetSyntaxError, ZdPosetError
 
@@ -98,23 +98,6 @@ class Poset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Poset)
-            and self.elements == other.elements
-            and self.up == other.up
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self.up))
-
-    def __repr__(self) -> str:
-        return f"Poset({len(self)} elements, bottom={self.bottom}, top={self.top})"
-
-    def names(self, ids: Iterable[int]) -> tuple[str, ...]:
-        """Element names in ascending id order (the canonical rendering)."""
-        return tuple(self.elements[i] for i in sorted(ids))
-
     def is_bounded(self) -> bool:
         return self.bottom is not None and self.top is not None
 
@@ -142,10 +125,6 @@ class Poset:
             if i != bot and self.down[i] == (1 << bot) | (1 << i):
                 m |= 1 << i
         return m
-
-    def atoms(self) -> frozenset[int]:
-        """Elements covering the least element."""
-        return frozenset(bits(self.atoms_mask))
 
     @cached_property
     def supports(self) -> tuple[int, ...]:

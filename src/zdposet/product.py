@@ -18,7 +18,7 @@ from .complexes import DEFAULT_MAX_VERTICES, STATUS_TEXT, is_well_covered, yes_n
 from .errors import SizeLimitExceededError, TheoremContractError, ZdPosetError
 from .order import MAX_CATALOG_ELEMENTS, Poset, above_cap, bits
 from .poset import ProductPoset, generate
-from .zdg import ZdGraph, zero_divisor_graph, zero_divisors
+from .zdg import ZdGraph, zero_divisor_graph
 
 
 class ProductAnalysis(ProductPoset):
@@ -32,7 +32,7 @@ class ProductAnalysis(ProductPoset):
     def __init__(self, factors: Sequence[Poset]):
         super().__init__(factors)
         for pos, f in enumerate(self.factors, 1):
-            if zero_divisors(f) != {f.bottom}:
+            if f.atoms_mask.bit_count() != 1:  # Z(f) = {0}: see the message
                 raise ZdPosetError(
                     f"factor {pos} must satisfy Z(P) = {{0}} "
                     "(equivalently: at least two elements and a unique atom)"
@@ -41,11 +41,12 @@ class ProductAnalysis(ProductPoset):
         bottoms = tuple(f.bottom for f in self.factors)
         # atom_ids[p]: the carrier id of factor p's atom tuple (its unique
         # atom at p, bottoms elsewhere)
+        atoms = [f.atoms_mask.bit_length() - 1 for f in self.factors]
         self.atom_ids: tuple[int, ...] = tuple(
-            self.coord_of.index(bottoms[:p] + tuple(f.atoms()) + bottoms[p + 1 :])
-            for p, f in enumerate(self.factors)
+            self.coord_of.index(bottoms[:p] + (a,) + bottoms[p + 1 :])
+            for p, a in enumerate(atoms)
         )
-        if self.carrier.atoms() != frozenset(self.atom_ids):
+        if self.carrier.atoms_mask != sum(1 << i for i in self.atom_ids):
             raise TheoremContractError(
                 "product atoms must be the per-factor atom tuples"
             )
@@ -218,8 +219,10 @@ def product_theorem(A: ProductAnalysis, analysis: Analysis) -> TheoremCheck:
         # with a unique atom, J_i is the i-th axis: coordinate i nonzero,
         # the other at the bottom
         part1, part2 = singles
-        complete = len(part1) + len(part2) == len(A.graph.vertices) and all(
-            A.graph.neighbors(a) == part2 for a in part1
+        G = A.graph
+        row2 = sum(1 << G.index[b] for b in part2)
+        complete = len(part1) + len(part2) == len(G.vertices) and all(
+            G.nbr[G.index[a]] == row2 for a in part1
         )
         a, b = (s - 1 for s in sizes)
         if not complete or (len(part1), len(part2)) != (a, b):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cmcert import CmVerdict, Pair, _pair_table, verify_my_conditions
+from .certificate import Pair, _pair_table, verify_my_conditions
+from .cmcert import CmVerdict
 from .errors import TheoremContractError
 from .graphs import Graph
 from .order import bits

@@ -6,7 +6,6 @@ as vertices, two being adjacent exactly when their lower cone is {0}.
 
 from __future__ import annotations
 
-from .errors import ZdPosetError
 from .graphs import Graph
 from .order import Poset, bits
 
@@ -23,15 +22,6 @@ class ZdGraph(Graph):
         return self.owner.elements[v]
 
 
-def zero_divisors(P: Poset) -> frozenset[int]:
-    """Ids of all a admitting a nonzero b with lower cone {a,b} = {0}."""
-    bot = P._require_bottom()
-    nonzero = P.full_mask & ~(1 << bot)
-    return frozenset(
-        a for a in range(len(P)) if P.perp_mask(a) & nonzero
-    )
-
-
 def zero_divisor_graph(P: Poset) -> ZdGraph:
     """Graph on the nonzero zero-divisors; empty when Z(P) = {0}.
 
@@ -46,9 +36,3 @@ def zero_divisor_graph(P: Poset) -> ZdGraph:
     nbr = [sum(1 << pos[b] for b in bits(perp[a])) for a in verts]
     return ZdGraph(P, verts, nbr)
 
-
-def require_boolean(P: Poset) -> None:
-    if not P.is_boolean():
-        from .lattice import boolean_failure  # the clauses load only to name one
-
-        raise ZdPosetError(f"poset is not Boolean: {boolean_failure(P)}")

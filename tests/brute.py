@@ -10,7 +10,9 @@ link from the facets through its face, and ``betti`` ranks any facet
 list (flag or not) with ``homology._betti``.
 
 ``leq`` and ``lt`` read the order off ``Poset.up``; the package itself
-asks only mask questions.  The last section holds the lemma checks and
+asks only mask questions.  ``neighbors``, ``names``, ``atom_ids`` and
+``same_poset`` are the set-valued views of a graph or poset that only
+the tests read, so ``check`` never compiles them.  The last section holds the lemma checks and
 helpers that the package no longer exports, because no subcommand calls
 them: ``graph``, which makes the hand-written test graphs from edge
 lists, the unique complementation and atom/end lemma checks, ends,
@@ -29,12 +31,13 @@ from operator import and_
 from typing import Iterable, NamedTuple
 
 from zdposet import homology
-from zdposet.cmcert import CmVerdict, ConditionStatus, MyCertificate
+from zdposet.certificate import ConditionStatus, MyCertificate, require_boolean
+from zdposet.cmcert import CmVerdict
 from zdposet.errors import TheoremContractError, ZdPosetError
 from zdposet.graphs import Graph
 from zdposet.order import Poset, bits
 from zdposet.lattice import boolean_failure, lcone_mask
-from zdposet.zdg import ZdGraph, require_boolean
+from zdposet.zdg import ZdGraph
 
 
 def elements(P: Poset) -> range:
@@ -71,9 +74,33 @@ def shuffled(P: Poset, rng) -> Poset:
     return Poset([P.elements[old] for old in order], up)
 
 
+def neighbors(G: Graph, v) -> frozenset:
+    """The neighbours of v, read off its adjacency row."""
+    try:
+        row = G.nbr[G.index[v]]
+    except KeyError:
+        raise ZdPosetError(f"unknown vertex {v!r}") from None
+    return frozenset(G.vertices[j] for j in bits(row))
+
+
+def names(P: Poset, ids: Iterable[int]) -> tuple[str, ...]:
+    """Element names in ascending id order (the canonical rendering)."""
+    return tuple(P.elements[i] for i in sorted(ids))
+
+
+def atom_ids(P: Poset) -> frozenset[int]:
+    """The package's atoms: the ids in ``Poset.atoms_mask``."""
+    return frozenset(bits(P.atoms_mask))
+
+
+def same_poset(P: Poset, Q: Poset) -> bool:
+    """The same element names and the same order rows."""
+    return (P.elements, P.up) == (Q.elements, Q.up)
+
+
 def adjacency(G: Graph):
     """G's adjacency test on vertices, read off its neighbour sets."""
-    nbrs = {v: G.neighbors(v) for v in G.vertices}
+    nbrs = {v: neighbors(G, v) for v in G.vertices}
     return lambda v, w: w in nbrs[v]
 
 
@@ -132,7 +159,7 @@ def is_boolean_lattice_by_pairs(P: Poset) -> bool:
     if not P.is_bounded():
         return False
     n = len(P)
-    if n != 2 ** len(P.atoms()):
+    if n != 2 ** len(atom_ids(P)):
         return False
     supports = [P.atoms_mask & P.down[x] for x in range(n)]
     if len(set(supports)) != n:
@@ -513,13 +540,13 @@ def verify_my_conditions_reference(G, pairs) -> MyCertificate:
     witness_a = None
     yset = set(ys)
     for u in sorted(yset):
-        hit = sorted(G.neighbors(u) & yset)
+        hit = sorted(neighbors(G, u) & yset)
         if hit:
             witness_a = (name(u), name(hit[0]))
             break
     if witness_a is None:
         for x in xs:
-            if not G.neighbors(x) & yset:
+            if not neighbors(G, x) & yset:
                 witness_a = (name(x),)
                 break
     conditions.append(("a", ConditionStatus(witness_a is None, witness_a)))
@@ -616,8 +643,8 @@ def search_certificate_reference(G, facets, budget: int) -> CmVerdict:
         X = [v for v in G.vertices if v not in yset]
         candidates = {}
         for x in X:
-            nx = G.neighbors(x)
-            comps = sorted(w for w in nx & yset if not nx & G.neighbors(w))
+            nx = neighbors(G, x)
+            comps = sorted(w for w in nx & yset if not nx & neighbors(G, w))
             candidates[x] = comps + sorted((nx & yset) - set(comps))
         assignment = []
         used = set()
@@ -708,13 +735,13 @@ def complement_mask(nbr: list[int], row: int) -> int:
 
 def graph_complements(G: Graph, v) -> frozenset:
     """Neighbors w of v such that the edge v-w lies in no triangle."""
-    row = sum(1 << G.index[w] for w in G.neighbors(v))  # raises on an unknown v
+    row = sum(1 << G.index[w] for w in neighbors(G, v))  # raises on an unknown v
     return frozenset(G.vertices[j] for j in bits(complement_mask(G.nbr, row)))
 
 
 def ends(G: Graph) -> frozenset:
     """Vertices of degree exactly one."""
-    return frozenset(v for v in G.vertices if len(G.neighbors(v)) == 1)
+    return frozenset(v for v in G.vertices if len(neighbors(G, v)) == 1)
 
 
 class LemmaReport(NamedTuple):
@@ -734,7 +761,7 @@ def check_unique_complementation(P: Poset, G: ZdGraph) -> LemmaReport:
             raise TheoremContractError("Boolean posets are uniquely complemented")
         (c,) = oc
         if gc != {c}:
-            got = ",".join(P.names(gc)) or "(none)"
+            got = ",".join(names(P, gc)) or "(none)"
             violations.append(
                 f"{P.elements[v]}: graph complements {{{got}}} != "
                 f"order complement {P.elements[c]}"
@@ -745,20 +772,20 @@ def check_unique_complementation(P: Poset, G: ZdGraph) -> LemmaReport:
 def check_atom_end_lemma(P: Poset, G: ZdGraph) -> LemmaReport:
     """A vertex is an atom iff its complement is the unique end adjacent to it."""
     require_boolean(P)
-    atoms = P.atoms()
+    atoms = atom_ids(P)
     end_set = ends(G)
     violations = []
     for b in G.vertices:
         (c,) = complements(P, b)
-        ends_at_b = end_set & G.neighbors(b)
+        ends_at_b = end_set & neighbors(G, b)
         if b in atoms:
             if ends_at_b != {c}:
-                got = ",".join(P.names(ends_at_b)) or "(none)"
+                got = ",".join(names(P, ends_at_b)) or "(none)"
                 violations.append(
                     f"atom {P.elements[b]}: adjacent ends {{{got}}} != "
                     f"complement {P.elements[c]}"
                 )
-        elif c in end_set and c in G.neighbors(b):
+        elif c in end_set and c in neighbors(G, b):
             violations.append(
                 f"{P.elements[b]} is not an atom but its complement "
                 f"{P.elements[c]} is an adjacent end"
@@ -787,7 +814,7 @@ def extend_independent(P: Poset, G: Graph, seed: Iterable[int]) -> tuple[int, ..
             raise ZdPosetError(f"seed element {v!r} is not a vertex")
         current.add(v)
     for v in current:
-        hit = G.neighbors(v) & current
+        hit = neighbors(G, v) & current
         if hit:
             w = min(hit)
             raise NotIndependentError(
@@ -801,8 +828,8 @@ def extend_independent(P: Poset, G: Graph, seed: Iterable[int]) -> tuple[int, ..
     for a, b in pairs:
         if a in current or b in current:
             continue
-        can_a = not (G.neighbors(a) & current)
-        can_b = not (G.neighbors(b) & current)
+        can_a = not (neighbors(G, a) & current)
+        can_b = not (neighbors(G, b) & current)
         if can_a and can_b:
             wa, wb = P.weight(a), P.weight(b)
             pick = a if (wa, -a) >= (wb, -b) else b

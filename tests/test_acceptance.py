@@ -12,12 +12,8 @@ import time
 
 import brute
 from brute import extend_independent, pseudocomplement_of
-from zdposet.cmcert import (
-    Analysis,
-    boolean_labeling,
-    is_cohen_macaulay,
-    verify_my_conditions,
-)
+from zdposet.certificate import boolean_labeling, verify_my_conditions
+from zdposet.cmcert import Analysis, is_cohen_macaulay
 from zdposet.complexes import independence_complex, is_very_well_covered, is_well_covered
 from zdposet.homology import reisner_cm
 from zdposet.lattice import lcone_mask
@@ -264,17 +260,17 @@ def _suite_extension(rng):
         for v in rng.sample(G.vertices, len(G.vertices)):
             if len(seed) >= target:
                 break
-            if not (G.neighbors(v) & set(seed)):
+            if not (brute.neighbors(G, v) & set(seed)):
                 seed.append(v)
         got = extend_independent(P, G, seed)
         assert set(seed) <= set(got)
         assert len(got) == half
         got_set = set(got)
         for v in got:
-            assert not (G.neighbors(v) & got_set - {v})
+            assert not (brute.neighbors(G, v) & got_set - {v})
         for v in G.vertices:
             if v not in got_set:
-                assert G.neighbors(v) & got_set
+                assert brute.neighbors(G, v) & got_set
 
 
 def _suite_facets_vs_brute(rng):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import brute
 import zdposet
 import zdposet.zdg as zdg_mod
 from zdposet import lattice
@@ -359,7 +360,7 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert main(["gen", "atom_coatom", "4"]) == 0
     text = capsys.readouterr().out
     P = parse_poset(text)
-    assert P == generate("atom_coatom", 4)
+    assert brute.same_poset(P, generate("atom_coatom", 4))
 
 
 def test_gen_unknown_catalog(capsys):
@@ -382,10 +383,11 @@ def test_output_flag(tmp_path, fig1_path):
 
 
 def test_internal_disagreement_trips_exit_1(fig1_path, capsys, monkeypatch):
-    # no real input can disagree; force the oracle to lie to test the trap
+    # no real input can disagree; force the oracle's yes/no, which is
+    # all a plain check reads, to lie to test the trap
     import zdposet.homology as homology_mod
 
-    monkeypatch.setattr(homology_mod, "reisner_cm", lambda C, cap: (False, ((), 0)))
+    monkeypatch.setattr(homology_mod, "cm_by_links", lambda C, cap: False)
     assert main(["check", fig1_path]) == 1
     out = capsys.readouterr().out
     assert "consistent: no" in out
@@ -455,11 +457,11 @@ def test_readme_flag_table_matches_the_parser():
     assert readme_flag_table() == parsed
 
 
-def check_under_O(path, patch):
-    """``main(["check", path])`` in a ``python -O`` subprocess, after the
-    lines ``patch``: the finished process."""
+def check_under_O(path, patch, *flags):
+    """``main(["check", path, *flags])`` in a ``python -O`` subprocess,
+    after the lines ``patch``: the finished process."""
     script = f"import sys\n{patch}from zdposet.cli import main\n"
-    script += f"sys.exit(main(['check', {path!r}]))\n"
+    script += f"sys.exit(main(['check', {path!r}, *{flags!r}]))\n"
     src = str(Path(zdposet.__file__).resolve().parent.parent)
     return subprocess.run(
         [sys.executable, "-O", "-c", script],
@@ -475,7 +477,7 @@ def test_boolean_certificate_trap_fires_under_O(tmp_path):
     # must exit 1 even with asserts stripped
     path = write_poset(tmp_path, generate("boolean_lattice", 4))
     proc = check_under_O(path, (
-        "import zdposet.cmcert as m\n"
+        "import zdposet.certificate as m\n"
         "orig = m.boolean_labeling\n"
         "m.boolean_labeling = lambda P, G: orig(P, G)[::-1]\n"
     ))
@@ -579,7 +581,7 @@ def test_graph_and_facets_built_once(tmp_path, monkeypatch, capsys, argv):
     import zdposet.complexes as complexes_mod
     import zdposet.homology as homology_mod
 
-    calls = {"graph": 0, "facets": 0, "reisner": 0}
+    calls = {"graph": 0, "facets": 0, "reisner": 0, "links": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -592,6 +594,7 @@ def test_graph_and_facets_built_once(tmp_path, monkeypatch, capsys, argv):
     for key, fn in (
         ("graph", zdg_mod.zero_divisor_graph),
         ("reisner", homology_mod.reisner_cm),
+        ("links", homology_mod.cm_by_links),
     ):
         for mod in list(sys.modules.values()):
             if getattr(mod, fn.__name__, None) is fn:
@@ -611,23 +614,81 @@ def test_graph_and_facets_built_once(tmp_path, monkeypatch, capsys, argv):
     assert calls["graph"] == 1
     assert calls["facets"] <= 1
     assert calls["reisner"] <= 1
+    assert calls["links"] <= 1
 
 
 @pytest.mark.parametrize("name", sorted(ONCE_POSETS))
 def test_check_verbose_walks_the_complex_once(tmp_path, monkeypatch, capsys, name):
-    # one face walk feeds both the CM(Reisner) line and the per-face table
-    import zdposet.homology as homology_mod
+    # one face walk feeds both the per-face table and, on a failure, the
+    # witness; the CM(Reisner) line is checked against it
+    import zdposet.facewalk as facewalk_mod
 
     walks = []
-    walk = homology_mod._face_walk
+    walk = facewalk_mod._face_walk
 
     def counted(C):
         walks.append(C)
         return walk(C)
 
-    monkeypatch.setattr(homology_mod, "_face_walk", counted)
+    monkeypatch.setattr(facewalk_mod, "_face_walk", counted)
     path = write_poset(tmp_path, ONCE_POSETS[name])
     assert main(["check", path, "-v"]) == 0
     out = capsys.readouterr().out
     assert "CM(Reisner): " in out and "  face\tlink-dim\tbetti" in out
     assert len(walks) == 1
+
+
+@pytest.mark.parametrize(
+    "name", ["atom_coatom 9", "chain 2 x atom_coatom 4"]
+)
+def test_cm_items_run_no_face_walk(tmp_path, monkeypatch, capsys, name):
+    # the link recursion answers CM alone: no face is walked, by check or
+    # by reisner_cm
+    import zdposet.facewalk as facewalk_mod
+    from zdposet.complexes import independence_complex
+    from zdposet.homology import reisner_cm
+
+    walks = []
+    walk = facewalk_mod._face_walk
+
+    def counted(C):
+        walks.append(C)
+        return walk(C)
+
+    monkeypatch.setattr(facewalk_mod, "_face_walk", counted)
+    factors = [generate(spec.split()[0], int(spec.split()[1])) for spec in name.split(" x ")]
+    P = factors[0] if len(factors) == 1 else direct_product(factors).carrier
+    assert main(["check", write_poset(tmp_path, P)]) == 0
+    assert "CM(Reisner): yes" in capsys.readouterr().out.splitlines()
+    assert reisner_cm(independence_complex(zdg_mod.zero_divisor_graph(P))) == (True, None)
+    assert walks == []
+
+
+def test_recursion_walk_disagreement_trips_under_O(tmp_path):
+    # a NotCM answer from the recursion sends the reisner-oracle route to
+    # the face walk for its witness; on a CM graph the walk finds none
+    path = write_poset(tmp_path, ROUTE_INPUTS[("CM", "reisner-oracle")][0])
+    proc = check_under_O(
+        path, "import zdposet.homology as m\nm.cm_by_links = lambda C, cap: False\n"
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (
+        "contract violation: the face walk finds no failing face, "
+        "but the link recursion says NotCM\n"
+    )
+
+
+def test_verbose_rows_disagreeing_with_the_recursion_trip_under_O(tmp_path):
+    # check -v prints the walk's rows; they must agree with the yes/no
+    # (the graph is K_{1,2}, not well-covered: the empty face fails)
+    P = direct_product([generate("chain", 2), generate("chain", 3)]).carrier
+    proc = check_under_O(
+        write_poset(tmp_path, P),
+        "import zdposet.homology as m\nm.cm_by_links = lambda C, cap: True\n",
+        "-v",
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (
+        "contract violation: the face walk finds a failing face ((), 0), "
+        "but the link recursion says CM\n"
+    )

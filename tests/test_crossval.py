@@ -163,7 +163,7 @@ def test_random_posets_roundtrip_and_galois():
     rng = random.Random(5)
     for _ in range(150):
         P = random_dag_poset(rng, rng.randint(1, 9))
-        assert parse_poset(P.to_text()) == P
+        assert brute.same_poset(parse_poset(P.to_text()), P)
         universe = range(len(P))
         A = {v for v in universe if rng.random() < 0.4}
         u = P.ucone_mask(brute.mask(A))

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 
 import brute
 from test_crossval import betti_by_dense_fractions
-from zdposet import homology
+from zdposet import facewalk, homology
 from zdposet.complexes import independence_complex, is_well_covered
-from zdposet.errors import SizeLimitExceededError
+from zdposet.errors import SizeLimitExceededError, ZdPosetError
 from zdposet.formats import link_table
-from zdposet.homology import faces_by_dimension, link_rows, reisner_cm
+from zdposet.facewalk import link_rows
+from zdposet.homology import faces_by_dimension, reisner_cm
+from zdposet.order import bits
 from zdposet.poset import direct_product, generate
 from zdposet.zdg import zero_divisor_graph
 
@@ -227,21 +230,24 @@ SURVIVOR_POSETS = {
         [generate("chain", 4), generate("m_atoms", 3)]
     ).carrier,
 }
-# CM, link graphs ranked, vertices left after folding
+# CM, link graphs the recursion settles, and the vertex count of each
+# graph it ranks, left by folding: the leaf lemma settles every graph
+# but chain 3^3's K2 (S^0, nonzero homology below its dimension)
 FOLD_SURVIVORS = {
-    "figure1": (True, 4, {2}),
-    "atom_coatom 6": (True, 6, {2}),
-    "boolean_lattice 4": (True, 11, {2, 4, 6}),
-    "chain 3 x chain 3 x chain 3": (False, 1, {2}),
-    "chain 4 x m_atoms 3": (False, 1, {2}),
+    "figure1": (True, 4, []),
+    "atom_coatom 6": (True, 6, []),
+    "boolean_lattice 4": (True, 9, []),
+    "chain 3 x chain 3 x chain 3": (False, 3, [2]),
+    "chain 4 x m_atoms 3": (False, 3, []),
 }
 
 
-def record_link_work(monkeypatch):
+def record_link_work(monkeypatch, module=facewalk):
     """Record the rest mask of every ``_fold`` call and the vertex count
-    of every link graph that reaches ``_betti``."""
+    of every link graph that reaches ``_betti``, in ``module``: the face
+    walk's by default, or the recursion's (``homology``)."""
     folds, ranked = [], []
-    fold, betti = homology._fold, homology._betti
+    fold, betti = module._fold, module._betti
 
     def recording_fold(nbr, rest):
         folds.append(rest)
@@ -251,8 +257,8 @@ def record_link_work(monkeypatch):
         ranked.append(len(by_size[1]))
         return betti(by_size)
 
-    monkeypatch.setattr(homology, "_fold", recording_fold)
-    monkeypatch.setattr(homology, "_betti", recording_betti)
+    monkeypatch.setattr(module, "_fold", recording_fold)
+    monkeypatch.setattr(module, "_betti", recording_betti)
     return folds, ranked
 
 
@@ -264,7 +270,7 @@ def rest_masks(C, witness=None):
     for bucket in brute.face_masks(C.masks):
         for mask in bucket:
             face = C.vertices_of(mask)
-            closed = set(face).union(*(G.neighbors(v) for v in face))
+            closed = set(face).union(*(brute.neighbors(G, v) for v in face))
             rests.append(sum(1 << G.index[v] for v in C.vertices if v not in closed))
             if face == witness:
                 return rests
@@ -273,24 +279,34 @@ def rest_masks(C, witness=None):
 
 @pytest.mark.parametrize("name", sorted(FOLD_SURVIVORS))
 def test_only_fold_survivors_are_ranked(name, request, monkeypatch):
-    # every link graph is folded, once per distinct rest mask, before any of its
-    # faces is built; the CM complexes rank only the links left (each K2,
-    # i.e. S^0, on atom_coatom 6), and the non-CM products stop at their
-    # witness, the first survivor
+    # the recursion settles each link graph once, every vertex of it with
+    # a neighbour in it (the cone lemma dropped the others), and ranks
+    # only what folding leaves of a leafless one; a failure's witness
+    # then comes from the face walk
     if name == "figure1":
         P = request.getfixturevalue("figure1")
     else:
         P = SURVIVOR_POSETS[name]
     C = independence_complex(zero_divisor_graph(P))
-    cm, graphs, vertices = FOLD_SURVIVORS[name]
+    cm, graphs, ranks = FOLD_SURVIVORS[name]
     expected = brute.reisner_cm_reference(C)
     assert expected[0] == cm
-    rests = rest_masks(C, expected[1][0] if expected[1] else None)
-    folds, ranked = record_link_work(monkeypatch)
+    nbr = C.graph.nbr
+    settled = []
+    settle = homology._settle
+
+    def recording_settle(nbr, facets, rest, memo):
+        settled.append(rest)
+        return settle(nbr, facets, rest, memo)
+
+    monkeypatch.setattr(homology, "_settle", recording_settle)
+    folds, ranked = record_link_work(monkeypatch, homology)
+    assert homology.cm_by_links(C) is cm
+    assert len(settled) == len(set(settled)) == graphs
+    assert all(nbr[v] & rest for rest in settled for v in bits(rest))
+    assert ranked == ranks
+    assert len(folds) == len(ranks)
     assert reisner_cm(C) == expected
-    assert sorted(folds) == sorted(set(rests))
-    assert len(ranked) == graphs
-    assert set(ranked) == vertices
 
 
 def test_table_ranks_only_fold_survivors(monkeypatch):
@@ -416,14 +432,14 @@ def test_fold_matches_reference_on_planted_dominated_vertices(monkeypatch):
         (table_rows(C), brute.reisner_cm_reference(C)) for C in complexes
     ]
     folds = []
-    fold = homology._fold
+    fold = facewalk._fold
 
     def recording_fold(nbr, rest):
         folded = fold(nbr, rest)
         folds.append(folded not in (None, rest))
         return folded
 
-    monkeypatch.setattr(homology, "_fold", recording_fold)
+    monkeypatch.setattr(facewalk, "_fold", recording_fold)
     for C, (rows, cm) in zip(complexes, expected):
         lines = link_table(C, link_rows(C)).splitlines()
         assert lines[1:-1] == rows, C.facets
@@ -478,17 +494,17 @@ def test_rows_match_reference_where_rest_masks_repeat(monkeypatch):
         for C in complexes
     ]
     folds = []
-    fold = homology._fold
+    fold = facewalk._fold
 
     def recording_fold(nbr, rest):
         folds.append(rest)
         return fold(nbr, rest)
 
-    monkeypatch.setattr(homology, "_fold", recording_fold)
+    monkeypatch.setattr(facewalk, "_fold", recording_fold)
     reused = 0
     for C, (table, cm) in zip(complexes, expected):
         folds.clear()
-        rows = homology.link_rows(C)
+        rows = link_rows(C)
         got = [(C.vertices_of(f), dim, tuple(b.values())) for f, dim, b in rows]
         assert got == table, C.facets
         assert len(folds) == len(set(folds))
@@ -512,7 +528,7 @@ def graphs_with_dominated_vertex(draw):
     extra = draw(st.sets(st.integers(0, n - 1)))
     new = neighbours(edges, u) | (extra - {u})
     G = brute.graph(range(n + 1), edges | {(w, n) for w in new})
-    assert G.neighbors(u) <= G.neighbors(n)
+    assert brute.neighbors(G, u) <= brute.neighbors(G, n)
     return G, n
 
 
@@ -545,24 +561,24 @@ def test_reisner_matches_exact_reference(G):
 
 def test_homology_guards_fire_under_O():
     # an inflated boundary rank drives a Betti number negative; the
-    # ranking of the hollow triangle's faces and of a link graph left by
-    # folding (each K2 on atom_coatom 6), for the verdict and for the
-    # check -v rows, must refuse it with asserts stripped
+    # ranking of the hollow triangle's faces, and of the cycle C5, which
+    # has no leaf and does not fold, for the verdict and for the check -v
+    # rows, must refuse it with asserts stripped
     script = (
         "import zdposet.homology as h\n"
         "from zdposet.complexes import independence_complex\n"
         "from zdposet.errors import TheoremContractError\n"
-        "from zdposet.poset import generate\n"
-        "from zdposet.zdg import zero_divisor_graph\n"
+        "from zdposet.facewalk import link_rows\n"
+        "from zdposet.graphs import Graph\n"
         "print('debug', __debug__)\n"
         "orig = h._boundary_rank\n"
         "h._boundary_rank = lambda *args: orig(*args) + 1\n"
         "C = [[0], [1, 2, 4], [3, 5, 6]]\n"
-        "I = independence_complex(zero_divisor_graph(generate('atom_coatom', 6)))\n"
+        "I = independence_complex(Graph(tuple(range(5)), [0b10010, 0b00101, 0b01010, 0b10100, 0b01001]))\n"
         "for name, run, K in (\n"
         "    ('_betti on the hollow triangle', h._betti, C),\n"
         "    ('reisner_cm on a graph', h.reisner_cm, I),\n"
-        "    ('link_rows', h.link_rows, I),\n"
+        "    ('link_rows', link_rows, I),\n"
         "):\n"
         "    try:\n"
         "        run(K)\n"
@@ -584,3 +600,102 @@ def test_homology_guards_fire_under_O():
     assert "_betti on the hollow triangle raised: negative Betti number" in proc.stdout
     assert "reisner_cm on a graph raised: negative Betti number" in proc.stdout
     assert "link_rows raised: negative Betti number" in proc.stdout
+
+
+def trees_whiskers_and_random_graphs(seed, count):
+    """``count`` seeded graphs on at most 12 vertices, in turn a random
+    tree, a whiskered graph (a pendant vertex on every vertex of a
+    random graph) and a G(n, p) draw with its own p."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:
+            n = rng.randint(1, 12)
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+        elif kind == 1:
+            m, p = rng.randint(1, 6), rng.random()
+            edges = [(a, b) for a in range(m) for b in range(a + 1, m) if rng.random() < p]
+            edges += [(a, m + a) for a in range(m)]
+            n = 2 * m
+        else:
+            n, p = rng.randint(1, 12), rng.random()
+            edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        yield brute.graph(range(n), edges)
+
+
+def test_recursion_matches_reference_on_trees_whiskers_and_random_graphs(monkeypatch):
+    folds, ranked = record_link_work(monkeypatch, homology)
+    answers = []
+    for G in trees_whiskers_and_random_graphs(53, 450):
+        C = independence_complex(G)
+        expected = brute.reisner_cm_reference(C)
+        assert homology.cm_by_links(C) is expected[0], G.nbr
+        assert reisner_cm(C) == expected, G.nbr
+        answers.append(expected[0])
+    # both answers, and leafless link graphs that the recursion ranks
+    assert 100 < sum(answers) < 350
+    assert len(ranked) > 100
+
+
+def catalog_and_product_posets():
+    """Every catalog poset, and every product of two or three small
+    catalog posets, whose graph has 1 to 20 vertices (the homology cap)."""
+    small = [("boolean_lattice", 1), ("boolean_lattice", 2), ("boolean_lattice", 3)]
+    small += [("chain", k) for k in range(2, 6)]
+    small += [("atom_coatom", k) for k in range(2, 5)]
+    small += [("m_atoms", k) for k in range(1, 5)]
+    specs = [((name, k),) for name in ("boolean_lattice", "atom_coatom", "m_atoms") for k in range(1, 22)]
+    specs += list(itertools.combinations_with_replacement(small, 2))
+    tiny = [("chain", 2), ("chain", 3), ("m_atoms", 2)]
+    specs += list(itertools.combinations_with_replacement(tiny, 3))
+    for spec in specs:
+        try:
+            factors = [generate(*f) for f in spec]
+        except ZdPosetError:  # atom_coatom 1
+            continue
+        P = factors[0] if len(factors) == 1 else direct_product(factors).carrier
+        G = zero_divisor_graph(P)
+        if 0 < len(G.vertices) <= 20:
+            yield " x ".join(f"{name} {k}" for name, k in spec), G
+
+
+def test_recursion_matches_reference_on_catalog_and_product_graphs():
+    # the reference costs up to a minute a graph above 14 vertices; there
+    # the face walk, which the tests above hold to it, stands in
+    seen = 0
+    for name, G in catalog_and_product_posets():
+        C = independence_complex(G)
+        if len(G.vertices) <= 14:
+            expected = brute.reisner_cm_reference(C)
+        else:
+            expected = facewalk.reisner_verdict(C, facewalk._face_walk(C))
+        assert homology.cm_by_links(C) is expected[0], name
+        assert reisner_cm(C) == expected, name
+        seen += 1
+    assert seen > 100
+
+
+# the first failing face and its dimension, as named before the recursion
+# decided the yes/no: every one comes from the (size, lex) face walk
+NOT_CM_WITNESSES = {
+    "chain 4 x m_atoms 3": (("(0,1)", "(c1,a1)", "(c2,a1)", "(1,a1)"), 0),
+    "m_atoms 2 x m_atoms 3": (("(a1,1)", "(a2,1)", "(1,a1)", "(1,a2)", "(1,a3)"), 2),
+    "chain 3 x chain 3 x chain 3": (
+        ("(0,c1,c1)", "(0,c1,1)", "(0,1,c1)", "(0,1,1)",
+         "(c1,0,c1)", "(c1,0,1)", "(1,0,c1)", "(1,0,1)"),
+        0,
+    ),
+    "chain 5 x m_atoms 3": (("(0,1)", "(c1,a1)", "(c2,a1)", "(c3,a1)", "(1,a1)"), 0),
+    "chain 3 x chain 3": ((), 0),
+    "chain 5 x atom_coatom 2": (("(0,1)", "(c1,q1)", "(c2,q1)", "(c3,q1)", "(1,q1)"), 0),
+    "boolean_lattice 2 x chain 5": (("(a1,c1)", "(a1,c2)", "(a1,c3)", "(a1,1)", "(1,0)"), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_CM_WITNESSES))
+def test_not_cm_witnesses_are_unchanged(name):
+    factors = [generate(spec.split()[0], int(spec.split()[1])) for spec in name.split(" x ")]
+    G = zero_divisor_graph(direct_product(factors).carrier)
+    ok, (face, dim) = reisner_cm(independence_complex(G))
+    assert not ok
+    assert (tuple(map(G.label, face)), dim) == NOT_CM_WITNESSES[name]

@@ -40,13 +40,13 @@ def test_parse_three_chain():
 
 def test_parse_figure1(figure1):
     assert len(figure1) == 10
-    assert figure1.names(figure1.atoms()) == ("q1", "q2", "q3", "q4")
+    assert brute.names(figure1, brute.atom_ids(figure1)) == ("q1", "q2", "q3", "q4")
     coatoms = {
         x
         for x in range(len(figure1))
         if figure1.down[figure1.top] & (1 << x) and figure1.weight(x) == 3
     }
-    assert figure1.names(coatoms) == ("q1'", "q2'", "q3'", "q4'")
+    assert brute.names(figure1, coatoms) == ("q1'", "q2'", "q3'", "q4'")
     assert figure1.is_boolean()
 
 
@@ -100,7 +100,7 @@ def test_parse_comments_and_blanks():
 
 def test_roundtrip_through_text(figure1):
     for P in (figure1, generate("boolean_lattice", 3), generate("chain", 4)):
-        assert parse_poset(P.to_text()) == P
+        assert brute.same_poset(parse_poset(P.to_text()), P)
 
 
 @st.composite
@@ -122,7 +122,7 @@ def shuffled_bounded_posets(draw):
 @given(shuffled_bounded_posets())
 def test_roundtrip_through_text_on_shuffled_posets(P):
     Q = parse_poset(P.to_text())
-    assert Q == P
+    assert brute.same_poset(Q, P)
     assert Q.down == P.down
     assert (Q.bottom, Q.top) == (P.bottom, P.top)
     assert P.elements[P.bottom] == "x0"
@@ -181,13 +181,13 @@ def test_cone_galois_laws(data):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_boolean_lattice_atom_count(n):
     P = generate("boolean_lattice", n)
-    assert len(P.atoms()) == n
-    assert P.atoms() == brute.atoms(P)
+    assert len(brute.atom_ids(P)) == n
+    assert brute.atom_ids(P) == brute.atoms(P)
 
 
 def test_chain_atom_is_middle():
     P = generate("chain", 3)
-    assert P.names(P.atoms()) == ("c1",)
+    assert brute.names(P, brute.atom_ids(P)) == ("c1",)
 
 
 def test_weights(figure1):
@@ -201,7 +201,7 @@ def test_weights(figure1):
 def test_atoms_need_bottom():
     P = parse_poset("poset v1\nelem a\nelem b\n")
     with pytest.raises(ZdPosetError, match="^poset has no least element$"):
-        P.atoms()
+        brute.atom_ids(P)
 
 
 # --- complements ------------------------------------------------------------------
@@ -599,7 +599,7 @@ def test_product_of_three_two_chains_is_boolean_cube():
 def test_product_of_three_three_chains():
     pp = direct_product([generate("chain", 3)] * 3)
     assert len(pp.carrier) == 27
-    assert len(pp.carrier.atoms()) == 3
+    assert len(brute.atom_ids(pp.carrier)) == 3
 
 
 def test_product_componentwise_order(figure1):
@@ -638,7 +638,7 @@ def test_benchmark_product_carriers_pass_the_full_order_check():
         C = direct_product(factors).carrier
         Q = Poset(C.elements, C.up)
         assert (Q.down, Q.bottom, Q.top) == (C.down, C.bottom, C.top), C
-        assert Q == C
+        assert brute.same_poset(Q, C)
 
 
 def test_product_guards():
@@ -653,7 +653,7 @@ def test_product_guards():
 
 
 def test_generate_atom_coatom_4_matches_figure1(figure1):
-    assert generate("atom_coatom", 4) == figure1
+    assert brute.same_poset(generate("atom_coatom", 4), figure1)
 
 
 def test_generate_atom_coatom_collapses_for_small_k():
@@ -666,7 +666,7 @@ def test_generate_atom_coatom_collapses_for_small_k():
 def test_generate_m_atoms_counterexample():
     P = generate("m_atoms", 3)
     assert len(P) == 5
-    assert len(P.atoms()) == 3
+    assert len(brute.atom_ids(P)) == 3
 
 
 def test_generate_boolean_lattice_1_is_two_chain():

@@ -109,7 +109,7 @@ def test_product_atom_ids_are_the_atom_tuples():
     A = validate_factors(chains(2, 3, 4))
     assert isinstance(A, ProductPoset)
     assert [A.coord_of[q] for q in A.atom_ids] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert frozenset(A.atom_ids) == A.carrier.atoms()
+    assert frozenset(A.atom_ids) == brute.atom_ids(A.carrier)
 
 
 def test_j_single_two_chains():

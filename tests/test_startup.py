@@ -4,13 +4,16 @@ A ``zdposet`` run is mostly interpreter start-up and imports, and
 without cached bytecode every module it loads is compiled from source,
 so each subcommand imports only the layers it runs: the product layer
 loads for ``sweep`` alone, the catalog (``poset``) for ``gen`` and
-``sweep``, the certificate layer (``cmcert``) for ``check`` and
-``sweep``, ``search`` only on the matching-search route, the
-homology oracle never for ``sweep``, and neither ``dataclasses`` nor
-``json`` loads on the way to a verdict.  No run imports ``argparse``
-(nor ``gettext`` and ``locale``, which it pulls in), and ``check``
-compiles at most ``CHECK_SOURCE_CAP`` bytes of package source.  The
-result records are named tuples.
+``sweep``, the verdict layer (``cmcert``) for ``check`` and ``sweep``,
+the five-condition certificate (``certificate``) only on the
+boolean-certificate and matching-search routes, ``search`` only on the
+latter, the homology oracle never for ``sweep``, its face walk
+(``facewalk``) only where a face is printed, and neither
+``dataclasses`` nor ``json`` loads on the way to a verdict.  No run
+imports ``argparse`` (nor ``gettext`` and ``locale``, which it pulls
+in), and ``check`` compiles at most ``CHECK_SOURCE_CAP`` bytes of
+package source, and on each route at most its ``CHECK_ROUTE_SOURCE_CAP``.
+The result records are named tuples.
 """
 
 import ast
@@ -22,12 +25,8 @@ from pathlib import Path
 import pytest
 
 import zdposet.zdg
-from zdposet.cmcert import (
-    Analysis,
-    CmVerdict,
-    ConditionStatus,
-    MyCertificate,
-)
+from zdposet.certificate import ConditionStatus, MyCertificate
+from zdposet.cmcert import Analysis, CmVerdict
 from zdposet.poset import direct_product, generate
 from zdposet.product import PredictedCounts, TheoremCheck
 
@@ -171,6 +170,9 @@ def test_check_loads_neither_catalog_nor_search_nor_products(tmp_path, route):
     assert f"[{route}]" in out.read_text()
     assert {"zdposet.poset", "zdposet.search", "zdposet.product"} & loaded == set()
     assert "zdposet.homology" in loaded
+    # the CM(Reisner) line walks no face; only the Boolean route certifies
+    assert "zdposet.facewalk" not in loaded
+    assert ("zdposet.certificate" in loaded) == (route == "boolean-certificate")
 
 
 def test_check_on_a_very_well_covered_poset_loads_the_search(tmp_path):
@@ -180,8 +182,38 @@ def test_check_on_a_very_well_covered_poset_loads_the_search(tmp_path):
     loaded = modules_loaded_by(["check", str(path), "-o", str(out)])
     assert "very-well-covered: yes" in out.read_text()
     assert "[matching-search]" in out.read_text()
-    assert "zdposet.search" in loaded
-    assert {"zdposet.poset", "zdposet.product"} & loaded == set()
+    assert {"zdposet.search", "zdposet.certificate"} <= loaded
+    assert {"zdposet.poset", "zdposet.product", "zdposet.facewalk"} & loaded == set()
+
+
+# 0 < e0..e4 < 1 with e0, e1 < e3 and e2 < e4: the reisner-oracle route,
+# NotCM, whose detail names the failing face
+REISNER_NOT_CM = (
+    "poset v1\nelem 0\n"
+    + "".join(f"elem e{i}\n" for i in range(5))
+    + "elem 1\n"
+    + "".join(f"le 0 e{i}\nle e{i} 1\n" for i in range(5))
+    + "le e0 e3\nle e1 e3\nle e2 e4\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, flags, walks",
+    [
+        (generate("m_atoms", 3).to_text(), [], False),  # reisner-oracle, CM
+        (REISNER_NOT_CM, [], True),
+        (generate("m_atoms", 3).to_text(), ["-v"], True),
+        (generate("boolean_lattice", 3).to_text(), ["-v"], True),
+    ],
+    ids=["reisner CM", "reisner NotCM", "reisner CM -v", "boolean -v"],
+)
+def test_check_loads_the_face_walk_only_to_print_a_face(tmp_path, text, flags, walks):
+    path = tmp_path / "in.poset"
+    path.write_text(text)
+    out = tmp_path / "out"
+    loaded = modules_loaded_by(["check", str(path), *flags, "-o", str(out)])
+    assert "[reisner-oracle]" in out.read_text() or "[boolean-certificate]" in out.read_text()
+    assert ("zdposet.facewalk" in loaded) is walks
 
 
 # argparse, and the two modules its message lookups pull in
@@ -217,6 +249,9 @@ def test_no_run_loads_argparse(tmp_path, argv):
 # the package source a check run may compile, in bytes: every module it
 # loads is compiled in full, whether or not the run calls its code
 CHECK_SOURCE_CAP = 50_000
+# the same, per route: what the certificate and the face walk left out
+# of the plain check path, with a route that needs neither the tightest
+CHECK_ROUTE_SOURCE_CAP = {"boolean-certificate": 48_900, "not-well-covered": 43_200}
 
 
 def source_bytes(modules):
@@ -239,7 +274,7 @@ def test_check_compiles_at_most_the_source_cap(tmp_path, route):
     loaded = modules_loaded_by(["check", str(path), "-o", str(out)])
     assert f"[{route}]" in out.read_text()
     assert {"zdposet.arguments", "zdposet.commands", "zdposet.formats", "zdposet.lattice"} & loaded == set()
-    assert source_bytes(loaded) <= CHECK_SOURCE_CAP
+    assert source_bytes(loaded) <= CHECK_ROUTE_SOURCE_CAP[route] <= CHECK_SOURCE_CAP
 
 
 def test_gen_loads_the_catalog(tmp_path):

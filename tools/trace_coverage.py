@@ -13,9 +13,15 @@ statement counter, over the inputs the project already pins:
   lines and ``gen`` parameters;
 - ``check`` on both outcomes of the matching route, twins and a
   certificate, and on a matching that re-matches along alternating paths;
+- ``check`` on a graph that the link recursion settles without a leaf,
+  folding one link graph to a cone (the reisner-oracle route, CM), and
+  on one where a leaf's two links differ in independence number;
 - argument lists that are not the plain shape, usage errors and ``-h``;
 - the benchmark's set-up (``bench/workloads.py``) for every workload,
-  then every item it writes.
+  then every item it writes, through the CLI and through the in-process
+  replay of ``bench/tracing.py``, which calls the library entry points
+  that no CLI run calls (``reisner_cm``, ``faces_by_dimension`` and
+  ``is_cohen_macaulay``).
 
 It then prints, per module, the executable lines that never ran.  Lines
 inside a ``raise`` statement, an ``except`` handler or an ``assert``
@@ -59,6 +65,17 @@ def whiskers() -> str:
     lines += [f"le 0 a{i}" for i in (1, 2, 3)]
     for top, atoms in {"c1": "a2 a3", "c2": "a1 a3", "c3": "a1 a2", "e": "a1 a2 a3"}.items():
         lines += [f"le {a} {top}" for a in atoms.split()] + [f"le {top} 1"]
+    return "\n".join(lines) + "\n"
+
+
+def subsets(k: int, *supports: str) -> str:
+    """The atoms 1..k, the sets of them given as digit strings, 0 and 1,
+    ordered by inclusion: an element's support is its set."""
+    sets = [str(i) for i in range(1, k + 1)] + list(supports)
+    lines = ["poset v1", "elem 0", *(f"elem a{s}" for s in sets), "elem 1"]
+    lines += [f"le 0 a{i}" for i in range(1, k + 1)]
+    lines += [f"le a{s} a{t}" for s in sets for t in sets if set(s) < set(t)]
+    lines += [f"le a{s} 1" for s in sets]
     return "\n".join(lines) + "\n"
 
 
@@ -120,6 +137,10 @@ def prepare(tmp: Path) -> list[list[str]]:
     run("check", write("edge.poset", "poset v1\nelem 0\nelem a\nelem b\nelem c\nelem 1\n"
                        "le 0 a\nle 0 b\nle a c\nle b c\nle c 1\n"))
     run("check", write("whiskers.poset", whiskers()))
+    # the link recursion: a leafless graph whose ranked link folds to a
+    # cone, and K_{1,2}, whose leaf's links have independence numbers 1 and 0
+    run("check", write("cone.poset", subsets(4, "12", "24", "34", "123", "134")))
+    run("check", write("k12.poset", build("chain 2 x chain 3").to_text()))
     run("sweep", write("capped.txt", "2,2,2\n3,3\n21,21\n"), "--max-vertices", "12")
 
     # files that are refused, and a missing one
@@ -173,9 +194,23 @@ def run_all(runs: list[list[str]]) -> None:
             print(f"{argv[0]} escaped with {type(exc).__name__}: {exc}"[:200], file=sys.stderr)
 
 
+def replay_benchmark(tmp: Path) -> None:
+    """Replay every benchmark item that ``prepare`` wrote, in-process, with
+    ``bench/tracing.py``'s untraced replay."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer(enabled=False)
+    for manifest in sorted(tmp.glob("*/items.json")):
+        for item in json.loads(manifest.read_text(encoding="utf-8")):
+            replay = tracing.replay_check if item["command"] == "check" else tracing.replay_sweep
+            replay(tracer, (manifest.parent / item["file"]).read_text(encoding="utf-8"))
+
+
 def drive(tmp: Path) -> list[list[str]]:
     runs = prepare(tmp)
     run_all(runs)
+    replay_benchmark(tmp)
     return runs
 
 
